@@ -50,7 +50,6 @@ class CountSeries:
 
 
 _series_cache: Dict[Tuple[int, int], CountSeries] = {}
-_seq_cache: Dict[Tuple[int, int], Tuple[List[int], List[int], List[int]]] = {}
 _lock = threading.Lock()
 
 
@@ -93,19 +92,6 @@ def _quadratic_recurrence(n: int, max_size: int) -> List[int]:
     return b
 
 
-def sequence_tables(n: int, max_size: int) -> Tuple[List[int], List[int], List[int]]:
-    """Cached (a, r, q) tables; shared by the sampler."""
-    key = (n, max_size)
-    with _lock:
-        hit = _seq_cache.get(key)
-    if hit is not None:
-        return hit
-    tables = _sequence_dp(n, max_size)
-    with _lock:
-        _seq_cache[key] = tables
-    return tables
-
-
 def series(n: int, max_size: int) -> CountSeries:
     """Exact counts up to max_size, cross-checked between two methods."""
     if n < 1 or max_size < 1:
@@ -115,7 +101,7 @@ def series(n: int, max_size: int) -> CountSeries:
         hit = _series_cache.get(key)
     if hit is not None:
         return hit
-    a, _r, _q = sequence_tables(n, max_size)
+    a, _r, _q = _sequence_dp(n, max_size)
     b = _quadratic_recurrence(n, max_size)
     if a != b:
         first = next(m for m in range(max_size + 1) if a[m] != b[m])

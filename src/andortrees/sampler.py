@@ -1,31 +1,27 @@
 """Exact-size uniform sampling of trees and Monte Carlo statistics.
 
-Sampling uses the recursive method over exact big-integer counts: the root
-connective is a fair coin (counts are symmetric under the and/or swap), the
-child-size sequence is drawn from exact sequence-count tables, and children
-recurse with the opposite connective.  Every size-m tree gets probability
-exactly 1/(number of size-m trees).
-
-Size splits for small totals use precomputed cumulative tables and binary
-search.  Large totals walk the split weights from both ends (the split law
-puts its mass near 1 and near T-1) with scaled double accumulators and a
-certified margin; any draw landing inside the margin is resolved with exact
-integers, so float shortcuts never change the sampled distribution.
+A size-m tree read in preorder is a Lukasiewicz word: the arities of its
+nodes, 0 for a leaf.  A draw takes the number I of internal nodes from exact
+big-integer weights, a uniform composition of the m-1 edges into I arities
+>= 2 and a uniform set of I letters to carry them, and turns the word to its
+one valid rotation (cycle lemma: Dershowitz & Zaks 1990; Devroye 2012).  The
+root connective is a fair coin and each leaf a uniform literal.  Every choice
+is an integer draw, so every size-m tree has probability exactly
+1/(number of size-m trees).
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .counting import sequence_tables, series
 from .formula import (
     AND,
     OR,
@@ -45,24 +41,6 @@ Z95 = 1.959964  # two-sided 95% normal quantile
 
 class SamplerError(RuntimeError):
     pass
-
-
-def _frexp_big(x) -> Tuple[float, int]:
-    """frexp for arbitrarily large integers: x ~= mant * 2^exp, mant in [0.5, 1)."""
-    x = int(x)
-    if x == 0:
-        return 0.0, 0
-    bits = x.bit_length()
-    excess = bits - 53
-    if excess > 0:
-        return math.ldexp(x >> excess, -53), bits
-    return math.ldexp(x, -bits), bits
-
-
-def _scaled_float(x, shift: int) -> float:
-    """float(x / 2^shift) without overflow for huge x."""
-    mant, exp = _frexp_big(x)
-    return math.ldexp(mant, exp - shift)
 
 
 @dataclass(frozen=True)
@@ -92,145 +70,44 @@ def _frequency_stat(hits: int, trials: int, **extra) -> StatResult:
 
 
 class SamplerContext:
-    """Immutable-after-build sampling tables for one (n, max_size)."""
+    """Uniform size-m trees over n variables, for every m up to max_size.
 
-    #: totals at or below this use exact cumulative tables + binary search
-    BISECT_CUTOFF = 256
-    #: certified relative margin of the float walk; accumulated float error is
-    #: bounded by atoms * 2^-52 << band, so comparisons outside the band are
-    #: provably correct and draws inside it fall back to exact integers
-    _WALK_BAND = 2.0 ** -28
+    The weights of I for a size are built on its first draw and kept.
+    """
 
     def __init__(self, n: int, max_size: int):
         if n < 1 or max_size < 1:
             raise ValueError("need n >= 1 and max_size >= 1")
         self.n = n
         self.max_size = max_size
-        self.counts = series(n, max_size)
-        a, r, q = sequence_tables(n, max_size)
-        self._a, self._r, self._q = a, r, q
-        # (mantissa, exponent) pairs: x ~= mant * 2^exp with mant in [0.5, 1)
-        self._af = [_frexp_big(x) for x in a]
-        self._rf = [_frexp_big(x) for x in r]
-        cutoff = min(self.BISECT_CUTOFF, max_size)
-        # cumulative weights along the same interleaved atom order the float
-        # walk uses, so both code paths are pointwise identical inverse maps
-        self._cum_first: List[Optional[List[int]]] = [None] * (cutoff + 1)
-        self._cum_rest: List[Optional[List[int]]] = [None] * (cutoff + 1)
-        for total in range(1, cutoff + 1):
-            acc, out = 0, []
-            for s in self._interleaved(total):
-                acc += a[s] * r[total - s]
-                out.append(acc)
-            if total >= 2:
-                self._cum_first[total] = out
-            # >= 1 sequences: atom 0 = stop (one tree of size `total`)
-            self._cum_rest[total] = [a[total]] + [a[total] + c for c in out]
-        needed = 4 * max_size + 2000
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
+        self._cum: Dict[int, List[int]] = {}
 
-    # -- split draws ---------------------------------------------------
+    def _cum_weights(self, m: int) -> List[int]:
+        """Cumulative weights of I = 1..(m-1)//2 internal nodes in a size-m tree.
 
-    @staticmethod
-    def _interleaved(total: int) -> Iterable[int]:
-        """Sizes 1, total-1, 2, total-2, ... covering 1..total-1 once each."""
-        lo, hi = 1, total - 1
-        while lo <= hi:
-            yield lo
-            if hi != lo:
-                yield hi
-            lo += 1
-            hi -= 1
-
-    @staticmethod
-    def _atom_at(index: int, total: int) -> int:
-        """index-th entry of the interleaved order, in O(1)."""
-        return index // 2 + 1 if index % 2 == 0 else total - 1 - index // 2
-
-    def _walk_split(self, total: int, draw: int, include_stop: bool) -> int:
-        """Exact inverse-transform along the interleaved atom order.
-
-        Returns 0 for the stop atom (>=1 sequences only) or the first-child
-        size.  Scaled doubles decide comparisons outside the certified band;
-        inside it, exact integers take over.
+        w_I = (2n)^(m-I) * C(m, I) * C(m-I-2, I-1) counts the leaf literals,
+        the places of the I internal nodes among the m letters and the
+        compositions of the m-1 edges into I arities >= 2.  One of the m
+        rotations of such a word is a tree's (cycle lemma) and a tree has two
+        root connectives, so sum_I w_I = m * A_m / 2.  Consecutive weights
+        differ by the factor (m-I)(m-2I-1)(m-2I-2) / ((I+1) I (m-I-2) 2n).
         """
-        a, r, af, rf = self._a, self._r, self._af, self._rf
-        # scale everything by 2^-shift so magnitudes sit near 1.0
-        shift = (self._r[total]).bit_length()
-        draw_f = _scaled_float(draw, shift)
-        lo_band, hi_band = 1.0 - self._WALK_BAND, 1.0 + self._WALK_BAND
-        csum = 0.0
-        exact_needed = False
-        order: List[int] = []
-        if include_stop:
-            order.append(0)
-            am, ae = af[total]
-            csum = math.ldexp(am, ae - shift)
-            if draw_f < csum * lo_band:
-                return 0
-            if draw_f < csum * hi_band:
-                exact_needed = True
-        for s in self._interleaved(total):
-            order.append(s)
-            am, ae = af[s]
-            rm, re = rf[total - s]
-            csum += math.ldexp(am * rm, ae + re - shift)
-            if exact_needed:
-                continue
-            if draw_f < csum * lo_band:
-                return s
-            if draw_f < csum * hi_band:
-                exact_needed = True
-        # exact replay over the same order (certified-rare path)
-        if exact_needed:
-            acc = 0
-            for s in order:
-                acc += a[total] if s == 0 else a[s] * r[total - s]
-                if draw < acc:
-                    return s
-            raise SamplerError("exact split replay failed; tables inconsistent")
-        raise SamplerError("split walk exhausted its atoms; tables inconsistent")
+        cum = self._cum.get(m)
+        if cum is None:
+            two_n = 2 * self.n
+            w = m * two_n ** (m - 1)
+            cum = [w]
+            for i in range(1, (m - 1) // 2):
+                w = w * (m - i) * (m - 2 * i - 1) * (m - 2 * i - 2) // (
+                    (i + 1) * i * (m - i - 2) * two_n
+                )
+                cum.append(cum[-1] + w)
+            self._cum[m] = cum
+        return cum
 
-    def _draw_first(self, total: int, rng: random.Random) -> int:
-        """First-child size of a >= 2 sequence with weights a[s]*r[total-s]."""
-        draw = rng.randrange(self._q[total])
-        cum = self._cum_first[total] if total < len(self._cum_first) else None
-        if cum is not None:
-            return self._atom_at(bisect.bisect_right(cum, draw), total)
-        return self._walk_split(total, draw, include_stop=False)
-
-    def _draw_rest(self, total: int, rng: random.Random) -> int:
-        """0 to finish with one tree of size `total`, else next child size."""
-        draw = rng.randrange(self._r[total])
-        cum = self._cum_rest[total] if total < len(self._cum_rest) else None
-        if cum is not None:
-            idx = bisect.bisect_right(cum, draw)
-            return 0 if idx == 0 else self._atom_at(idx - 1, total)
-        return self._walk_split(total, draw, include_stop=True)
-
-    # -- tree assembly ---------------------------------------------------
-
-    def _sample_child(self, size: int, op: str, rng: random.Random) -> AndOrTree:
-        """A uniform tree of the given size that is a leaf or op-rooted."""
-        if size == 1:
-            idx = rng.randrange(2 * self.n)
-            return Leaf(Literal(idx // 2 + 1, bool(idx & 1)))
-        child_op = OR if op == AND else AND
-        sizes: List[int] = []
-        remaining = size - 1
-        s = self._draw_first(remaining, rng)
-        sizes.append(s)
-        remaining -= s
-        while True:
-            nxt = self._draw_rest(remaining, rng)
-            if nxt == 0:
-                sizes.append(remaining)
-                break
-            sizes.append(nxt)
-            remaining -= nxt
-        children = tuple(self._sample_child(sz, child_op, rng) for sz in sizes)
-        return Node(op, children)
+    def _leaf(self, rng: random.Random) -> Leaf:
+        idx = rng.randrange(2 * self.n)
+        return Leaf(Literal(idx // 2 + 1, bool(idx & 1)))
 
     def sample(self, m: int, rng: random.Random) -> AndOrTree:
         if m == 2:
@@ -238,10 +115,41 @@ class SamplerContext:
         if m < 1 or m > self.max_size:
             raise ValueError(f"m must be in 1..{self.max_size} and != 2")
         if m == 1:
-            idx = rng.randrange(2 * self.n)
-            return Leaf(Literal(idx // 2 + 1, bool(idx & 1)))
+            return self._leaf(rng)
+        cum = self._cum_weights(m)
+        internal = bisect.bisect_right(cum, rng.randrange(cum[-1])) + 1
+        # a uniform composition of m-1 into `internal` arities >= 2 ...
+        cuts = sorted(rng.sample(range(1, m - internal - 1), internal - 1))
+        cuts.append(m - 1 - internal)
+        # ... placed at a uniform set of `internal` letters of the word
+        word = [0] * m
+        prev = 0
+        for pos, cut in zip(sorted(rng.sample(range(m), internal)), cuts):
+            word[pos] = cut - prev + 1
+            prev = cut
+        # the one valid rotation starts after the first minimum of the
+        # prefix sums of (arity - 1), which end at -1
+        sums = list(itertools.accumulate(k - 1 for k in word))
+        start = sums.index(min(sums)) + 1
+        word = word[start:] + word[:start]
+        # decode in preorder; each frame is [op, arity, children so far]
+        stack: List[list] = []
         op = AND if rng.randrange(2) == 0 else OR
-        return self._sample_child(m, op, rng)
+        for arity in word:
+            if arity:
+                if stack:
+                    op = OR if stack[-1][0] == AND else AND
+                stack.append([op, arity, []])
+                continue
+            node: AndOrTree = self._leaf(rng)
+            while stack:
+                frame = stack[-1]
+                frame[2].append(node)
+                if len(frame[2]) < frame[1]:
+                    break
+                stack.pop()
+                node = Node(frame[0], tuple(frame[2]))
+        return node
 
 
 _contexts: Dict[Tuple[int, int], SamplerContext] = {}
@@ -249,7 +157,7 @@ _context_lock = threading.Lock()
 
 
 def get_context(n: int, max_size: int) -> SamplerContext:
-    """Shared context registry; contexts are immutable once built."""
+    """Shared context registry; a draw only ever adds a weight table to one."""
     key = (n, max_size)
     with _context_lock:
         ctx = _contexts.get(key)

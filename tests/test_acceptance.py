@@ -12,7 +12,7 @@ and trial count as first stated:
 * 10b: 10^4 trees at m = 2000, n = 100 estimate the exact limiting law at
   n = 100, which sits at KS distance 0.0478 from its Gamma(2,1/2) limit.
   The sample is tested against the exact law with the discrete-law KS
-  distance (0.0084 against the 1% critical value 0.0163), and the exact
+  distance (0.0076 against the 1% critical value 0.0163), and the exact
   law's distance to Gamma (0.0478, 0.0053, 0.00054 at n = 100, 1e4, 1e6) must
   be below the same critical value at n = 1e6.
 

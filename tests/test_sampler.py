@@ -1,14 +1,15 @@
 import math
-import random
+import sys
 from collections import Counter
 
 import pytest
 
 from andortrees.analytic import expected_first_level_leaves, first_level_leaf_law
-from andortrees.counting import brute_enumerate
+from andortrees.counting import brute_enumerate, series
 from andortrees.distribution import prob
 from andortrees.formula import TruthTable, serialize, tree_size
 from andortrees.sampler import (
+    SamplerContext,
     SamplerError,
     chi_square_critical,
     gamma_two_half_cdf,
@@ -48,15 +49,39 @@ def test_leaf_sampling_uniform():
     assert chi2 < chi_square_critical(0.01, 5)
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
-def test_uniform_over_brute_support(m):
-    support = [serialize(t) for t in brute_enumerate(m, 1)]
+SUPPORT_CASES = [(3, 1), (4, 1), (5, 1), (7, 1), (5, 2)]
+
+
+@pytest.mark.parametrize(
+    "m, n", SUPPORT_CASES, ids=[f"{m}" if n == 1 else f"{m}-n{n}" for m, n in SUPPORT_CASES]
+)
+def test_uniform_over_brute_support(m, n):
+    # (7, 1) and (5, 2) hold 864 and 768 trees: several internal nodes, the
+    # rotation of the word and literals over two variables
+    support = [serialize(t) for t in brute_enumerate(m, n)]
     trials = 100_000
-    counts = Counter(serialize(t) for t in sample_many(m, 1, trials, seed=900 + m))
+    counts = Counter(serialize(t) for t in sample_many(m, n, trials, seed=900 + m))
     assert set(counts) <= set(support)
     expected = trials / len(support)
     chi2 = sum((counts.get(s, 0) - expected) ** 2 / expected for s in support)
     assert chi2 < chi_square_critical(0.01, len(support) - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100])
+def test_internal_count_weights_sum_to_tree_counts(n):
+    # the sampler reads no count series, so this is the link between the two
+    counts = series(n, 60)
+    ctx = SamplerContext(n, 60)
+    for m in range(3, 61):
+        assert 2 * ctx._cum_weights(m)[-1] == m * counts.a_total[m]
+
+
+def test_sampling_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    get_context(1, 5000)
+    trees = sample_many(5000, 1, 3, seed=5000)
+    assert [tree_size(t) for t in trees] == [5000] * 3
+    assert sys.getrecursionlimit() == before
 
 
 def test_monte_carlo_reports_are_bit_reproducible():
@@ -65,40 +90,6 @@ def test_monte_carlo_reports_are_bit_reproducible():
         stats=["tautology_rate", "simple_tautology_rate", "first_level_leaf_histogram"],
     )
     assert monte_carlo(**kwargs) == monte_carlo(**kwargs)
-
-
-def test_walk_split_matches_bisect_tables():
-    # the float walk and the bisect tables are pointwise-identical inverse maps
-    import bisect as _b
-
-    ctx = get_context(2, 40)
-    rng = random.Random(77)
-    for total in (17, 33, 40):
-        for _ in range(400):
-            draw = rng.randrange(ctx._q[total])
-            via_walk = ctx._walk_split(total, draw, include_stop=False)
-            idx = _b.bisect_right(ctx._cum_first[total], draw)
-            assert via_walk == ctx._atom_at(idx, total)
-        for _ in range(400):
-            draw = rng.randrange(ctx._r[total])
-            via_walk = ctx._walk_split(total, draw, include_stop=True)
-            idx = _b.bisect_right(ctx._cum_rest[total], draw)
-            assert via_walk == (0 if idx == 0 else ctx._atom_at(idx - 1, total))
-
-
-def test_walk_split_boundary_draws_exact():
-    # draws at atom boundaries exercise the exact-replay path; zero-weight
-    # atoms (there are no size-2 trees) make ties, which bisect also resolves
-    import bisect as _b
-
-    ctx = get_context(2, 40)
-    for total in (17, 40):
-        cum = ctx._cum_first[total]
-        for boundary in cum[:-1]:
-            for draw in (boundary - 1, boundary):
-                idx = _b.bisect_right(cum, draw)
-                expected = ctx._atom_at(idx, total)
-                assert ctx._walk_split(total, draw, include_stop=False) == expected
 
 
 def test_monte_carlo_function_frequency_matches_exact():
