@@ -7,7 +7,8 @@ go to stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 Configuration precedence: command-line flags > --config file > defaults.
 The config file is flat `key = value` text, keys matching flag names with
 dashes or underscores.  The environment variable ANDORTREES_CACHE_DIR points
-the distribution engine at a pickle cache directory.
+the distribution engine at a cache directory of versioned marshal files
+(format andortrees-engine-2; older pickle caches are ignored).
 """
 
 from __future__ import annotations

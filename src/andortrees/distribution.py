@@ -6,24 +6,34 @@ grammar: a root of one connective takes an ordered sequence (length >= 2) of
 opposite-rooted subtrees, the function combining by AND (resp. OR) along the
 sequence.
 
-The sequence state is (root connective, size, function, one-vs-more flag) as
-counts; to keep the per-size step quasi-linear in the number of functions the
-whole sequence DP runs in zeta-transform space: AND-convolutions of function
-tables diagonalise under superset sums, OR-convolutions under subset sums, so
-sequence extension is a pointwise product per transformed mask.  Layers are
-inverse-transformed once per size.  Counts are validated against brute-force
-enumeration in the tests.
+Only or-rooted counts are computed.  Swapping every connective and negating
+every leaf maps the and-rooted trees computing f one-to-one onto the
+or-rooted trees computing not-f, so the and-rooted count of f is the
+or-rooted count at ``full ^ f``: the OR layer read in reverse.
+
+The engine is layer-major: each quantity is one list over all 2^(2^n)
+truth-table masks, and each step is a whole-list operation on exact Python
+ints.  OR-combination of function tables diagonalises under the subset-sum
+(zeta) transform.  With X[m] the zeta transform of the size-m AND layer, the
+sequences of >= 1 and-rooted children of total size m have transform
+S[m] = X[m] + sum_{i<m} S[i] * X[m-i] (pointwise products), those of >= 2
+children Q[m] = S[m] - X[m], and the size-(m+1) OR layer is the Möbius
+transform of Q[m].  The transforms are the butterflies of fast subset
+convolution, one bit at a time, each bit a few slice operations.  Counts are
+checked in the tests against brute-force enumeration and against an
+independent per-mask computation of both connectives.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
-import pickle
 import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from operator import add, mul, sub
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .counting import series
 from .formula import TruthTable, literal_mask
@@ -33,6 +43,8 @@ MAX_SWEEP_VARS = 3
 HARD_MAX_VARS = 4
 
 CACHE_ENV_VAR = "ANDORTREES_CACHE_DIR"
+#: tag of the on-disk engine format; a file with any other tag is recomputed
+CACHE_FORMAT = "andortrees-engine-2"
 
 
 class DistributionError(RuntimeError):
@@ -55,10 +67,19 @@ class CountTable:
     or_rooted: Tuple[int, ...]
 
     def total(self, mask: int) -> int:
-        value = self.and_rooted[mask] + self.or_rooted[mask]
-        if self.m == 1 and self.and_rooted[mask]:
-            value -= self.and_rooted[mask]  # leaf counted once, not twice
-        return value
+        return _total(self.or_rooted, self.m, mask)
+
+
+def _total(or_layer: Sequence[int], m: int, mask: int) -> int:
+    """Trees of size m computing mask, read from the size-m OR layer alone.
+
+    The and-rooted count of f is the or-rooted count of not-f, at index
+    full ^ f.  At m = 1 both counts are the same leaf, counted once.
+    """
+    count = or_layer[mask]
+    if m > 1:
+        count += or_layer[(len(or_layer) - 1) ^ mask]
+    return count
 
 
 @dataclass(frozen=True)
@@ -82,145 +103,100 @@ class LimitReport:
 
 
 # ---------------------------------------------------------------------------
-# subset/superset zeta transforms over the function lattice
+# subset zeta / Möbius transforms over the function lattice
 # ---------------------------------------------------------------------------
 
 
-def _zeta_superset(v: List[int], bits: int) -> List[int]:
+def _butterfly(v: List[int], op: Callable[[int, int], int]) -> List[int]:
+    """A copy of v with v[mask] = op(v[mask], v[mask ^ bit]) applied for each
+    bit in turn, at every mask that has the bit set.
+
+    Each bit is one slice step per block of 2 * half masks (contiguous
+    slices) or per residue below half (strided slices), whichever is fewer,
+    so the element loop runs in C.
+    """
     v = v[:]
-    for b in range(bits):
-        bit = 1 << b
-        for mask in range(len(v)):
-            if not mask & bit:
-                v[mask] += v[mask | bit]
+    size = len(v)
+    half = 1
+    while half < size:
+        span = 2 * half
+        if size // span <= half:
+            for lo in range(0, size, span):
+                hi = lo + half
+                v[hi : hi + half] = map(op, v[hi : hi + half], v[lo:hi])
+        else:
+            for r in range(half):
+                v[r + half :: span] = map(op, v[r + half :: span], v[r::span])
+        half = span
     return v
 
 
-def _mobius_superset(v: List[int], bits: int) -> List[int]:
-    v = v[:]
-    for b in range(bits):
-        bit = 1 << b
-        for mask in range(len(v)):
-            if not mask & bit:
-                v[mask] -= v[mask | bit]
-    return v
+def _zeta_subset(v: List[int]) -> List[int]:
+    """Subset sums: result[mask] = sum of v[sub] over sub within mask."""
+    return _butterfly(v, add)
 
 
-def _zeta_subset(v: List[int], bits: int) -> List[int]:
-    v = v[:]
-    for b in range(bits):
-        bit = 1 << b
-        for mask in range(len(v)):
-            if mask & bit:
-                v[mask] += v[mask ^ bit]
-    return v
-
-
-def _mobius_subset(v: List[int], bits: int) -> List[int]:
-    v = v[:]
-    for b in range(bits):
-        bit = 1 << b
-        for mask in range(len(v)):
-            if mask & bit:
-                v[mask] -= v[mask ^ bit]
-    return v
+def _mobius_subset(v: List[int]) -> List[int]:
+    """Inverse of _zeta_subset."""
+    return _butterfly(v, sub)
 
 
 # ---------------------------------------------------------------------------
-# the per-(n, duality) engine, grown one size layer at a time
+# the per-n engine, grown one size layer at a time
 # ---------------------------------------------------------------------------
 
 
 class _Engine:
-    def __init__(self, n: int, use_duality: bool):
+    """or_layers[m], X[m] and S[m] of the module docstring, for m >= 1.
+
+    Index 0 (there are no trees of size 0) holds None.
+    """
+
+    def __init__(self, n: int):
         self.n = n
-        self.use_duality = use_duality
-        self.bits = 1 << n
-        self.space = 1 << self.bits
-        self.full = self.space - 1
-        self.max_size = 0
-        self.and_layers: List[Optional[List[int]]] = [None]
+        self.space = 1 << (1 << n)
         self.or_layers: List[Optional[List[int]]] = [None]
-        # zeta-space children series X and sequence-of->=2 series Q, per mask,
-        # for each root type that is actually computed
-        self._XA: Optional[List[List[int]]] = None
-        self._QA: Optional[List[List[int]]] = None
-        self._XO: List[List[int]] = [[] for _ in range(self.space)]
-        self._QO: List[List[int]] = [[] for _ in range(self.space)]
-        if not use_duality:
-            self._XA = [[] for _ in range(self.space)]
-            self._QA = [[] for _ in range(self.space)]
-        for row in self._XO:
-            row.append(0)
-        for row in self._QO:
-            row.append(0)
-        if self._XA is not None:
-            for row in self._XA:
-                row.append(0)
-            for row in self._QA:
-                row.append(0)
-        self._leaf_layer = [0] * self.space
-        for var in range(1, n + 1):
-            for neg in (False, True):
-                self._leaf_layer[literal_mask(var, neg, n)] = 1
-        self._complement_perm = [self.full ^ mask for mask in range(self.space)]
+        self.X: List[Optional[List[int]]] = [None]
+        self.S: List[Optional[List[int]]] = [None]
+
+    @property
+    def max_size(self) -> int:
+        return len(self.or_layers) - 1
 
     def extend(self, max_size: int) -> None:
         for m in range(self.max_size + 1, max_size + 1):
             self._add_layer(m)
-        self.max_size = max(self.max_size, max_size)
 
     def _add_layer(self, m: int) -> None:
-        bits, space = self.bits, self.space
+        X, S = self.X, self.S
         if m == 1:
-            or_layer = self._leaf_layer[:]
+            or_layer = [0] * self.space
+            for var in range(1, self.n + 1):
+                for neg in (False, True):
+                    or_layer[literal_mask(var, neg, self.n)] = 1
         else:
-            or_layer = _mobius_subset([self._QO[h][m - 1] for h in range(space)], bits)
-        if self.use_duality:
-            # an and-rooted tree computing f maps to an or-rooted tree
-            # computing not-f by swapping connectives and negating leaves
-            and_layer = [or_layer[self._complement_perm[mask]] for mask in range(space)]
-        elif m == 1:
-            and_layer = self._leaf_layer[:]
-        else:
-            and_layer = _mobius_superset(
-                [self._QA[h][m - 1] for h in range(space)], bits
-            )
-        self.and_layers.append(and_layer)
+            or_layer = _mobius_subset(list(map(sub, S[m - 1], X[m - 1])))
+        x = _zeta_subset(or_layer[::-1])  # the AND layer, by duality
+        s = x
+        for i in range(1, m):
+            s = list(map(add, s, map(mul, S[i], X[m - i])))
         self.or_layers.append(or_layer)
-
-        # children of an or-root are and-rooted trees (or leaves): subset space
-        zo = _zeta_subset(and_layer, bits)
-        for h in range(space):
-            XOh, QOh = self._XO[h], self._QO[h]
-            XOh.append(zo[h])
-            acc = 0
-            for i in range(1, m):
-                acc += (XOh[i] + QOh[i]) * XOh[m - i]
-            QOh.append(acc)
-        if self._XA is not None:
-            za = _zeta_superset(or_layer, bits)
-            for h in range(space):
-                XAh, QAh = self._XA[h], self._QA[h]
-                XAh.append(za[h])
-                acc = 0
-                for i in range(1, m):
-                    acc += (XAh[i] + QAh[i]) * XAh[m - i]
-                QAh.append(acc)
+        X.append(x)
+        S.append(s)
 
 
-_engines: Dict[Tuple[int, bool], _Engine] = {}
+_engines: Dict[int, _Engine] = {}
 _engine_lock = threading.Lock()
 
 
-def _cache_path(n: int, use_duality: bool) -> Optional[str]:
+def _cache_path(n: int) -> Optional[str]:
     root = os.environ.get(CACHE_ENV_VAR)
     if not root:
         return None
-    return os.path.join(root, f"dist_n{n}_{'dual' if use_duality else 'indep'}.pkl")
+    return os.path.join(root, f"{CACHE_FORMAT}_n{n}.marshal")
 
 
-def _get_engine(n: int, use_duality: Optional[bool], max_size: int) -> _Engine:
+def _get_engine(n: int, max_size: int) -> _Engine:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > HARD_MAX_VARS:
@@ -233,39 +209,70 @@ def _get_engine(n: int, use_duality: Optional[bool], max_size: int) -> _Engine:
             RuntimeWarning,
             stacklevel=3,
         )
-    if use_duality is None:
-        use_duality = n > MAX_SWEEP_VARS
-    key = (n, use_duality)
     with _engine_lock:
-        engine = _engines.get(key)
+        engine = _engines.get(n)
         if engine is None:
-            engine = _load_cached(n, use_duality) or _Engine(n, use_duality)
-            _engines[key] = engine
+            engine = _load_cached(n) or _Engine(n)
+            _engines[n] = engine
         if engine.max_size < max_size:
             engine.extend(max_size)
             _store_cached(engine)
     return engine
 
 
-def _load_cached(n: int, use_duality: bool) -> Optional[_Engine]:
-    path = _cache_path(n, use_duality)
+def _load_cached(n: int) -> Optional[_Engine]:
+    """The engine stored for n, or None when the file is absent or unusable.
+
+    The file is a marshal dict with the keys ``format``, ``n``,
+    ``or_layers``, ``X`` and ``S``.  A file that does not read back to
+    that shape (another format tag or n, lists of unequal length, a vector
+    of the wrong size, truncated or unreadable bytes) counts as absent, so
+    the caller recomputes the engine and rewrites the file.  The entries of
+    the vectors are taken as written.
+    """
+    path = _cache_path(n)
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except Exception:  # corrupted cache: recompute
+            data = marshal.loads(fh.read())  # marshal.load(fh) is ~25x slower
+    except (OSError, EOFError, ValueError, TypeError):
         return None
+    if not (
+        isinstance(data, dict)
+        and data.get("format") == CACHE_FORMAT
+        and data.get("n") == n
+    ):
+        return None
+    engine = _Engine(n)
+    lists = [data.get(key) for key in ("or_layers", "X", "S")]
+    for got in lists:
+        if not (
+            isinstance(got, list)
+            and len(got) == len(lists[0]) > 1
+            and got[0] is None
+            and all(isinstance(v, list) and len(v) == engine.space for v in got[1:])
+        ):
+            return None
+    engine.or_layers, engine.X, engine.S = lists
+    return engine
 
 
 def _store_cached(engine: _Engine) -> None:
-    path = _cache_path(engine.n, engine.use_duality)
+    path = _cache_path(engine.n)
     if not path:
         return
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    data = {
+        "format": CACHE_FORMAT,
+        "n": engine.n,
+        "or_layers": engine.or_layers,
+        "X": engine.X,
+        "S": engine.S,
+    }
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        pickle.dump(engine, fh)
+        fh.write(marshal.dumps(data))
     os.replace(tmp, path)
 
 
@@ -274,18 +281,13 @@ def _store_cached(engine: _Engine) -> None:
 # ---------------------------------------------------------------------------
 
 
-def function_counts(
-    m: int, n: int, use_duality: Optional[bool] = None
-) -> CountTable:
+def function_counts(m: int, n: int) -> CountTable:
     """Exact counts of size-m trees per Boolean function, split by root type."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    engine = _get_engine(n, use_duality, m)
+    or_layer = _get_engine(n, m).or_layers[m]
     return CountTable(
-        n=n,
-        m=m,
-        and_rooted=tuple(engine.and_layers[m]),
-        or_rooted=tuple(engine.or_layers[m]),
+        n=n, m=m, and_rooted=tuple(reversed(or_layer)), or_rooted=tuple(or_layer)
     )
 
 
@@ -360,18 +362,13 @@ def limit_estimate(
         raise ValueError("M must be >= 10")
     if f.n != n:
         raise ValueError("truth table n does not match")
-    engine = _get_engine(n, None, M)
+    engine = _get_engine(n, M)
     totals = series(n, M).a_total
     odd, even = [], []
     for m in range(M - window, M + 1):
         if totals[m] == 0:
             continue
-        table_and = engine.and_layers[m]
-        table_or = engine.or_layers[m]
-        count = table_and[f.bits] + table_or[f.bits]
-        if m == 1 and table_and[f.bits]:
-            count -= table_and[f.bits]
-        value = count / totals[m]
+        value = _total(engine.or_layers[m], m, f.bits) / totals[m]
         (odd if m % 2 else even).append(value)
     odd_tail = sum(odd) / len(odd) if odd else float("nan")
     even_tail = sum(even) / len(even) if even else float("nan")

@@ -281,6 +281,15 @@ def monte_carlo(
     stats entries: 'simple_tautology_rate', 'tautology_rate',
     'first_level_leaf_histogram', or 'function_frequency:<hex>' with the hex
     truth table of the target function.
+
+    With the histogram, ``extra["ks_statistic"]`` is the Kolmogorov-Smirnov
+    distance of the leaf counts scaled by 2*sqrt(2n) from the continuous
+    Gamma(2, 1/2) law, their n -> infinity limit.  ``extra["ks_critical_1pct"]``
+    is the 1% critical value for `trials` draws from that continuous law; it
+    is not a valid threshold for the statistic at finite n, where the exact
+    law differs from Gamma and the integer counts tie: at n = 100 a correct
+    sampler reads 0.0517 against 0.0163.  `ks_discrete` against
+    `analytic.first_level_leaf_law` is the test at finite n.
     """
     if trials <= 0:
         raise ValueError("trials must be >= 1")

@@ -169,7 +169,7 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dist_mod, "_engines", {})
     code, out, _ = run(capsys, "dist", "--n", "1", "--m", "4")
     assert code == 0
-    cached = list(tmp_path.glob("dist_n1_*.pkl"))
+    cached = list(tmp_path.glob("andortrees-engine-*_n1.marshal"))
     assert cached
     # a fresh engine registry must reuse the on-disk tables
     monkeypatch.setattr(dist_mod, "_engines", {})

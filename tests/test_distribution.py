@@ -1,12 +1,21 @@
+import marshal
+import pickle
+import types
 import warnings
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import andortrees.distribution as dist_mod
 from andortrees.counting import brute_enumerate, series
 from andortrees.distribution import (
+    CACHE_FORMAT,
     DistributionError,
+    _mobius_subset,
+    _zeta_subset,
     exact_distribution,
     function_counts,
     limit_estimate,
@@ -88,7 +97,9 @@ def test_counts_match_brute_enumeration_by_root():
 
 def test_duality_complement_map():
     # swapping connectives and negating leaves sends or-rooted trees
-    # computing f to and-rooted trees computing not-f
+    # computing f to and-rooted trees computing not-f; the engine derives
+    # and_rooted this way, so this holds by construction: the oracle test
+    # below checks both connectives independently
     for n in (1, 2):
         full = (1 << (1 << n)) - 1
         for m in (3, 5, 8):
@@ -215,3 +226,190 @@ def test_theta_trend_band():
     assert values[3] == pytest.approx(0.205049, rel=1e-4)
     assert values[4] == pytest.approx(0.184253, rel=1e-4)
     assert all(0.15 <= v <= 0.30 for v in values.values())
+
+
+def test_n4_totals_match_series_and_true_false_symmetry():
+    a_total = series(4, 8).a_total
+    full = (1 << 16) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for m in range(1, 9):
+            table = function_counts(m, 4)
+            assert sum(map(table.total, range(full + 1))) == a_total[m]
+            assert table.total(full) == table.total(0)
+
+
+# ---------------------------------------------------------------------------
+# the engine against an independent oracle
+# ---------------------------------------------------------------------------
+
+
+def _naive_zeta_subset(v, bits):
+    v = v[:]
+    for b in range(bits):
+        bit = 1 << b
+        for mask in range(len(v)):
+            if mask & bit:
+                v[mask] += v[mask ^ bit]
+    return v
+
+
+def _naive_mobius_subset(v, bits):
+    v = v[:]
+    for b in range(bits):
+        bit = 1 << b
+        for mask in range(len(v)):
+            if mask & bit:
+                v[mask] -= v[mask ^ bit]
+    return v
+
+
+def _naive_zeta_superset(v, bits):
+    v = v[:]
+    for b in range(bits):
+        bit = 1 << b
+        for mask in range(len(v)):
+            if not mask & bit:
+                v[mask] += v[mask | bit]
+    return v
+
+
+def _naive_mobius_superset(v, bits):
+    v = v[:]
+    for b in range(bits):
+        bit = 1 << b
+        for mask in range(len(v)):
+            if not mask & bit:
+                v[mask] -= v[mask | bit]
+    return v
+
+
+def _oracle_layers(n, M):
+    """And- and or-rooted layers for sizes 1..M, each connective by its own
+    per-mask sequence DP: or-roots in subset-zeta space over and-rooted
+    children, and-roots in superset-zeta space over or-rooted children."""
+    bits = 1 << n
+    space = 1 << bits
+    leaf = [0] * space
+    for var in range(1, n + 1):
+        for neg in (False, True):
+            leaf[literal_mask(var, neg, n)] = 1
+    XO, QO, XA, QA = ([[0] for _ in range(space)] for _ in range(4))
+    and_layers, or_layers = [None], [None]
+    for m in range(1, M + 1):
+        if m == 1:
+            and_layer, or_layer = leaf[:], leaf[:]
+        else:
+            or_layer = _naive_mobius_subset([QO[h][m - 1] for h in range(space)], bits)
+            and_layer = _naive_mobius_superset([QA[h][m - 1] for h in range(space)], bits)
+        and_layers.append(and_layer)
+        or_layers.append(or_layer)
+        for X, Q, z in (
+            (XO, QO, _naive_zeta_subset(and_layer, bits)),
+            (XA, QA, _naive_zeta_superset(or_layer, bits)),
+        ):
+            for h in range(space):
+                Xh, Qh = X[h], Q[h]
+                Xh.append(z[h])
+                Qh.append(sum((Xh[i] + Qh[i]) * Xh[m - i] for i in range(1, m)))
+    return and_layers, or_layers
+
+
+@pytest.mark.parametrize("n,M", [(1, 20), (2, 20), (3, 20), (4, 6)])
+def test_engine_matches_independent_oracle(n, M):
+    and_layers, or_layers = _oracle_layers(n, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for m in range(1, M + 1):
+            table = function_counts(m, n)
+            assert list(table.and_rooted) == and_layers[m]
+            assert list(table.or_rooted) == or_layers[m]
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda bits: st.lists(
+            st.integers(-(10**30), 10**30), min_size=1 << bits, max_size=1 << bits
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_slice_transforms_match_subset_definitions(v):
+    zeta = [sum(v[t] for t in _submasks(s)) for s in range(len(v))]
+    mobius = [
+        sum((-1) ** bin(s ^ t).count("1") * v[t] for t in _submasks(s))
+        for s in range(len(v))
+    ]
+    assert _zeta_subset(v) == zeta
+    assert _mobius_subset(v) == mobius
+    assert _mobius_subset(_zeta_subset(v)) == v
+
+
+# ---------------------------------------------------------------------------
+# the on-disk cache
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("ANDORTREES_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(dist_mod, "_engines", {})
+    return tmp_path
+
+
+def _tampered(blob, damage):
+    if damage == "truncated":
+        return blob[: len(blob) // 2]
+    data = marshal.loads(blob)
+    # doubled counts: a reader that skipped the checks would answer wrongly
+    data["or_layers"] = [None] + [[2 * c for c in v] for v in data["or_layers"][1:]]
+    if damage == "tag":
+        data["format"] = "andortrees-engine-1"
+    elif damage == "n":
+        data["n"] = 3
+    elif damage == "lengths":
+        data["S"] = data["S"][:-1]
+    elif damage == "vector size":
+        data["X"][1] = data["X"][1][:-1]
+    return marshal.dumps(data)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "tag", "n", "lengths", "vector size"])
+def test_damaged_cache_file_is_recomputed(cache_dir, monkeypatch, damage):
+    want = function_counts(6, 2)
+    path = cache_dir / f"{CACHE_FORMAT}_n2.marshal"
+    path.write_bytes(_tampered(path.read_bytes(), damage))
+    monkeypatch.setattr(dist_mod, "_engines", {})
+    assert function_counts(6, 2) == want
+    rewritten = marshal.loads(path.read_bytes())
+    assert rewritten["format"] == CACHE_FORMAT
+    assert rewritten["or_layers"][6] == list(want.or_rooted)
+
+
+def test_cache_file_is_reused(cache_dir, monkeypatch):
+    want = function_counts(6, 2)
+    monkeypatch.setattr(dist_mod, "_engines", {})
+    monkeypatch.setattr(dist_mod._Engine, "_add_layer", None)  # no recomputing
+    assert function_counts(6, 2) == want
+
+
+def test_legacy_pickle_cache_is_ignored(cache_dir):
+    bogus = types.SimpleNamespace(
+        n=1, use_duality=False, max_size=99,
+        and_layers=[[7] * 4] * 100, or_layers=[[7] * 4] * 100,
+    )
+    for name in ("dist_n1_dual.pkl", "dist_n1_indep.pkl"):
+        (cache_dir / name).write_bytes(pickle.dumps(bogus))
+    table = function_counts(3, 1)
+    assert table.or_rooted == (0, 1, 1, 2)
+    assert table.and_rooted == (2, 1, 1, 0)
+    assert (cache_dir / f"{CACHE_FORMAT}_n1.marshal").exists()
