@@ -31,8 +31,8 @@ from .analytic import (
     tautology_bounds,
 )
 from .complexity import complexity as complexity_of
-from .complexity import full_table, reduce_irreducible
-from .counting import series
+from .complexity import full_table, minimal_trees, reduce_irreducible
+from .counting import BudgetError, series
 from .distribution import exact_distribution, limit_estimate
 from .formula import TruthTable, parse_formula, serialize
 from .quadext import QuadExt
@@ -51,7 +51,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 10_000
     precision_bits: int = 200
-    budget: int = 9
     fmt: str = "csv"
     out: Optional[str] = None
     suite: Optional[str] = None
@@ -270,7 +269,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_complexity(cfg: RunConfig, do_all: bool) -> int:
     if do_all:
-        records = full_table(cfg.n, cfg.budget)
+        records = full_table(cfg.n)
         if cfg.fmt == "json":
             rows = [
                 {"truth_table_hex": r.f.to_hex(), "L": r.L, "m_f": r.m_f}
@@ -287,13 +286,17 @@ def cmd_complexity(cfg: RunConfig, do_all: bool) -> int:
         return 0
     if cfg.f_hex is None:
         raise SystemExit("complexity needs --f-hex or --all")
-    record = complexity_of(TruthTable.from_hex(cfg.f_hex, cfg.n), cfg.n, cfg.budget)
+    record = complexity_of(TruthTable.from_hex(cfg.f_hex, cfg.n), cfg.n)
+    try:  # null for constants, literals and size-L classes too large to list
+        witnesses = [serialize(w) for w in minimal_trees(record.f, cfg.n)]
+    except (ValueError, BudgetError):
+        witnesses = None
     payload = {
         "config": cfg.as_dict(),
         "truth_table_hex": record.f.to_hex(),
         "L": record.L,
         "m_f": record.m_f,
-        "witnesses": [serialize(w) for w in record.witnesses or ()],
+        "witnesses": witnesses,
     }
     _emit(json.dumps(_jsonable(payload), indent=2), cfg.out)
     return 0
@@ -355,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--precision-bits", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path, '-' for stdout")
 
@@ -432,7 +434,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         seed=pick("seed", 0, int),
         trials=pick("trials", 10_000, int),
         precision_bits=pick("precision_bits", 200, int),
-        budget=pick("budget", 9, int),
         fmt=pick("fmt", "csv", str),
         out=pick("out", None, str),
         suite=getattr(args, "suite", None),

@@ -1,11 +1,12 @@
 """Tree-size complexity, minimal trees, expansions and irreducibility.
 
-Complexity search is plain iterative deepening over exhaustive enumeration:
-at the sizes where it is feasible (n <= 3) this is trivially correct, which
-is what an oracle module needs.  Constants have complexity 0 and literal
-functions complexity 2 by convention; the two size-2 "minimal trees" of a
-literal are degenerate unary shapes that are not valid trees here and are
-never materialised (m_f = 2 is still reported for them).
+L(f) is the smallest m >= 3 at which the exact per-function count of
+``distribution.function_counts`` is nonzero for f, and m_f is that count;
+every non-constant function has a tree, so the sweep ends.  Constants have
+complexity 0 and literal functions complexity 2 by convention; the two
+size-2 "minimal trees" of a literal are degenerate unary shapes that are not
+valid trees here and are never materialised (m_f = 2 is still reported for
+them).  Brute enumeration is used only to list minimal trees.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .counting import BudgetError, _enumerator, series
+from .counting import brute_enumerate
+from .distribution import function_counts
 from .formula import (
     AND,
     OR,
@@ -23,14 +25,11 @@ from .formula import (
     StratificationError,
     TruthTable,
     internal_count,
+    literal_mask,
     serialize,
     tree_size,
     truth_table,
 )
-
-
-class ComplexityBudgetError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class ComplexityRecord:
     f: TruthTable
     L: int
     m_f: Optional[int]
-    witnesses: Optional[Tuple[AndOrTree, ...]]
+    witnesses: Optional[Tuple[AndOrTree, ...]]  # always None; see minimal_trees
 
     @property
     def is_constant(self) -> bool:
@@ -54,48 +53,55 @@ def _trees_with_tables(size: int, n: int) -> List[Tuple[AndOrTree, int]]:
     hit = per_n.get(size)
     if hit is None:
         hit = per_n[size] = [
-            (t, truth_table(t, n).bits) for t in _enumerator(n).all_trees(size)
+            (t, truth_table(t, n).bits) for t in brute_enumerate(size, n)
         ]
     return hit
 
 
-def complexity(f: TruthTable, n: int, budget: int = 9) -> ComplexityRecord:
-    """Smallest tree size computing f, with all witnesses of that size.
+def _sweep(fs: Sequence[TruthTable], n: int) -> List[ComplexityRecord]:
+    """ComplexityRecord of each f, growing the size once for all of them."""
+    literals = {literal_mask(v, neg, n) for v in range(1, n + 1) for neg in (False, True)}
+    found: Dict[int, ComplexityRecord] = {}
+    pending = []
+    for f in fs:
+        if f.is_constant():
+            found[f.bits] = ComplexityRecord(f=f, L=0, m_f=None, witnesses=None)
+        elif f.bits in literals:
+            found[f.bits] = ComplexityRecord(f=f, L=2, m_f=2, witnesses=None)
+        else:
+            pending.append(f)
+    size = 3
+    while pending:
+        table = function_counts(size, n)
+        for f in pending:
+            count = table.total(f.bits)
+            if count:
+                found[f.bits] = ComplexityRecord(f=f, L=size, m_f=count, witnesses=None)
+        pending = [f for f in pending if f.bits not in found]
+        size += 1
+    return [found[f.bits] for f in fs]
 
-    budget is the largest size tried; exceeding it raises with the honest
-    message that only a lower bound is known.
-    """
+
+def complexity(f: TruthTable, n: int) -> ComplexityRecord:
+    """Smallest tree size L(f) computing f and the number m_f of such trees."""
     if f.n != n:
         raise ValueError("truth table n does not match")
-    if f.is_constant():
-        return ComplexityRecord(f=f, L=0, m_f=None, witnesses=None)
-    if f.is_literal():
-        return ComplexityRecord(f=f, L=2, m_f=2, witnesses=None)
-    for size in [1] + list(range(3, budget + 1)):
-        hits = [t for t, bits in _trees_with_tables(size, n) if bits == f.bits]
-        if hits:
-            return ComplexityRecord(
-                f=f, L=size, m_f=len(hits), witnesses=tuple(hits)
-            )
-    raise ComplexityBudgetError(f"unknown, L(f) > {budget}")
+    return _sweep([f], n)[0]
 
 
-def minimal_trees(f: TruthTable, n: int, budget: int = 9) -> List[AndOrTree]:
-    """All size-L(f) trees computing f; needs L(f) >= 3 (real trees exist)."""
-    record = complexity(f, n, budget)
-    if record.witnesses is None:
-        raise ValueError(
-            "constants and literal functions have no materialised minimal trees"
-        )
-    return list(record.witnesses)
+def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
+    """All size-L(f) trees computing f, in canonical order; needs L(f) >= 3
+    (real trees exist).  Raises counting.BudgetError when the size-L(f)
+    class is too large to enumerate."""
+    L = complexity(f, n).L
+    if L < 3:
+        raise ValueError("constants and literal functions have no materialised minimal trees")
+    return [t for t, bits in _trees_with_tables(L, n) if bits == f.bits]
 
 
-def full_table(n: int, budget: int = 9) -> List[ComplexityRecord]:
+def full_table(n: int) -> List[ComplexityRecord]:
     """ComplexityRecord for every Boolean function of n variables."""
-    return [
-        complexity(TruthTable(n, bits), n, budget)
-        for bits in range(1 << (1 << n))
-    ]
+    return _sweep([TruthTable(n, bits) for bits in range(1 << (1 << n))], n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +184,18 @@ def is_valid_expansion(tree: AndOrTree, step: ExpansionStep, n: int) -> bool:
     return truth_table(expanded, n).bits == truth_table(tree, n).bits
 
 
-def slots_and_bounds(tree: AndOrTree, n: int, budget: int = 9) -> Dict[str, object]:
+def slots_and_bounds(tree: AndOrTree, n: int) -> Dict[str, object]:
     """Grafting-slot count of a minimal tree and the L <= P_t <= floor(3L/2) check.
 
     Refuses trees that are not minimal for their own function (or whose
     function is constant/literal, where no materialised minimal tree exists).
     """
-    f = truth_table(tree, n)
-    record = complexity(f, n, budget)
+    L = complexity(truth_table(tree, n), n).L
     size = tree_size(tree)
-    if record.witnesses is None or size != record.L:
-        raise ValueError(
-            f"tree of size {size} is not minimal for its function (L={record.L})"
-        )
+    if L < 3 or size != L:
+        raise ValueError(f"tree of size {size} is not minimal for its function (L={L})")
     slots = internal_count(tree) + size - 1
-    return {
-        "P_t": slots,
-        "L": record.L,
-        "check": record.L <= slots <= (3 * record.L) // 2,
-    }
+    return {"P_t": slots, "L": L, "check": L <= slots <= (3 * L) // 2}
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +285,21 @@ def _constant_subtrees(size: int, n: int, root_op: str, value: bool) -> List[And
     ]
 
 
-def expansion_count(f: TruthTable, n: int, m: int, budget: int = 9) -> int:
+def expansion_count(f: TruthTable, n: int, m: int) -> int:
     """Distinct trees of size m reachable by ONE constant-subtree expansion of
     a minimal tree of f (tautology under and-hosts, contradiction under
     or-hosts), deduplicated structurally."""
-    record = complexity(f, n, budget)
-    if record.witnesses is None:
+    L = complexity(f, n).L
+    if L < 3:
         raise ValueError("f must have materialised minimal trees (L >= 3)")
-    insert_size = m - record.L
+    insert_size = m - L
     if insert_size < 3:
         return 0  # no constant subtree is that small
-    if series(n, insert_size).a_total[insert_size] > 2_000_000:
-        raise BudgetError(f"too many insertable subtrees at size {insert_size}")
     taut = _constant_subtrees(insert_size, n, OR, True)
     contra = _constant_subtrees(insert_size, n, AND, False)
     seen = set()
-    for minimal in record.witnesses:
-        for path, host in _internal_nodes(minimal):
+    for tree in minimal_trees(f, n):
+        for path, host in _internal_nodes(tree):
             pool = taut if host.op == AND else contra
             for position in range(len(host.children) + 1):
                 for inserted in pool:
@@ -310,7 +307,7 @@ def expansion_count(f: TruthTable, n: int, m: int, budget: int = 9) -> int:
                         TAUTOLOGY_EXPANSION if host.op == AND else CONTRADICTION_EXPANSION
                     )
                     step = ExpansionStep(path, position, inserted, kind)
-                    seen.add(serialize(expand(minimal, step)))
+                    seen.add(serialize(expand(tree, step)))
     return len(seen)
 
 

@@ -37,7 +37,7 @@ from .analytic import (
     singularity,
     tautology_bounds,
 )
-from .complexity import full_table, slots_and_bounds
+from .complexity import full_table, minimal_trees, slots_and_bounds
 from .counting import algebraic_residual, brute_enumerate, series
 from .distribution import function_counts, limit_estimate
 from .formula import TruthTable, literal_mask
@@ -330,13 +330,12 @@ def criterion_8() -> List[CheckResult]:
             for hex_, rec in by_hex.items()
             if hex_ not in expected_L
         )
-        bounds_ok = True
-        for rec in table:
-            if not rec.witnesses:
-                continue
-            for w in rec.witnesses:
-                if not slots_and_bounds(w, 2)["check"]:
-                    bounds_ok = False
+        bounds_ok = all(
+            slots_and_bounds(w, 2)["check"]
+            for rec in table
+            if rec.L >= 3
+            for w in minimal_trees(rec.f, 2)
+        )
         return {
             "passed": xor_ok and l_ok and others_ok and bounds_ok,
             "xor_L": by_hex[xor_hex].L,

@@ -120,6 +120,28 @@ def test_complexity_single(capsys):
     assert sorted(payload["witnesses"]) == ["(and x1 x2)", "(and x2 x1)"]
 
 
+def test_complexity_all_n3(capsys):
+    code, out, _ = run(capsys, "complexity", "--n", "3", "--all")
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert rows[0] == "truth_table_hex,L,m_f"
+    assert len(rows) == 1 + 256
+    L = {row.split(",")[0]: int(row.split(",")[1]) for row in rows[1:]}
+    assert L["96"] == L["69"] == 17
+
+
+def test_complexity_single_over_enumeration_budget(tmp_path, capsys):
+    # a config file from before the budget option was removed still loads
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("n = 3\nbudget = 9\n")
+    code, out, _ = run(capsys, "complexity", "--config", str(cfg), "--f-hex", "96")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["L"], payload["m_f"]) == (17, 131328)
+    assert payload["witnesses"] is None
+    assert "budget" not in payload["config"]
+
+
 def test_reduce_stdin(capsys, monkeypatch):
     import io
 

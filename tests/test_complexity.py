@@ -1,10 +1,13 @@
+import itertools
+import warnings
+from collections import Counter
+
 import pytest
 
 from andortrees.complexity import (
     B_EXPANSION,
     CONTRADICTION_EXPANSION,
     TAUTOLOGY_EXPANSION,
-    ComplexityBudgetError,
     ExpansionStep,
     complexity,
     expand,
@@ -15,8 +18,8 @@ from andortrees.complexity import (
     reduce_irreducible,
     slots_and_bounds,
 )
-from andortrees.counting import brute_enumerate
-from andortrees.distribution import function_counts, tautology_count
+from andortrees.counting import BudgetError, brute_enumerate
+from andortrees.distribution import DistributionError, function_counts, tautology_count
 from andortrees.formula import (
     Literal,
     StratificationError,
@@ -44,7 +47,10 @@ def test_xor_has_complexity_seven():
     rec = complexity(XOR, 2)
     assert rec.L == 7
     assert rec.m_f == 16
-    for w in rec.witnesses:
+    assert rec.witnesses is None
+    witnesses = minimal_trees(XOR, 2)
+    assert len(witnesses) == 16
+    for w in witnesses:
         assert tree_size(w) == 7
         assert truth_table(w, 2) == XOR
 
@@ -67,9 +73,103 @@ def test_duality_preserves_complexity():
         assert rec.L == by_bits[bits ^ 0b1111].L
 
 
-def test_budget_error_message():
-    with pytest.raises(ComplexityBudgetError, match=r"unknown, L\(f\) > 5"):
-        complexity(XOR, 2, budget=5)
+# -- the engine against iterative deepening over every tree --------------------------
+
+
+def _size_tables(n, budget):
+    """Truth-table bits of every tree of size 1 and 3..budget, by size."""
+    return {
+        size: [truth_table(t, n).bits for t in brute_enumerate(size, n)]
+        for size in [1] + list(range(3, budget + 1))
+    }
+
+
+def _iterative_deepening(f, tables):
+    """(L, m_f) by the smallest size whose trees compute f, or None past the
+    largest size in `tables`; constants (0, None), literals (2, 2)."""
+    if f.is_constant():
+        return 0, None
+    if f.is_literal():
+        return 2, 2
+    for size, bits in tables.items():
+        hits = bits.count(f.bits)
+        if hits:
+            return size, hits
+    return None
+
+
+def test_engine_matches_iterative_deepening_at_n2():
+    tables = _size_tables(2, 7)
+    for rec in full_table(2):
+        assert (rec.L, rec.m_f) == _iterative_deepening(rec.f, tables)
+        if rec.L >= 3:
+            assert len(minimal_trees(rec.f, 2)) == rec.m_f
+
+
+def test_engine_matches_iterative_deepening_at_n3():
+    tables = _size_tables(3, 5)
+    resolved = 0
+    for rec in full_table(3):
+        brute = _iterative_deepening(rec.f, tables)
+        if brute is None:
+            assert rec.L > 5
+        else:
+            assert (rec.L, rec.m_f) == brute
+            resolved += 1
+    assert resolved == 2 + 6 + 24 + 16 + 48
+
+
+def test_n3_complexity_histogram():
+    table = full_table(3)
+    assert len(table) == 256
+    assert dict(Counter(rec.L for rec in table)) == {
+        0: 2, 2: 6, 3: 24, 4: 16, 5: 48, 7: 30, 8: 72, 9: 16, 10: 24, 13: 16, 17: 2,
+    }
+    by_bits = {rec.f.bits: rec for rec in table}
+    assert (by_bits[0x96].L, by_bits[0x96].m_f) == (17, 131328)
+    assert by_bits[0x69].L == 17
+
+
+def _relabel(bits, n, move):
+    """Truth table of x -> f(move(x)), assignments as indices 0..2^n-1."""
+    return sum(((bits >> move(k)) & 1) << k for k in range(1 << n))
+
+
+def test_n3_complexity_invariant_under_negations_and_permutations():
+    n = 3
+    L = {rec.f.bits: rec.L for rec in full_table(n)}
+    full = (1 << (1 << n)) - 1
+    moves = [lambda k, i=i: k ^ (1 << i) for i in range(n)]
+    for perm in itertools.permutations(range(n)):
+        moves.append(
+            lambda k, perm=perm: sum(((k >> j) & 1) << perm[j] for j in range(n))
+        )
+    for bits, size in L.items():
+        assert L[bits ^ full] == size
+        for move in moves:
+            assert L[_relabel(bits, n, move)] == size
+
+
+def test_n4_conjunction_and_disjunction_of_all_inputs():
+    lits = [literal_mask(v, False, 4) for v in range(1, 5)]
+    conj = TruthTable(4, lits[0] & lits[1] & lits[2] & lits[3])
+    disj = TruthTable(4, lits[0] | lits[1] | lits[2] | lits[3])
+    for f in (conj, disj):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # n = 4 is slow
+            rec = complexity(f, 4)
+        assert (rec.L, rec.m_f) == (5, 24)  # the 4! orders of the children
+
+
+def test_minimal_trees_over_the_enumeration_budget_raise():
+    with pytest.raises(BudgetError):
+        minimal_trees(TruthTable(3, 0x96), 3)  # L = 17
+
+
+def test_complexity_past_the_engine_raises():
+    conj = TruthTable(5, literal_mask(1, False, 5) & literal_mask(2, False, 5))
+    with pytest.raises(DistributionError):
+        complexity(conj, 5)
 
 
 def test_minimal_trees_raises_for_literals():
@@ -140,9 +240,9 @@ def test_slots_refuses_non_minimal():
 
 def test_all_minimal_trees_respect_slot_bounds():
     for rec in full_table(2):
-        if not rec.witnesses:
+        if rec.L < 3:
             continue
-        for tree in rec.witnesses:
+        for tree in minimal_trees(rec.f, 2):
             out = slots_and_bounds(tree, 2)
             assert out["check"]
             assert out["L"] <= out["P_t"] <= (3 * out["L"]) // 2

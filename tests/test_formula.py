@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -253,3 +254,22 @@ def test_search_contradiction_matches_tables():
     for tree in sample_many(40, 2, 200, seed=98):
         expected = truth_table(tree, 2).is_false()
         assert is_contradiction(tree, 20, rng=rng) == expected
+
+
+def _chain(base, depth, y=3):
+    """t_0 = base, t_k = (or ~y (and y t_{k-1})): the same function as
+    base or ~y, nested `depth` levels deep."""
+    tree = base
+    for _ in range(depth):
+        tree = Node(OR, (leaf(y, True), Node(AND, (leaf(y), tree))))
+    return tree
+
+
+def test_search_on_a_deep_chain_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    taut = _chain(Node(OR, (leaf(1), leaf(1, True))), 1500)
+    plain = _chain(Node(OR, (leaf(1), leaf(2))), 1500)
+    # probes=0: straight to the backtracking search
+    assert is_tautology(taut, 20, probes=0)
+    assert not is_tautology(plain, 20, probes=0)
+    assert sys.getrecursionlimit() == before
