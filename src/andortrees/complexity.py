@@ -25,7 +25,6 @@ from .formula import (
     StratificationError,
     TruthTable,
     internal_count,
-    literal_mask,
     serialize,
     tree_size,
     truth_table,
@@ -60,13 +59,12 @@ def _trees_with_tables(size: int, n: int) -> List[Tuple[AndOrTree, int]]:
 
 def _sweep(fs: Sequence[TruthTable], n: int) -> List[ComplexityRecord]:
     """ComplexityRecord of each f, growing the size once for all of them."""
-    literals = {literal_mask(v, neg, n) for v in range(1, n + 1) for neg in (False, True)}
     found: Dict[int, ComplexityRecord] = {}
     pending = []
     for f in fs:
         if f.is_constant():
             found[f.bits] = ComplexityRecord(f=f, L=0, m_f=None, witnesses=None)
-        elif f.bits in literals:
+        elif f.is_literal():
             found[f.bits] = ComplexityRecord(f=f, L=2, m_f=2, witnesses=None)
         else:
             pending.append(f)

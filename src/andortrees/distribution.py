@@ -36,7 +36,7 @@ from operator import add, mul, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .counting import series
-from .formula import TruthTable, literal_mask
+from .formula import TruthTable, literal_masks
 
 #: full per-function sweeps default to n <= 3; n = 4 works but is slow.
 MAX_SWEEP_VARS = 3
@@ -171,9 +171,8 @@ class _Engine:
         X, S = self.X, self.S
         if m == 1:
             or_layer = [0] * self.space
-            for var in range(1, self.n + 1):
-                for neg in (False, True):
-                    or_layer[literal_mask(var, neg, self.n)] = 1
+            for mask in literal_masks(self.n):
+                or_layer[mask] = 1
         else:
             or_layer = _mobius_subset(list(map(sub, S[m - 1], X[m - 1])))
         x = _zeta_subset(or_layer[::-1])  # the AND layer, by duality

@@ -13,7 +13,7 @@ the most significant bit belonging to the highest assignment index.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
@@ -129,10 +129,6 @@ class TruthTable:
 
     @classmethod
     def of_literal(cls, literal: Literal, n: int) -> "TruthTable":
-        if literal.var > n:
-            raise VariableRangeError(
-                f"variable x{literal.var} out of range for n={n}"
-            )
         return cls(n, literal_mask(literal.var, literal.negated, n))
 
     @classmethod
@@ -159,11 +155,7 @@ class TruthTable:
         return TruthTable(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
 
     def is_literal(self) -> bool:
-        return any(
-            self.bits == literal_mask(v, neg, self.n)
-            for v in range(1, self.n + 1)
-            for neg in (False, True)
-        )
+        return self.bits in literal_masks(self.n)
 
     def dominates(self, other: "TruthTable") -> bool:
         """Pointwise self >= other."""
@@ -182,15 +174,28 @@ class TruthTable:
         return TruthTable(self.n, self.bits | other.bits)
 
 
+@functools.lru_cache(maxsize=None)
+def literal_masks(n: int) -> Tuple[int, ...]:
+    """Bit vectors of x1, ~x1, x2, ~x2, ..., xn, ~xn as functions of n variables.
+
+    x_v is true at the assignments whose bit v-1 is set: every block of 2^v
+    bits is 2^(v-1) zeros then 2^(v-1) ones.  full // (2^(2^v) - 1) has a one
+    at the bottom of each block, so one multiplication lays the pattern down.
+    """
+    full = (1 << (1 << n)) - 1
+    masks = []
+    for v in range(1, n + 1):
+        half = 1 << (v - 1)
+        mask = full // ((1 << (2 * half)) - 1) * (((1 << half) - 1) << half)
+        masks += (mask, full ^ mask)
+    return tuple(masks)
+
+
 def literal_mask(var: int, negated: bool, n: int) -> int:
     """Bit vector of the literal as a function of n variables."""
-    if var > n:
+    if not 1 <= var <= n:
         raise VariableRangeError(f"variable x{var} out of range for n={n}")
-    mask = 0
-    for k in range(1 << n):
-        if ((k >> (var - 1)) & 1) ^ negated:
-            mask |= 1 << k
-    return mask
+    return literal_masks(n)[2 * var - 2 + negated]
 
 
 # ---------------------------------------------------------------------------
@@ -374,35 +379,53 @@ def first_level_leaf_count(tree: AndOrTree) -> int:
 
 
 def truth_table(tree: AndOrTree, n: int, max_vars: int = MAX_TABLE_VARS) -> TruthTable:
-    """Bit-parallel evaluation over all 2^n assignments."""
+    """Bit-parallel evaluation over all 2^n assignments.
+
+    An iterative postfix fold: each frame is [is_and, acc, children iterator]
+    for an open node; leaf children fold into `acc` as they are met, a node
+    child opens a frame, and a finished frame folds into its parent's.
+    """
     if n > max_vars:
         raise ValueError(
             f"truth tables limited to n <= {max_vars} (asked for n={n}); "
             "raise max_vars explicitly if you mean it"
         )
+    masks = literal_masks(n)
     full = (1 << (1 << n)) - 1
-    # post-order over an explicit stack; masks combined bitwise
-    out = {}
-    stack = [(tree, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if isinstance(t, Leaf):
-            out[id(t)] = literal_mask(t.literal.var, t.literal.negated, n)
-            continue
-        if not expanded:
-            stack.append((t, True))
-            stack.extend((c, False) for c in t.children)
-            continue
-        if t.op == AND:
-            mask = full
-            for c in t.children:
-                mask &= out[id(c)]
-        else:
-            mask = 0
-            for c in t.children:
-                mask |= out[id(c)]
-        out[id(t)] = mask
-    return TruthTable(n, out[id(tree)])
+    try:
+        if isinstance(tree, Leaf):
+            lit = tree.literal
+            return TruthTable(n, masks[2 * lit.var - 2 + lit.negated])
+        is_and = tree.op == AND
+        stack = [[is_and, full if is_and else 0, iter(tree.children)]]
+        while True:
+            frame = stack[-1]
+            is_and, acc, children = frame
+            for child in children:
+                if isinstance(child, Leaf):
+                    lit = child.literal
+                    mask = masks[2 * lit.var - 2 + lit.negated]
+                    if is_and:
+                        acc &= mask
+                    else:
+                        acc |= mask
+                    continue
+                frame[1] = acc
+                is_and = child.op == AND
+                stack.append([is_and, full if is_and else 0, iter(child.children)])
+                break
+            else:
+                stack.pop()
+                if not stack:
+                    return TruthTable(n, acc)
+                parent = stack[-1]
+                if parent[0]:
+                    parent[1] &= acc
+                else:
+                    parent[1] |= acc
+    except IndexError:  # a leaf variable past n
+        validate(tree, n)
+        raise
 
 
 def evaluate(tree: AndOrTree, assignment: Union[Assignment, int]) -> bool:
@@ -574,13 +597,3 @@ def is_simple_x_tree(tree: AndOrTree, n: int) -> Optional[Literal]:
     if tree.op == AND and table.is_true():
         return leaves[0].literal
     return None
-
-
-# ---------------------------------------------------------------------------
-# misc constructors used by tests and the sampler
-# ---------------------------------------------------------------------------
-
-
-def all_leaves(n: int) -> Iterator[Leaf]:
-    for var, negated in itertools.product(range(1, n + 1), (False, True)):
-        yield Leaf(Literal(var, negated))

@@ -81,6 +81,10 @@ class SamplerContext:
         self.n = n
         self.max_size = max_size
         self._cum: Dict[int, List[int]] = {}
+        # x1, ~x1, x2, ..., ~xn: literal index r is x(r//2 + 1), negated if r is odd
+        self._literals = tuple(
+            Literal(var, negated) for var in range(1, n + 1) for negated in (False, True)
+        )
 
     def _cum_weights(self, m: int) -> List[int]:
         """Cumulative weights of I = 1..(m-1)//2 internal nodes in a size-m tree.
@@ -105,17 +109,13 @@ class SamplerContext:
             self._cum[m] = cum
         return cum
 
-    def _leaf(self, rng: random.Random) -> Leaf:
-        idx = rng.randrange(2 * self.n)
-        return Leaf(Literal(idx // 2 + 1, bool(idx & 1)))
-
     def sample(self, m: int, rng: random.Random) -> AndOrTree:
         if m == 2:
             raise SamplerError("empty size class: no trees of size 2")
         if m < 1 or m > self.max_size:
             raise ValueError(f"m must be in 1..{self.max_size} and != 2")
         if m == 1:
-            return self._leaf(rng)
+            return Leaf(self._literals[rng.randrange(2 * self.n)])
         cum = self._cum_weights(m)
         internal = bisect.bisect_right(cum, rng.randrange(cum[-1])) + 1
         # a uniform composition of m-1 into `internal` arities >= 2 ...
@@ -132,6 +132,12 @@ class SamplerContext:
         sums = list(itertools.accumulate(k - 1 for k in word))
         start = sums.index(min(sums)) + 1
         word = word[start:] + word[:start]
+        # each leaf draws a literal index as k random bits, redrawn while
+        # >= 2n: exactly uniform, and the same stream as randrange(2n)
+        literals = self._literals
+        two_n = len(literals)
+        k = two_n.bit_length()
+        getrandbits = rng.getrandbits
         # decode in preorder; each frame is [op, arity, children so far]
         stack: List[list] = []
         op = AND if rng.randrange(2) == 0 else OR
@@ -141,7 +147,10 @@ class SamplerContext:
                     op = OR if stack[-1][0] == AND else AND
                 stack.append([op, arity, []])
                 continue
-            node: AndOrTree = self._leaf(rng)
+            r = getrandbits(k)
+            while r >= two_n:
+                r = getrandbits(k)
+            node: AndOrTree = Leaf(literals[r])
             while stack:
                 frame = stack[-1]
                 frame[2].append(node)

@@ -25,6 +25,8 @@ from andortrees.formula import (
     is_simple_tautology,
     is_simple_x_tree,
     is_tautology,
+    literal_mask,
+    literal_masks,
     parse_formula,
     serialize,
     tree_size,
@@ -177,6 +179,95 @@ def test_truth_table_var_cap():
     with pytest.raises(ValueError):
         truth_table(tree, 5)
     assert truth_table(tree, 5, max_vars=5).n == 5
+
+
+def _bitwise_literal_mask(var, negated, n):
+    """The literal's bit vector, one assignment at a time."""
+    mask = 0
+    for k in range(1 << n):
+        if ((k >> (var - 1)) & 1) ^ negated:
+            mask |= 1 << k
+    return mask
+
+
+def _oracle_truth_table(tree, n):
+    """Post-order over an explicit stack, child masks kept by id()."""
+    full = (1 << (1 << n)) - 1
+    out = {}
+    stack = [(tree, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if isinstance(t, Leaf):
+            out[id(t)] = _bitwise_literal_mask(t.literal.var, t.literal.negated, n)
+            continue
+        if not expanded:
+            stack.append((t, True))
+            stack.extend((c, False) for c in t.children)
+            continue
+        if t.op == AND:
+            mask = full
+            for c in t.children:
+                mask &= out[id(c)]
+        else:
+            mask = 0
+            for c in t.children:
+                mask |= out[id(c)]
+        out[id(t)] = mask
+    return out[id(tree)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_truth_table_fold_matches_oracle_on_sampled_trees(n):
+    for m in (1, 3, 4, 9, 40, 201):
+        for tree in sample_many(m, n, 30, seed=300 + 10 * n + m):
+            assert truth_table(tree, n, max_vars=6).bits == _oracle_truth_table(tree, n)
+
+
+def test_truth_table_of_a_leaf_root():
+    for var in (1, 2, 3):
+        for neg in (False, True):
+            got = truth_table(leaf(var, neg), 3)
+            assert got.bits == _oracle_truth_table(leaf(var, neg), 3)
+            assert got == TruthTable.of_literal(Literal(var, neg), 3)
+
+
+def test_truth_table_on_a_deep_chain_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    taut = _chain(Node(OR, (leaf(1), leaf(1, True))), 3000)
+    plain = _chain(Node(OR, (leaf(1), leaf(2))), 3000)
+    assert truth_table(taut, 3).is_true()
+    assert truth_table(plain, 3).bits == _oracle_truth_table(plain, 3)
+    assert sys.getrecursionlimit() == before
+
+
+@pytest.mark.parametrize(
+    "text", ["x3", "(or x1 x3)", "(and x1 (or x2 ~x3))", "(or (and x1 x2) (and x2 x5) x1)"]
+)
+def test_truth_table_rejects_a_leaf_variable_past_n(text):
+    tree = parse_formula(text, 5)
+    with pytest.raises(VariableRangeError, match="x[35] out of range for n=2"):
+        truth_table(tree, 2)
+
+
+def test_literal_masks_match_the_bitwise_definition():
+    for n in range(1, 11):
+        want = tuple(
+            _bitwise_literal_mask(var, neg, n)
+            for var in range(1, n + 1)
+            for neg in (False, True)
+        )
+        assert literal_masks(n) == want
+        assert [literal_mask(var, neg, n) for var in range(1, n + 1)
+                for neg in (False, True)] == list(want)
+    for var in (0, 4):
+        with pytest.raises(VariableRangeError):
+            literal_mask(var, False, 3)
+
+
+def test_is_literal_finds_exactly_the_literals():
+    literals = [bits for bits in range(256) if TruthTable(3, bits).is_literal()]
+    assert sorted(literals) == sorted(literal_masks(3))
+    assert len(literals) == 6
 
 
 # -- sizes ------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 from andortrees.analytic import expected_first_level_leaves, first_level_leaf_law
 from andortrees.counting import brute_enumerate, series
 from andortrees.distribution import prob
-from andortrees.formula import TruthTable, serialize, tree_size
+from andortrees.formula import AND, OR, Node, TruthTable, serialize, tree_size
 from andortrees.sampler import (
     SamplerContext,
     SamplerError,
@@ -47,6 +48,37 @@ def test_leaf_sampling_uniform():
     expected = 12000 / 6
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < chi_square_critical(0.01, 5)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 100])
+def test_leaf_draw_reproduces_randrange(n):
+    # a size-3 tree draws I, the place of its one internal letter, the root
+    # connective and then its two leaves; a generator making the same calls
+    # with one randrange(2n) per leaf must meet the same two literal indexes
+    ctx = SamplerContext(n, 3)
+    for seed in range(300):
+        tree = ctx.sample(3, random.Random(seed))
+        ref = random.Random(seed)
+        ref.randrange(ctx._cum_weights(3)[-1])
+        ref.sample(range(1, 1), 0)
+        ref.sample(range(3), 1)
+        assert tree.op == (AND if ref.randrange(2) == 0 else OR)
+        got = [2 * c.literal.var - 2 + c.literal.negated for c in tree.children]
+        assert got == [ref.randrange(2 * n), ref.randrange(2 * n)]
+
+
+def test_sampled_tree_reaches_no_object_twice():
+    # a sampled tree is a tree, not a DAG: consumers may key on id(node)
+    for tree in sample_many(600, 5, 20, seed=606):
+        seen = set()
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            assert id(node) not in seen
+            seen.add(id(node))
+            if isinstance(node, Node):
+                stack.extend(node.children)
+        assert len(seen) == 600
 
 
 SUPPORT_CASES = [(3, 1), (4, 1), (5, 1), (7, 1), (5, 2)]
