@@ -9,7 +9,6 @@ Usage: python scripts/probability_complexity_trend.py [--n 1 2 3] [--M 60] [--in
 """
 
 import argparse
-import warnings
 
 from andortrees.complexity import complexity
 from andortrees.distribution import limit_estimate
@@ -23,14 +22,13 @@ def main() -> None:
     parser.add_argument(
         "--include-4",
         action="store_true",
-        help="add n=4 (65536 functions per size layer; several minutes)",
+        help="add n=4 (65536 functions in 402 symmetry classes)",
     )
     args = parser.parse_args()
     ns = list(args.n) + ([4] if args.include_4 else [])
 
     print(f"{'f':<12} {'n':>3} {'L':>3} {'estimate':>12} {'estimate*n^L':>14} {'converged':>10}")
     for n in ns:
-        m_cap = args.M if n <= 3 else min(args.M, 20)
         targets = [("True", TruthTable.constant(n, True))]
         targets.append(("x1", TruthTable.of_literal(Literal(1), n)))
         if n >= 2:
@@ -39,9 +37,7 @@ def main() -> None:
             )
         for label, f in targets:
             L = complexity(f, n).L
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                rep = limit_estimate(n, f, M=m_cap)
+            rep = limit_estimate(n, f, M=args.M)
             print(
                 f"{label:<12} {n:>3} {L:>3} {rep.estimate:>12.6g} "
                 f"{rep.estimate * n ** L:>14.6g} {str(rep.converged):>10}"

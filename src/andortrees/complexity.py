@@ -6,16 +6,19 @@ every non-constant function has a tree, so the sweep ends.  Constants have
 complexity 0 and literal functions complexity 2 by convention; the two
 size-2 "minimal trees" of a literal are degenerate unary shapes that are not
 valid trees here and are never materialised (m_f = 2 is still reported for
-them).  Brute enumeration is used only to list minimal trees.
+them).  L and m_f are invariant under variable permutations and input
+negations, so the sweep reads them once per symmetry class of the engine.
+Brute enumeration is used only to list minimal trees.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counting import brute_enumerate
-from .distribution import function_counts
+from .distribution import _orbit_ids, _sizes
 from .formula import (
     AND,
     OR,
@@ -25,6 +28,7 @@ from .formula import (
     StratificationError,
     TruthTable,
     internal_count,
+    literal_masks,
     serialize,
     tree_size,
     truth_table,
@@ -58,26 +62,27 @@ def _trees_with_tables(size: int, n: int) -> List[Tuple[AndOrTree, int]]:
 
 
 def _sweep(fs: Sequence[TruthTable], n: int) -> List[ComplexityRecord]:
-    """ComplexityRecord of each f, growing the size once for all of them."""
-    found: Dict[int, ComplexityRecord] = {}
-    pending = []
-    for f in fs:
-        if f.is_constant():
-            found[f.bits] = ComplexityRecord(f=f, L=0, m_f=None, witnesses=None)
-        elif f.is_literal():
-            found[f.bits] = ComplexityRecord(f=f, L=2, m_f=2, witnesses=None)
-        else:
-            pending.append(f)
-    size = 3
-    while pending:
-        table = function_counts(size, n)
-        for f in pending:
-            count = table.total(f.bits)
-            if count:
-                found[f.bits] = ComplexityRecord(f=f, L=size, m_f=count, witnesses=None)
-        pending = [f for f in pending if f.bits not in found]
-        size += 1
-    return [found[f.bits] for f in fs]
+    """ComplexityRecord of each f, growing the size once for all of them.
+
+    L and m_f are B_n-invariant, so the sweep runs on the orbit ids of the
+    per-function engine and reads each f's record off its orbit.
+    """
+    orbit = _orbit_ids(n)
+    full = (1 << (1 << n)) - 1
+    found: Dict[int, Dict[str, Optional[int]]] = {  # orbit id -> record fields
+        orbit[0]: dict(L=0, m_f=None, witnesses=None),
+        orbit[full]: dict(L=0, m_f=None, witnesses=None),
+        orbit[literal_masks(n)[0]]: dict(L=2, m_f=2, witnesses=None),
+    }
+    pending = {orbit[f.bits] for f in fs} - found.keys()
+    with closing(_sizes(n, 3)) as sizes:
+        while pending:
+            size, totals = next(sizes)
+            for o in pending:
+                if totals[o]:
+                    found[o] = dict(L=size, m_f=totals[o], witnesses=None)
+            pending -= found.keys()
+    return [ComplexityRecord(f=f, **found[orbit[f.bits]]) for f in fs]
 
 
 def complexity(f: TruthTable, n: int) -> ComplexityRecord:

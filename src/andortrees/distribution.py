@@ -11,17 +11,28 @@ every leaf maps the and-rooted trees computing f one-to-one onto the
 or-rooted trees computing not-f, so the and-rooted count of f is the
 or-rooted count at ``full ^ f``: the OR layer read in reverse.
 
-The engine is layer-major: each quantity is one list over all 2^(2^n)
-truth-table masks, and each step is a whole-list operation on exact Python
-ints.  OR-combination of function tables diagonalises under the subset-sum
-(zeta) transform.  With X[m] the zeta transform of the size-m AND layer, the
+OR-combination of function tables diagonalises under the subset-sum (zeta)
+transform.  With X[m] the zeta transform of the size-m AND layer, the
 sequences of >= 1 and-rooted children of total size m have transform
 S[m] = X[m] + sum_{i<m} S[i] * X[m-i] (pointwise products), those of >= 2
 children Q[m] = S[m] - X[m], and the size-(m+1) OR layer is the Möbius
-transform of Q[m].  The transforms are the butterflies of fast subset
-convolution, one bit at a time, each bit a few slice operations.  Counts are
-checked in the tests against brute-force enumeration and against an
-independent per-mask computation of both connectives.
+transform of Q[m].
+
+The group B_n of variable permutations and input negations (order
+2^n * n!) maps the trees computing f one-to-one onto the trees computing
+the transformed f, and it permutes the 2^n assignment points, so it commutes
+with OR, with both transforms and with complementation.  Every layer is
+therefore constant on B_n-orbits of truth-table masks (22 orbits at n = 3,
+402 at n = 4), and the engine keeps each quantity as one list over the
+orbits, indexed by orbit id.  Orbit ids come from a search under the
+generators "swap x_v and x_{v+1}" and "negate x1"; the representative of an
+orbit is its smallest mask.  On orbits the zeta transform is
+(Zv)[F] = sum_O c(F, O) * v[O] with c(F, O) = #{G in O : G within F}, the
+Möbius transform uses the same entries with sign (-1)^(|F| - |O|) (all
+masks of an orbit have one popcount), and complementation is a permutation
+of the orbits.  Counts are checked in the tests against brute-force
+enumeration, against an independent per-mask computation of both
+connectives and against the full-vector engine this one replaced.
 """
 
 from __future__ import annotations
@@ -29,22 +40,21 @@ from __future__ import annotations
 import marshal
 import os
 import threading
-import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import count
+from operator import add, itemgetter, mul, sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import series
 from .formula import TruthTable, literal_masks
 
-#: full per-function sweeps default to n <= 3; n = 4 works but is slow.
-MAX_SWEEP_VARS = 3
 HARD_MAX_VARS = 4
 
 CACHE_ENV_VAR = "ANDORTREES_CACHE_DIR"
 #: tag of the on-disk engine format; a file with any other tag is recomputed
-CACHE_FORMAT = "andortrees-engine-2"
+CACHE_FORMAT = "andortrees-engine-3"
 
 
 class DistributionError(RuntimeError):
@@ -67,19 +77,20 @@ class CountTable:
     or_rooted: Tuple[int, ...]
 
     def total(self, mask: int) -> int:
-        return _total(self.or_rooted, self.m, mask)
+        return _total(self.or_rooted, self.m, mask, (len(self.or_rooted) - 1) ^ mask)
 
 
-def _total(or_layer: Sequence[int], m: int, mask: int) -> int:
-    """Trees of size m computing mask, read from the size-m OR layer alone.
+def _total(or_layer: Sequence[int], m: int, f: int, not_f: int) -> int:
+    """Trees of size m computing f, read from the size-m OR layer alone.
 
-    The and-rooted count of f is the or-rooted count of not-f, at index
-    full ^ f.  At m = 1 both counts are the same leaf, counted once.
+    f and not_f index the layer at f and at its complement (masks, or orbit
+    ids of an orbit layer): the and-rooted count of f is the or-rooted count
+    of not-f.  At m = 1 both counts are the same leaf, counted once.
     """
-    count = or_layer[mask]
+    total = or_layer[f]
     if m > 1:
-        count += or_layer[(len(or_layer) - 1) ^ mask]
-    return count
+        total += or_layer[not_f]
+    return total
 
 
 @dataclass(frozen=True)
@@ -103,42 +114,96 @@ class LimitReport:
 
 
 # ---------------------------------------------------------------------------
-# subset zeta / Möbius transforms over the function lattice
+# B_n-orbits of truth-table masks and the transforms restricted to them
 # ---------------------------------------------------------------------------
 
 
-def _butterfly(v: List[int], op: Callable[[int, int], int]) -> List[int]:
-    """A copy of v with v[mask] = op(v[mask], v[mask ^ bit]) applied for each
-    bit in turn, at every mask that has the bit set.
+def _generator_images(n: int) -> List[List[int]]:
+    """For each generator of B_n, the image of every mask.
 
-    Each bit is one slice step per block of 2 * half masks (contiguous
-    slices) or per residue below half (strided slices), whichever is fewer,
-    so the element loop runs in C.
+    The generators permute assignment points: swapping x_v and x_{v+1} swaps
+    bits v-1 and v of the point, negating x1 flips bit 0.  A mask's image is
+    the OR of one lookup per byte of the mask, in a table per byte position
+    (two tables at n = 4); the loop below builds all images from them.
     """
-    v = v[:]
-    size = len(v)
-    half = 1
-    while half < size:
-        span = 2 * half
-        if size // span <= half:
-            for lo in range(0, size, span):
-                hi = lo + half
-                v[hi : hi + half] = map(op, v[hi : hi + half], v[lo:hi])
-        else:
-            for r in range(half):
-                v[r + half :: span] = map(op, v[r + half :: span], v[r::span])
-        half = span
-    return v
+    points = 1 << n
+    width = min(8, points)
+    perms = [[k ^ 1 for k in range(points)]]
+    for v in range(n - 1):
+        swap = (1 << v) | (2 << v)
+        perms.append(
+            [k ^ swap if (k >> v & 1) != (k >> (v + 1) & 1) else k for k in range(points)]
+        )
+    result = []
+    for perm in perms:
+        images = [0]
+        for base in range(0, points, width):
+            table = [
+                sum(1 << perm[base + i] for i in range(width) if byte >> i & 1)
+                for byte in range(1 << width)
+            ]
+            images = [high | low for high in table for low in images]
+        result.append(images)
+    return result
 
 
-def _zeta_subset(v: List[int]) -> List[int]:
-    """Subset sums: result[mask] = sum of v[sub] over sub within mask."""
-    return _butterfly(v, add)
+def _orbit_tables(n: int) -> Tuple[List[int], List[int]]:
+    """(orbit id of every mask, smallest mask of every orbit), with orbits
+    numbered in the order of their smallest masks."""
+    images = _generator_images(n)
+    orbit = [-1] * (1 << (1 << n))
+    reps: List[int] = []
+    for start, seen in enumerate(orbit):
+        if seen >= 0:
+            continue
+        ident = len(reps)
+        reps.append(start)
+        orbit[start] = ident
+        stack = [start]
+        while stack:
+            mask = stack.pop()
+            for image in images:
+                other = image[mask]
+                if orbit[other] < 0:
+                    orbit[other] = ident
+                    stack.append(other)
+    return orbit, reps
 
 
-def _mobius_subset(v: List[int]) -> List[int]:
-    """Inverse of _zeta_subset."""
-    return _butterfly(v, sub)
+#: one row per orbit F: (orbit ids O, coefficients); see _incidence
+_Rows = List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+
+
+def _incidence(orbit: List[int], reps: List[int]) -> Tuple[_Rows, _Rows]:
+    """Zeta and Möbius rows on orbits.
+
+    The zeta row of representative F holds c(F, O), the number of masks of
+    orbit O within F, found by counting the orbit ids of all submasks of F;
+    the Möbius row holds (-1)^(|F| - |O|) * c(F, O).
+    """
+    odd = [rep.bit_count() & 1 for rep in reps]
+    zeta: _Rows = []
+    mobius: _Rows = []
+    for rep, parity in zip(reps, odd):
+        subs = [0]
+        bits = rep
+        while bits:
+            low = bits & -bits
+            subs += [s | low for s in subs]
+            bits ^= low
+        counts = Counter(map(orbit.__getitem__, subs))
+        ids = tuple(counts)
+        coeffs = tuple(counts.values())
+        signs = tuple(-c if odd[o] != parity else c for o, c in counts.items())
+        zeta.append((ids, coeffs))
+        mobius.append((ids, signs))
+    return zeta, mobius
+
+
+def _transform(rows: _Rows, v: List[int]) -> List[int]:
+    """rows applied to the orbit vector v."""
+    at = v.__getitem__
+    return [sum(map(mul, coeffs, map(at, ids))) for ids, coeffs in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +212,25 @@ def _mobius_subset(v: List[int]) -> List[int]:
 
 
 class _Engine:
-    """or_layers[m], X[m] and S[m] of the module docstring, for m >= 1.
+    """or_layers[m], X[m] and S[m] of the module docstring, for m >= 1, each
+    a list over the B_n-orbits.
 
-    Index 0 (there are no trees of size 0) holds None.
+    Index 0 (there are no trees of size 0) holds None.  ``tables`` is the
+    pair of ``_orbit_tables(n)``, computed when not given.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, tables: Optional[Tuple[List[int], List[int]]] = None):
         self.n = n
-        self.space = 1 << (1 << n)
+        self.orbit, self.reps = tables or _orbit_tables(n)
+        full = len(self.orbit) - 1
+        #: comp[o] is the orbit of the complements of orbit o's masks
+        self.comp = [self.orbit[full ^ rep] for rep in self.reps]
+        #: maps an orbit list to the tuple of its values at every mask
+        self.per_mask = itemgetter(*self.orbit)
         self.or_layers: List[Optional[List[int]]] = [None]
         self.X: List[Optional[List[int]]] = [None]
         self.S: List[Optional[List[int]]] = [None]
+        self._rows: Optional[Tuple[_Rows, _Rows]] = None  # built on first use
 
     @property
     def max_size(self) -> int:
@@ -167,15 +240,23 @@ class _Engine:
         for m in range(self.max_size + 1, max_size + 1):
             self._add_layer(m)
 
+    def totals(self, m: int) -> List[int]:
+        """Trees of size m computing any one function of each orbit."""
+        layer = self.or_layers[m]
+        return [_total(layer, m, o, c) for o, c in enumerate(self.comp)]
+
     def _add_layer(self, m: int) -> None:
+        if self._rows is None:
+            self._rows = _incidence(self.orbit, self.reps)
+        zeta, mobius = self._rows
         X, S = self.X, self.S
         if m == 1:
-            or_layer = [0] * self.space
+            or_layer = [0] * len(self.reps)
             for mask in literal_masks(self.n):
-                or_layer[mask] = 1
+                or_layer[self.orbit[mask]] = 1
         else:
-            or_layer = _mobius_subset(list(map(sub, S[m - 1], X[m - 1])))
-        x = _zeta_subset(or_layer[::-1])  # the AND layer, by duality
+            or_layer = _transform(mobius, list(map(sub, S[m - 1], X[m - 1])))
+        x = _transform(zeta, list(map(or_layer.__getitem__, self.comp)))  # AND layer
         s = x
         for i in range(1, m):
             s = list(map(add, s, map(mul, S[i], X[m - i])))
@@ -202,12 +283,6 @@ def _get_engine(n: int, max_size: int) -> _Engine:
         raise DistributionError(
             f"function sweeps are limited to n <= {HARD_MAX_VARS}"
         )
-    if n > MAX_SWEEP_VARS:
-        warnings.warn(
-            f"n={n} sweeps 2^{1 << n} functions per size; this is slow",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     with _engine_lock:
         engine = _engines.get(n)
         if engine is None:
@@ -219,15 +294,38 @@ def _get_engine(n: int, max_size: int) -> _Engine:
     return engine
 
 
+def _orbit_ids(n: int) -> List[int]:
+    """The engine's orbit id of every mask at n."""
+    return _get_engine(n, 0).orbit
+
+
+def _sizes(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
+    """(m, engine.totals(m)) for m = start, start + 1, ..., growing the
+    engine as the caller reads on; the cache file is written once, when the
+    caller closes the iterator, and only if the engine grew."""
+    engine = _get_engine(n, 0)
+    grown_from = engine.max_size
+    try:
+        for m in count(start):
+            with _engine_lock:
+                engine.extend(m)
+            yield m, engine.totals(m)
+    finally:
+        if engine.max_size > grown_from:
+            with _engine_lock:
+                _store_cached(engine)
+
+
 def _load_cached(n: int) -> Optional[_Engine]:
     """The engine stored for n, or None when the file is absent or unusable.
 
-    The file is a marshal dict with the keys ``format``, ``n``,
-    ``or_layers``, ``X`` and ``S``.  A file that does not read back to
-    that shape (another format tag or n, lists of unequal length, a vector
-    of the wrong size, truncated or unreadable bytes) counts as absent, so
-    the caller recomputes the engine and rewrites the file.  The entries of
-    the vectors are taken as written.
+    The file is a marshal dict with the keys ``format``, ``n``, ``orbit``,
+    ``reps``, ``or_layers``, ``X`` and ``S``.  A file that does not read
+    back to that shape (another format tag or n, an orbit table of the wrong
+    length, lists of unequal length, a vector of the wrong size, truncated
+    or unreadable bytes) counts as absent, so the caller recomputes the
+    engine and rewrites the file.  The entries of the orbit table and of the
+    vectors are taken as written.
     """
     path = _cache_path(n)
     if not path or not os.path.exists(path):
@@ -243,16 +341,23 @@ def _load_cached(n: int) -> Optional[_Engine]:
         and data.get("n") == n
     ):
         return None
-    engine = _Engine(n)
+    orbit, reps = data.get("orbit"), data.get("reps")
+    if not (
+        isinstance(orbit, list)
+        and len(orbit) == 1 << (1 << n)
+        and isinstance(reps, list)
+    ):
+        return None
     lists = [data.get(key) for key in ("or_layers", "X", "S")]
     for got in lists:
         if not (
             isinstance(got, list)
             and len(got) == len(lists[0]) > 1
             and got[0] is None
-            and all(isinstance(v, list) and len(v) == engine.space for v in got[1:])
+            and all(isinstance(v, list) and len(v) == len(reps) for v in got[1:])
         ):
             return None
+    engine = _Engine(n, (orbit, reps))
     engine.or_layers, engine.X, engine.S = lists
     return engine
 
@@ -265,6 +370,8 @@ def _store_cached(engine: _Engine) -> None:
     data = {
         "format": CACHE_FORMAT,
         "n": engine.n,
+        "orbit": engine.orbit,
+        "reps": engine.reps,
         "or_layers": engine.or_layers,
         "X": engine.X,
         "S": engine.S,
@@ -284,10 +391,9 @@ def function_counts(m: int, n: int) -> CountTable:
     """Exact counts of size-m trees per Boolean function, split by root type."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    or_layer = _get_engine(n, m).or_layers[m]
-    return CountTable(
-        n=n, m=m, and_rooted=tuple(reversed(or_layer)), or_rooted=tuple(or_layer)
-    )
+    engine = _get_engine(n, m)
+    or_rooted = engine.per_mask(engine.or_layers[m])
+    return CountTable(n=n, m=m, and_rooted=or_rooted[::-1], or_rooted=or_rooted)
 
 
 def exact_distribution(m: int, n: int) -> Distribution:
@@ -362,12 +468,14 @@ def limit_estimate(
     if f.n != n:
         raise ValueError("truth table n does not match")
     engine = _get_engine(n, M)
+    f_id = engine.orbit[f.bits]
+    not_f_id = engine.comp[f_id]
     totals = series(n, M).a_total
     odd, even = [], []
     for m in range(M - window, M + 1):
         if totals[m] == 0:
             continue
-        value = _total(engine.or_layers[m], m, f.bits) / totals[m]
+        value = _total(engine.or_layers[m], m, f_id, not_f_id) / totals[m]
         (odd if m % 2 else even).append(value)
     odd_tail = sum(odd) / len(odd) if odd else float("nan")
     even_tail = sum(even) / len(even) if even else float("nan")

@@ -1,5 +1,4 @@
 import itertools
-import warnings
 from collections import Counter
 
 import pytest
@@ -155,9 +154,7 @@ def test_n4_conjunction_and_disjunction_of_all_inputs():
     conj = TruthTable(4, lits[0] & lits[1] & lits[2] & lits[3])
     disj = TruthTable(4, lits[0] | lits[1] | lits[2] | lits[3])
     for f in (conj, disj):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # n = 4 is slow
-            rec = complexity(f, 4)
+        rec = complexity(f, 4)
         assert (rec.L, rec.m_f) == (5, 24)  # the 4! orders of the children
 
 

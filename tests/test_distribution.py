@@ -1,9 +1,11 @@
 import marshal
 import pickle
+import random
 import types
-import warnings
 from collections import Counter
 from fractions import Fraction
+from math import factorial
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,6 @@ from andortrees.counting import brute_enumerate, series
 from andortrees.distribution import (
     CACHE_FORMAT,
     DistributionError,
-    _mobius_subset,
-    _zeta_subset,
     exact_distribution,
     function_counts,
     limit_estimate,
@@ -23,12 +23,14 @@ from andortrees.distribution import (
     prob_ge,
     tautology_count,
 )
+from andortrees.complexity import full_table
 from andortrees.formula import (
     AND,
     Leaf,
     Literal,
     TruthTable,
     literal_mask,
+    literal_masks,
     truth_table,
 )
 
@@ -201,11 +203,6 @@ def test_tautology_count_examples():
     assert tautology_count(1, 1) == 0
 
 
-def test_n4_warns():
-    with pytest.warns(RuntimeWarning):
-        function_counts(3, 4)
-
-
 def test_n5_rejected():
     with pytest.raises(DistributionError):
         function_counts(3, 5)
@@ -215,13 +212,9 @@ def test_theta_trend_band():
     # prob(m, n, x1 and x2) * n^3 stays inside a fixed band across n = 2, 3, 4
     # at a fixed moderately large size; golden band recorded from this code.
     values = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for n in (2, 3, 4):
-            conj = TruthTable(
-                n, literal_mask(1, False, n) & literal_mask(2, False, n)
-            )
-            values[n] = float(prob(14, n, conj)) * n**3
+    for n in (2, 3, 4):
+        conj = TruthTable(n, literal_mask(1, False, n) & literal_mask(2, False, n))
+        values[n] = float(prob(14, n, conj)) * n**3
     assert values[2] == pytest.approx(0.252065, rel=1e-4)
     assert values[3] == pytest.approx(0.205049, rel=1e-4)
     assert values[4] == pytest.approx(0.184253, rel=1e-4)
@@ -231,12 +224,10 @@ def test_theta_trend_band():
 def test_n4_totals_match_series_and_true_false_symmetry():
     a_total = series(4, 8).a_total
     full = (1 << 16) - 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for m in range(1, 9):
-            table = function_counts(m, 4)
-            assert sum(map(table.total, range(full + 1))) == a_total[m]
-            assert table.total(full) == table.total(0)
+    for m in range(1, 9):
+        table = function_counts(m, 4)
+        assert sum(map(table.total, range(full + 1))) == a_total[m]
+        assert table.total(full) == table.total(0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +309,70 @@ def _oracle_layers(n, M):
 @pytest.mark.parametrize("n,M", [(1, 20), (2, 20), (3, 20), (4, 6)])
 def test_engine_matches_independent_oracle(n, M):
     and_layers, or_layers = _oracle_layers(n, M)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for m in range(1, M + 1):
-            table = function_counts(m, n)
-            assert list(table.and_rooted) == and_layers[m]
-            assert list(table.or_rooted) == or_layers[m]
+    for m in range(1, M + 1):
+        table = function_counts(m, n)
+        assert list(table.and_rooted) == and_layers[m]
+        assert list(table.or_rooted) == or_layers[m]
+
+
+def _butterfly(v, op):
+    """A copy of v with v[mask] = op(v[mask], v[mask ^ bit]) applied for each
+    bit in turn, at every mask that has the bit set, as whole-slice steps."""
+    v = v[:]
+    size = len(v)
+    half = 1
+    while half < size:
+        span = 2 * half
+        if size // span <= half:
+            for lo in range(0, size, span):
+                hi = lo + half
+                v[hi : hi + half] = map(op, v[hi : hi + half], v[lo:hi])
+        else:
+            for r in range(half):
+                v[r + half :: span] = map(op, v[r + half :: span], v[r::span])
+        half = span
+    return v
+
+
+def _zeta_subset(v):
+    """Subset sums: result[mask] = sum of v[sub] over sub within mask."""
+    return _butterfly(v, add)
+
+
+def _mobius_subset(v):
+    """Inverse of _zeta_subset."""
+    return _butterfly(v, sub)
+
+
+def _full_vector_layers(n, M):
+    """OR layers for sizes 1..M from the recurrence of the module docstring
+    on whole vectors over all 2^(2^n) masks, with no use of symmetry."""
+    space = 1 << (1 << n)
+    or_layers, X, S = [None], [None], [None]
+    for m in range(1, M + 1):
+        if m == 1:
+            or_layer = [0] * space
+            for mask in literal_masks(n):
+                or_layer[mask] = 1
+        else:
+            or_layer = _mobius_subset(list(map(sub, S[m - 1], X[m - 1])))
+        x = _zeta_subset(or_layer[::-1])  # the AND layer, by duality
+        s = x
+        for i in range(1, m):
+            s = list(map(add, s, map(mul, S[i], X[m - i])))
+        or_layers.append(or_layer)
+        X.append(x)
+        S.append(s)
+    return or_layers
+
+
+@pytest.mark.parametrize("n,M", [(1, 30), (2, 30), (3, 30), (4, 12)])
+def test_engine_matches_full_vector_engine(n, M):
+    or_layers = _full_vector_layers(n, M)
+    for m in range(1, M + 1):
+        table = function_counts(m, n)
+        assert list(table.or_rooted) == or_layers[m]
+        assert list(table.and_rooted) == or_layers[m][::-1]
 
 
 def _submasks(mask):
@@ -355,6 +404,69 @@ def test_slice_transforms_match_subset_definitions(v):
 
 
 # ---------------------------------------------------------------------------
+# B_n-orbits and the transforms restricted to them
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,orbits", [(1, 3), (2, 6), (3, 22), (4, 402)])
+def test_orbit_tables(n, orbits):
+    orbit, reps = dist_mod._orbit_tables(n)
+    space = 1 << (1 << n)
+    assert len(orbit) == space
+    assert len(reps) == orbits
+    sizes = Counter(orbit)
+    assert sorted(sizes) == list(range(orbits))
+    assert sum(sizes.values()) == space
+    group = 2**n * factorial(n)
+    assert all(group % size == 0 for size in sizes.values())
+    # each representative is the smallest mask of its orbit
+    assert [orbit[r] for r in reps] == list(range(orbits))
+    assert all(reps[o] <= mask for mask, o in enumerate(orbit))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generators_map_each_orbit_into_itself(n):
+    orbit, _ = dist_mod._orbit_tables(n)
+    images = dist_mod._generator_images(n)
+    assert len(images) == n  # negate x1, and the n - 1 adjacent swaps
+    for image in images:
+        assert sorted(image) == list(range(len(orbit)))  # a permutation
+        assert [orbit[g] for g in image] == orbit
+
+
+def test_generators_act_on_assignment_points():
+    # n = 2, point k gives x1 bit 0 and x2 bit 1 of k
+    negate_x1, swap_12 = dist_mod._generator_images(2)
+    x1, x2 = literal_mask(1, False, 2), literal_mask(2, False, 2)
+    assert negate_x1[x1] == literal_mask(1, True, 2)
+    assert negate_x1[x2] == x2
+    assert swap_12[x1] == x2 and swap_12[x2] == x1
+    assert swap_12[x1 & ~x2 & 0xF] == x2 & ~x1 & 0xF
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complement_permutes_orbits(n):
+    engine = dist_mod._Engine(n)
+    full = len(engine.orbit) - 1
+    assert sorted(engine.comp) == list(range(len(engine.reps)))
+    assert all(engine.comp[o] == engine.orbit[full ^ g] for g, o in enumerate(engine.orbit))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_transforms_match_butterfly(n):
+    orbit, reps = dist_mod._orbit_tables(n)
+    zeta, mobius = dist_mod._incidence(orbit, reps)
+    rng = random.Random(7 + n)
+    for _ in range(3):
+        v = [rng.randrange(-(10**20), 10**20) for _ in reps]
+        full = [v[o] for o in orbit]  # a B_n-invariant vector
+        z, want_z, want_mu = dist_mod._transform(zeta, v), _zeta_subset(full), _mobius_subset(full)
+        assert z == [want_z[r] for r in reps]
+        assert dist_mod._transform(mobius, v) == [want_mu[r] for r in reps]
+        assert dist_mod._transform(mobius, z) == v
+
+
+# ---------------------------------------------------------------------------
 # the on-disk cache
 # ---------------------------------------------------------------------------
 
@@ -373,17 +485,21 @@ def _tampered(blob, damage):
     # doubled counts: a reader that skipped the checks would answer wrongly
     data["or_layers"] = [None] + [[2 * c for c in v] for v in data["or_layers"][1:]]
     if damage == "tag":
-        data["format"] = "andortrees-engine-1"
+        data["format"] = "andortrees-engine-2"
     elif damage == "n":
         data["n"] = 3
     elif damage == "lengths":
         data["S"] = data["S"][:-1]
     elif damage == "vector size":
         data["X"][1] = data["X"][1][:-1]
+    elif damage == "orbit table":
+        data["orbit"] = data["orbit"][:-1]
     return marshal.dumps(data)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "tag", "n", "lengths", "vector size"])
+@pytest.mark.parametrize(
+    "damage", ["truncated", "tag", "n", "lengths", "vector size", "orbit table"]
+)
 def test_damaged_cache_file_is_recomputed(cache_dir, monkeypatch, damage):
     want = function_counts(6, 2)
     path = cache_dir / f"{CACHE_FORMAT}_n2.marshal"
@@ -392,7 +508,16 @@ def test_damaged_cache_file_is_recomputed(cache_dir, monkeypatch, damage):
     assert function_counts(6, 2) == want
     rewritten = marshal.loads(path.read_bytes())
     assert rewritten["format"] == CACHE_FORMAT
-    assert rewritten["or_layers"][6] == list(want.or_rooted)
+    assert [rewritten["or_layers"][6][o] for o in rewritten["orbit"]] == list(want.or_rooted)
+
+
+def test_cache_is_written_once_per_sweep(cache_dir, monkeypatch):
+    stores = []
+    store = dist_mod._store_cached
+    monkeypatch.setattr(dist_mod, "_store_cached", lambda e: stores.append(e.max_size) or store(e))
+    full_table(3)
+    assert stores == [17]  # parity of three inputs has L = 17
+    assert (cache_dir / f"{CACHE_FORMAT}_n3.marshal").exists()
 
 
 def test_cache_file_is_reused(cache_dir, monkeypatch):
@@ -400,6 +525,30 @@ def test_cache_file_is_reused(cache_dir, monkeypatch):
     monkeypatch.setattr(dist_mod, "_engines", {})
     monkeypatch.setattr(dist_mod._Engine, "_add_layer", None)  # no recomputing
     assert function_counts(6, 2) == want
+
+
+def test_engine_2_cache_is_never_read(cache_dir, monkeypatch):
+    # the per-mask layout of the previous format, with wrong counts, both
+    # under its own name and under the current name
+    bogus = marshal.dumps({
+        "format": "andortrees-engine-2", "n": 1,
+        "or_layers": [None] + [[7] * 4] * 9, "X": [None] + [[7] * 4] * 9,
+        "S": [None] + [[7] * 4] * 9,
+    })
+    (cache_dir / "andortrees-engine-2_n1.marshal").write_bytes(bogus)
+    (cache_dir / f"{CACHE_FORMAT}_n1.marshal").write_bytes(bogus)
+    opened = []
+    monkeypatch.setattr(
+        dist_mod, "open", lambda path, *a: opened.append(path) or open(path, *a), raising=False
+    )
+    table = function_counts(3, 1)
+    assert opened and not any("andortrees-engine-2" in str(path) for path in opened)
+    assert table.or_rooted == (0, 1, 1, 2)
+    assert table.and_rooted == (2, 1, 1, 0)
+    assert (cache_dir / "andortrees-engine-2_n1.marshal").read_bytes() == bogus
+    assert marshal.loads((cache_dir / f"{CACHE_FORMAT}_n1.marshal").read_bytes())[
+        "format"
+    ] == CACHE_FORMAT
 
 
 def test_legacy_pickle_cache_is_ignored(cache_dir):
