@@ -8,6 +8,14 @@ one valid rotation (cycle lemma: Dershowitz & Zaks 1990; Devroye 2012).  The
 root connective is a fair coin and each leaf a uniform literal.  Every choice
 is an integer draw, so every size-m tree has probability exactly
 1/(number of size-m trees).
+
+`SamplerContext.draw` returns these choices as (root connective, word, leaf
+literal indexes) and `SamplerContext.build` turns them into the one tree of
+`Node`s and `Leaf`s; `sample` is the two in turn.  Monte Carlo statistics
+are folds over the draw itself: the truth table is a postfix fold of literal
+masks over the word (`fold_truth_bits`), the first-level leaf count and the
+simple-tautology flag read the root's leaf children (`fold_root_leaves`).
+Only the tautology rate at n > 13 builds the tree, for `is_tautology`.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import itertools
 import math
 import random
 import threading
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -30,10 +40,8 @@ from .formula import (
     Literal,
     Node,
     TruthTable,
-    first_level_leaf_count,
-    is_simple_tautology,
     is_tautology,
-    truth_table,
+    literal_masks,
 )
 
 Z95 = 1.959964  # two-sided 95% normal quantile
@@ -59,6 +67,8 @@ class McReport:
     seed: int
     generator: str
     stats: Dict[str, StatResult]
+    seconds: float = field(compare=False)
+    trees_per_s: float = field(compare=False)
 
 
 def _frequency_stat(hits: int, trials: int, **extra) -> StatResult:
@@ -67,6 +77,10 @@ def _frequency_stat(hits: int, trials: int, **extra) -> StatResult:
     return StatResult(
         estimate=p, stderr=se, ci95=(p - Z95 * se, p + Z95 * se), extra=dict(extra)
     )
+
+
+#: (root_and, word, leaves): see `SamplerContext.draw`
+Draw = Tuple[bool, List[int], List[int]]
 
 
 class SamplerContext:
@@ -109,13 +123,21 @@ class SamplerContext:
             self._cum[m] = cum
         return cum
 
-    def sample(self, m: int, rng: random.Random) -> AndOrTree:
+    def draw(self, m: int, rng: random.Random) -> Draw:
+        """The random choices behind one uniform size-m tree.
+
+        Returns (root_and, word, leaves): the root connective (True for and;
+        a bare leaf draws no coin and reads False), the preorder arity word
+        and the literal index of each leaf in preorder.  The rng calls are
+        the weight draw of I, the two `rng.sample` calls, the root coin and
+        then one literal index per leaf.
+        """
         if m == 2:
             raise SamplerError("empty size class: no trees of size 2")
         if m < 1 or m > self.max_size:
             raise ValueError(f"m must be in 1..{self.max_size} and != 2")
         if m == 1:
-            return Leaf(self._literals[rng.randrange(2 * self.n)])
+            return False, [0], [rng.randrange(2 * self.n)]
         cum = self._cum_weights(m)
         internal = bisect.bisect_right(cum, rng.randrange(cum[-1])) + 1
         # a uniform composition of m-1 into `internal` arities >= 2 ...
@@ -132,25 +154,35 @@ class SamplerContext:
         sums = list(itertools.accumulate(k - 1 for k in word))
         start = sums.index(min(sums)) + 1
         word = word[start:] + word[:start]
+        root_and = rng.randrange(2) == 0
         # each leaf draws a literal index as k random bits, redrawn while
         # >= 2n: exactly uniform, and the same stream as randrange(2n)
-        literals = self._literals
-        two_n = len(literals)
+        two_n = 2 * self.n
         k = two_n.bit_length()
         getrandbits = rng.getrandbits
+        leaves = []
+        for _ in range(m - internal):
+            r = getrandbits(k)
+            while r >= two_n:
+                r = getrandbits(k)
+            leaves.append(r)
+        return root_and, word, leaves
+
+    def build(self, drawn: Draw) -> AndOrTree:
+        """The tree of a draw, with a new `Leaf` at every leaf position."""
+        root_and, word, leaves = drawn
+        literals = self._literals
+        leaf = iter(leaves).__next__
         # decode in preorder; each frame is [op, arity, children so far]
         stack: List[list] = []
-        op = AND if rng.randrange(2) == 0 else OR
+        op = AND if root_and else OR
         for arity in word:
             if arity:
                 if stack:
                     op = OR if stack[-1][0] == AND else AND
                 stack.append([op, arity, []])
                 continue
-            r = getrandbits(k)
-            while r >= two_n:
-                r = getrandbits(k)
-            node: AndOrTree = Leaf(literals[r])
+            node: AndOrTree = Leaf(literals[leaf()])
             while stack:
                 frame = stack[-1]
                 frame[2].append(node)
@@ -159,6 +191,83 @@ class SamplerContext:
                 stack.pop()
                 node = Node(frame[0], tuple(frame[2]))
         return node
+
+    def sample(self, m: int, rng: random.Random) -> AndOrTree:
+        return self.build(self.draw(m, rng))
+
+
+def fold_truth_bits(drawn: Draw, masks: Sequence[int], full: int) -> int:
+    """Truth-table bits of a draw's tree: a postfix fold of literal masks.
+
+    `masks` is `literal_masks(n)` and `full` the all-ones table.  The open
+    node is held in (is_and, remaining, acc), its ancestors' on a stack; a
+    leaf folds its mask into acc, and a node whose children are all in folds
+    into its parent's.
+    """
+    root_and, word, leaves = drawn
+    if len(word) == 1:
+        return masks[leaves[0]]
+    leaf = iter(leaves).__next__
+    is_and, remaining = root_and, word[0]
+    acc = full if is_and else 0
+    stack: List[tuple] = []
+    for arity in itertools.islice(word, 1, None):
+        if arity:
+            stack.append((is_and, remaining, acc))
+            is_and = not is_and
+            remaining = arity
+            acc = full if is_and else 0
+            continue
+        if is_and:
+            acc &= masks[leaf()]
+        else:
+            acc |= masks[leaf()]
+        remaining -= 1
+        while not remaining and stack:
+            value = acc
+            is_and, remaining, acc = stack.pop()
+            if is_and:
+                acc &= value
+            else:
+                acc |= value
+            remaining -= 1
+    return acc
+
+
+def fold_root_leaves(drawn: Draw) -> Tuple[int, bool]:
+    """(first-level leaf count, simple tautology) of a draw's tree.
+
+    Reads the literal indexes of the root's leaf children, skipping each
+    subtree child by its arity balance.  Literal r clashes with r ^ 1, and
+    a clash makes a simple tautology only under an or root.
+    """
+    root_and, word, leaves = drawn
+    if len(word) == 1:
+        return 0, False
+    seen = set()
+    count = 0
+    clash = False
+    pos = 1
+    leaf = 0  # leaves before pos
+    for _ in range(word[0]):
+        if word[pos]:
+            # a subtree child: with k child slots open, the next k letters
+            # leave open the sum of their arities, and none of them can
+            # close the subtree before the last
+            open_slots = 1
+            while open_slots:
+                chunk = word[pos : pos + open_slots]
+                pos += open_slots
+                leaf += chunk.count(0)
+                open_slots = sum(chunk)
+            continue
+        r = leaves[leaf]
+        clash = clash or r ^ 1 in seen
+        seen.add(r)
+        count += 1
+        pos += 1
+        leaf += 1
+    return count, clash and not root_and
 
 
 _contexts: Dict[Tuple[int, int], SamplerContext] = {}
@@ -278,18 +387,17 @@ def chi_square_critical(alpha: float, df: int) -> float:
 
 
 def monte_carlo(
-    m: int,
-    n: int,
-    trials: int,
-    seed: int,
-    stats: Iterable[str],
-    context: Optional[SamplerContext] = None,
+    m: int, n: int, trials: int, seed: int, stats: Iterable[str]
 ) -> McReport:
     """Unbiased frequency estimates over `trials` uniform size-m trees.
 
     stats entries: 'simple_tautology_rate', 'tautology_rate',
     'first_level_leaf_histogram', or 'function_frequency:<hex>' with the hex
     truth table of the target function.
+
+    Each trial reads its statistics off the draw (`fold_truth_bits`,
+    `fold_root_leaves`); only the tautology rate at n > 13 builds the tree,
+    for `is_tautology`.  `seconds` is the wall time of the call.
 
     With the histogram, ``extra["ks_statistic"]`` is the Kolmogorov-Smirnov
     distance of the leaf counts scaled by 2*sqrt(2n) from the continuous
@@ -300,6 +408,7 @@ def monte_carlo(
     sampler reads 0.0517 against 0.0163.  `ks_discrete` against
     `analytic.first_level_leaf_law` is the test at finite n.
     """
+    start = time.perf_counter()
     if trials <= 0:
         raise ValueError("trials must be >= 1")
     stats = list(stats)
@@ -312,45 +421,58 @@ def monte_carlo(
             function_targets[name] = TruthTable.from_hex(hex_part, n).bits
         elif name not in KNOWN_STATS:
             raise ValueError(f"unknown statistic {name!r}")
-    ctx = context or get_context(n, m)
+    ctx = get_context(n, m)
     rng = random.Random(seed)
     probe_rng = random.Random(f"{seed}-constant-probes")
 
-    want_table = bool(function_targets) or (
-        "tautology_rate" in stats and n <= 13
-    )
-    hits = {name: 0 for name in stats if name != "first_level_leaf_histogram"}
-    histogram: Dict[int, int] = {}
-    leaf_counts: List[int] = []
+    want_taut = "tautology_rate" in stats
+    want_simple = "simple_tautology_rate" in stats
     want_hist = "first_level_leaf_histogram" in stats
+    want_table = bool(function_targets) or (want_taut and n <= 13)
+    want_root = want_simple or want_hist
+    if want_table:
+        masks, full = literal_masks(n), (1 << (1 << n)) - 1
+    hits = {name: 0 for name in stats if name != "first_level_leaf_histogram"}
+    leaf_counts: Optional[List[int]] = [] if want_hist else None
 
     for _ in range(trials):
-        tree = ctx.sample(m, rng)
-        table = None
+        drawn = ctx.draw(m, rng)
         if want_table:
-            table = truth_table(tree, n, max_vars=13)
-        if "simple_tautology_rate" in hits and is_simple_tautology(tree):
-            hits["simple_tautology_rate"] += 1
-        if "tautology_rate" in hits:
-            taut = (
-                table.is_true()
-                if table is not None
-                else is_tautology(tree, n, rng=probe_rng)
-            )
+            bits = fold_truth_bits(drawn, masks, full)
+            for name, mask in function_targets.items():
+                if bits == mask:
+                    hits[name] += 1
+        if want_root:
+            x, simple = fold_root_leaves(drawn)
+            if simple and want_simple:
+                hits["simple_tautology_rate"] += 1
+            if want_hist:
+                leaf_counts.append(x)
+        if want_taut:
+            if want_table:
+                taut = bits == full
+            else:
+                taut = is_tautology(ctx.build(drawn), n, rng=probe_rng)
             if taut:
                 hits["tautology_rate"] += 1
-        for name, mask in function_targets.items():
-            if table.bits == mask:
-                hits[name] += 1
-        if want_hist:
-            x = first_level_leaf_count(tree)
-            leaf_counts.append(x)
-            histogram[x] = histogram.get(x, 0) + 1
+    return _summarise(m, n, trials, seed, hits, leaf_counts, start)
 
+
+def _summarise(
+    m: int,
+    n: int,
+    trials: int,
+    seed: int,
+    hits: Dict[str, int],
+    leaf_counts: Optional[List[int]],
+    start: float,
+) -> McReport:
+    """The report of a Monte Carlo run from its hit counts and, when the
+    histogram was asked for, its first-level leaf counts in trial order."""
     out: Dict[str, StatResult] = {}
     for name, count in hits.items():
         out[name] = _frequency_stat(count, trials)
-    if want_hist:
+    if leaf_counts is not None:
         scale = 2.0 * math.sqrt(2.0 * n)
         scaled = [x / scale for x in leaf_counts]
         ks = ks_statistic(scaled, gamma_two_half_cdf)
@@ -362,7 +484,7 @@ def monte_carlo(
             stderr=None,
             ci95=None,
             extra={
-                "histogram": dict(sorted(histogram.items())),
+                "histogram": dict(sorted(Counter(leaf_counts).items())),
                 "mean": mean,
                 "mean_stderr": se,
                 "ks_statistic": ks,
@@ -370,6 +492,7 @@ def monte_carlo(
                 "scale": scale,
             },
         )
+    seconds = time.perf_counter() - start
     return McReport(
         m=m,
         n=n,
@@ -377,4 +500,6 @@ def monte_carlo(
         seed=seed,
         generator="random.Random (Mersenne Twister)",
         stats=out,
+        seconds=seconds,
+        trees_per_s=trials / seconds,
     )

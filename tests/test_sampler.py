@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -8,11 +10,27 @@ import pytest
 from andortrees.analytic import expected_first_level_leaves, first_level_leaf_law
 from andortrees.counting import brute_enumerate, series
 from andortrees.distribution import prob
-from andortrees.formula import AND, OR, Node, TruthTable, serialize, tree_size
+from andortrees.formula import (
+    AND,
+    OR,
+    Node,
+    TruthTable,
+    first_level_leaf_count,
+    is_simple_tautology,
+    is_tautology,
+    literal_masks,
+    serialize,
+    tree_size,
+    truth_table,
+)
 from andortrees.sampler import (
+    KNOWN_STATS,
     SamplerContext,
     SamplerError,
+    _summarise,
     chi_square_critical,
+    fold_root_leaves,
+    fold_truth_bits,
     gamma_two_half_cdf,
     get_context,
     ks_critical,
@@ -65,6 +83,101 @@ def test_leaf_draw_reproduces_randrange(n):
         assert tree.op == (AND if ref.randrange(2) == 0 else OR)
         got = [2 * c.literal.var - 2 + c.literal.negated for c in tree.children]
         assert got == [ref.randrange(2 * n), ref.randrange(2 * n)]
+
+
+def test_bare_leaf_draws_no_coin():
+    for n in (1, 3, 100):
+        ctx = SamplerContext(n, 1)
+        for seed in range(50):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert ctx.draw(1, rng) == (False, [0], [ref.randrange(2 * n)])
+            assert rng.getstate() == ref.getstate()
+
+
+def test_sample_many_trees_are_pinned():
+    # the SHA-256 of these trees before sampling was split into draw and
+    # build: a fixed seed keeps giving the same trees
+    cases = ((1, 3, 1), (3, 1, 2), (15, 2, 3), (101, 5, 4), (600, 100, 5))
+    text = "\n".join(
+        serialize(t) for m, n, seed in cases for t in sample_many(m, n, 10, seed)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5c4145c4230e6cadf303917a35028f9016d1d04965065770db4ae9d866ae17e6"
+    )
+
+
+FOLD_CASES = [(m, n) for m in (1, 3, 4, 15, 101, 600) for n in (1, 2, 5, 13)]
+
+
+@pytest.mark.parametrize("m, n", FOLD_CASES, ids=[f"m{m}-n{n}" for m, n in FOLD_CASES])
+def test_folds_match_the_built_tree(m, n):
+    ctx = SamplerContext(n, m)
+    masks, full = literal_masks(n), (1 << (1 << n)) - 1
+    rng = random.Random(7 * m + n)
+    simple = 0
+    for _ in range(60 if m > 100 else 300):
+        drawn = ctx.draw(m, rng)
+        tree = ctx.build(drawn)
+        assert tree_size(tree) == m
+        assert fold_truth_bits(drawn, masks, full) == truth_table(tree, n, 13).bits
+        got = fold_root_leaves(drawn)
+        assert got == (first_level_leaf_count(tree), is_simple_tautology(tree))
+        simple += got[1]
+    if m > 3 and n <= 2:
+        assert simple > 0  # the clash branch was reached
+
+
+def _node_monte_carlo(m, n, trials, seed, stats):
+    """The trial loop over built trees that `monte_carlo` replaces with folds
+    over the draw, kept as its oracle."""
+    start = time.perf_counter()
+    targets = {
+        name: TruthTable.from_hex(name.split(":", 1)[1], n).bits
+        for name in stats
+        if name.startswith("function_frequency:")
+    }
+    ctx = get_context(n, m)
+    rng = random.Random(seed)
+    probe_rng = random.Random(f"{seed}-constant-probes")
+    want_table = bool(targets) or ("tautology_rate" in stats and n <= 13)
+    hits = {name: 0 for name in stats if name != "first_level_leaf_histogram"}
+    leaf_counts = [] if "first_level_leaf_histogram" in stats else None
+    for _ in range(trials):
+        tree = ctx.sample(m, rng)
+        table = truth_table(tree, n, max_vars=13) if want_table else None
+        if "simple_tautology_rate" in hits and is_simple_tautology(tree):
+            hits["simple_tautology_rate"] += 1
+        if "tautology_rate" in hits:
+            if table is not None:
+                taut = table.is_true()
+            else:
+                taut = is_tautology(tree, n, rng=probe_rng)
+            hits["tautology_rate"] += taut
+        for name, mask in targets.items():
+            hits[name] += table.bits == mask
+        if leaf_counts is not None:
+            leaf_counts.append(first_level_leaf_count(tree))
+    return _summarise(m, n, trials, seed, hits, leaf_counts, start)
+
+
+ORACLE_CASES = [(m, n) for m in (1, 3, 15, 600) for n in (1, 2, 5, 13, 14, 100)]
+
+
+@pytest.mark.parametrize(
+    "m, n", ORACLE_CASES, ids=[f"m{m}-n{n}" for m, n in ORACLE_CASES]
+)
+def test_monte_carlo_matches_node_oracle(m, n):
+    # n = 13 reads tautologies off the folded table, n = 14 off built trees
+    stats = list(KNOWN_STATS)
+    if n <= 13:
+        for bits in (literal_masks(n)[1], (1 << (1 << n)) - 1):
+            stats.append("function_frequency:" + TruthTable(n, bits).to_hex())
+    trials = 30 if m == 600 else 300
+    seed = 1000 * m + n
+    got = monte_carlo(m, n, trials, seed, stats)
+    want = _node_monte_carlo(m, n, trials, seed, stats)
+    assert got == want
+    assert set(got.stats) == set(stats)
 
 
 def test_sampled_tree_reaches_no_object_twice():
@@ -121,7 +234,10 @@ def test_monte_carlo_reports_are_bit_reproducible():
         m=15, n=2, trials=400, seed=90210,
         stats=["tautology_rate", "simple_tautology_rate", "first_level_leaf_histogram"],
     )
-    assert monte_carlo(**kwargs) == monte_carlo(**kwargs)
+    a, b = monte_carlo(**kwargs), monte_carlo(**kwargs)
+    assert a == b
+    # the timing fields are left out of the comparison
+    assert a.seconds > 0 and a.trees_per_s == pytest.approx(a.trials / a.seconds)
 
 
 def test_monte_carlo_function_frequency_matches_exact():
