@@ -33,7 +33,7 @@ from .analytic import (
 from .complexity import complexity as complexity_of
 from .complexity import full_table, minimal_trees, reduce_irreducible
 from .counting import BudgetError, series
-from .distribution import exact_distribution, limit_estimate
+from .distribution import exact_distribution, function_counts, limit_estimate
 from .formula import TruthTable, parse_formula, serialize
 from .quadext import QuadExt
 from .sampler import monte_carlo, sample_many
@@ -138,8 +138,6 @@ def cmd_count(cfg: RunConfig) -> int:
 def cmd_dist(cfg: RunConfig) -> int:
     if cfg.m is None:
         raise SystemExit("dist needs --m")
-    from .distribution import function_counts
-
     table = function_counts(cfg.m, cfg.n)
     dist = exact_distribution(cfg.m, cfg.n)
     rows = []

@@ -30,8 +30,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import mpmath as mp
-
 from .formula import (
     AND,
     OR,
@@ -372,6 +370,7 @@ def ks_critical(alpha: float, n_samples: int) -> float:
 
 def chi_square_critical(alpha: float, df: int) -> float:
     """Upper critical value of the chi-square distribution (no scipy needed)."""
+    import mpmath as mp  # here, so that sampling never loads mpmath
 
     def survival(x: float) -> float:
         return float(mp.gammainc(df / 2, x / 2, mp.inf, regularized=True))

@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List
 
 from . import families
@@ -40,7 +42,7 @@ from .analytic import (
 from .complexity import full_table, minimal_trees, slots_and_bounds
 from .counting import algebraic_residual, brute_enumerate, series
 from .distribution import function_counts, limit_estimate
-from .formula import TruthTable, literal_mask
+from .formula import TruthTable, literal_mask, serialize
 from .sampler import (
     chi_square_critical,
     gamma_two_half_cdf,
@@ -122,8 +124,6 @@ def criterion_2() -> List[CheckResult]:
         return {"passed": not bad, "nonzero_at": bad}
 
     def n2_values():
-        from fractions import Fraction
-
         point = singularity(2)
         ok = (
             point.radius == Fraction(1, 8)
@@ -411,10 +411,6 @@ def criterion_10(
     gap_trials: int = 10_000,
 ) -> List[CheckResult]:
     def uniformity():
-        from collections import Counter
-
-        from .formula import serialize
-
         support = [serialize(t) for t in brute_enumerate(3, 1)]
         ctx = get_context(1, 3)
         rng = random.Random(SEED_UNIFORMITY)
