@@ -12,8 +12,10 @@ the coefficient ratio, the non-leaf and rooted series both contributing the
 factor 1/2 and the tautology series contributing tau' (the limiting
 probability of the constant True).
 
-Everything is exact for t-free families; large-n sweeps and t-dependent
-families switch to high-precision floats.
+The partial derivatives come from evaluating F itself on dual numbers
+(`Dual`), value plus derivative, in the same ring as the point.  Everything
+is exact for t-free families; large-n sweeps and t-dependent families
+switch to high-precision floats.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import mpmath as mp
 
 from . import families
 from .counting import series
-from .families import Expr, diff, evaluate, mentions
+from .families import Family
 from .powerseries import Series
 from .quadext import QuadExt
 
@@ -63,126 +65,173 @@ def singularity(n: int) -> SingularPoint:
     )
 
 
-# -- evaluation domains ------------------------------------------------------
+# -- forward-mode differentiation ---------------------------------------------
 
 
-def _lift_quad(d: int):
-    return lambda c: QuadExt.rational(c, d)
+class Dual:
+    """value + deriv*e with e^2 = 0.
+
+    A family evaluated at Dual(x, 1) in one argument returns its partial
+    derivative in that argument as `deriv` (forward-mode differentiation;
+    Griewank & Walther, *Evaluating Derivatives*, 2008).  Both parts may lie
+    in any ring with +, -, *, / and int operands on either side: QuadExt,
+    mpf, Fraction or Series.
+    """
+
+    __slots__ = ("value", "deriv")
+
+    def __init__(self, value, deriv):
+        self.value = value
+        self.deriv = deriv
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.value + other.value, self.deriv + other.deriv)
+        return Dual(self.value + other, self.deriv)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.value, -self.deriv)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(
+                self.value * other.value,
+                self.deriv * other.value + self.value * other.deriv,
+            )
+        return Dual(self.value * other, self.deriv * other)
+
+    __rmul__ = __mul__
+
+    def _reciprocal(self) -> "Dual":
+        # (1/v)' = -v'/v^2
+        inverse = 1 / self.value
+        return Dual(inverse, -self.deriv * inverse * inverse)
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            return self * other._reciprocal()
+        return Dual(self.value / other, self.deriv / other)
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("powers must have non-negative integer exponents")
+        if exponent == 0:
+            return Dual(self.value**0, 0)
+        return Dual(
+            self.value**exponent,
+            exponent * self.value ** (exponent - 1) * self.deriv,
+        )
 
 
-def _lift_mpf(c):
-    if isinstance(c, Fraction):
-        return mp.mpf(c.numerator) / c.denominator
-    return mp.mpf(c)
+def _derivative(result):
+    """The derivative part of a family's value; 0 when it ignored the Dual."""
+    return result.deriv if isinstance(result, Dual) else 0
 
 
-def _lift_series(order: int):
-    return lambda c: Series.constant(c, order)
+_NEEDS_T_ENV = "family depends on t: supply env={'t_value': ..., 'tau_prime': ...}"
+
+
+def _without_t(family: Family, z, a):
+    """family(z, a, t) for a family that must not use t."""
+    try:
+        return family(z, a, None)
+    except TypeError as exc:
+        raise ValueError(_NEEDS_T_ENV) from exc
 
 
 class PoleError(ZeroDivisionError):
     pass
 
 
+#: mode='auto' evaluates a t-free family exactly up to this n, in floats above
+EXACT_MAX_N = 10_000
+
+
 def limiting_ratio(
-    expr: Expr,
+    family: Family,
     n: int,
     env: Optional[Dict[str, float]] = None,
     mode: str = "auto",
     prec: int = 200,
-    exact_threshold: int = 10_000,
 ) -> Union[QuadExt, mp.mpf]:
-    """Limiting ratio of the family described by `expr`.
+    """Limiting ratio of the family with closed form `family(z, a, t)`.
 
-    t-free families evaluate exactly in Q(sqrt(2n)) (or in floats when n is
-    large or mode='float').  Families mentioning t need env entries
-    t_value (the tautology series at the radius) and tau_prime (the limiting
-    probability of True).
+    Without env the family must be t-free; it evaluates exactly in
+    Q(sqrt(2n)) (in floats when n > EXACT_MAX_N or mode='float').  A family
+    that uses t needs env entries t_value (the tautology series at the
+    radius) and tau_prime (the limiting probability of True), and evaluates
+    in floats.
     """
     point = singularity(n)
-    uses_t = mentions(expr, "t")
-    if uses_t:
-        if not env or "t_value" not in env or "tau_prime" not in env:
-            raise ValueError(
-                "family depends on t: supply env={'t_value': ..., 'tau_prime': ...}"
-            )
-        mode = "float" if mode == "auto" else mode
+    if env is not None:
+        if "t_value" not in env or "tau_prime" not in env:
+            raise ValueError(_NEEDS_T_ENV)
         if mode == "exact":
             raise ValueError("t-dependent families have no exact evaluation")
-    if mode == "auto":
-        mode = "exact" if n <= exact_threshold else "float"
+        mode = "float"
+    elif mode == "auto":
+        mode = "exact" if n <= EXACT_MAX_N else "float"
 
-    da = diff(expr, "a")
-    if mode == "exact":
-        lift = _lift_quad(2 * n)
-        environment: Dict[str, object] = {
-            "z": point.radius,
-            "a": point.rooted_value,
-        }
-        try:
-            value = evaluate(da, environment, lift) * Fraction(1, 2)
-        except ZeroDivisionError as exc:
-            raise PoleError(f"family has a pole at the singular point: {exc}") from exc
-        return value
-
-    with mp.workprec(prec):
-        environment = {
-            "z": point.radius.to_mpf(prec),
-            "a": point.rooted_value.to_mpf(prec),
-        }
-        if uses_t:
-            environment["t"] = mp.mpf(env["t_value"])
-        try:
-            value = evaluate(da, environment, _lift_mpf) / 2
-            if uses_t:
-                dt = diff(expr, "t")
-                value += mp.mpf(env["tau_prime"]) * evaluate(dt, environment, _lift_mpf)
-        except ZeroDivisionError as exc:
-            raise PoleError(f"family has a pole at the singular point: {exc}") from exc
-        return value
+    try:
+        if mode == "exact":
+            da = _derivative(_without_t(family, point.radius, Dual(point.rooted_value, 1)))
+            return QuadExt.rational(Fraction(1, 2), 2 * n) * da
+        with mp.workprec(prec):
+            z = point.radius.to_mpf(prec)
+            a = point.rooted_value.to_mpf(prec)
+            if env is None:
+                return mp.mpf(_derivative(_without_t(family, z, Dual(a, 1)))) / 2
+            t = mp.mpf(env["t_value"])
+            value = mp.mpf(_derivative(family(z, Dual(a, 1), t))) / 2
+            dt = _derivative(family(z, a, Dual(t, 1)))
+            return value + mp.mpf(env["tau_prime"]) * dt
+    except ZeroDivisionError as exc:
+        raise PoleError(f"family has a pole at the singular point: {exc}") from exc
 
 
-def coefficient_ratio(expr: Expr, n: int, order: int = 400) -> float:
+def coefficient_ratio(family: Family, n: int, order: int = 400) -> float:
     """Oracle: [z^order] of the family series over [z^order] of all trees.
 
     Only valid for t-free families (the tautology series has no closed form).
     """
-    if mentions(expr, "t"):
-        raise ValueError("coefficient oracle is only available for t-free families")
     cs = series(n, order)
-    z = Series.z(order)
     rooted = Series(list(cs.a_hat), order)
-    family_series = evaluate(expr, {"z": z, "a": rooted}, _lift_series(order))
-    numer = family_series[order]
-    denom = cs.a_total[order]
-    return float(Fraction(numer) / Fraction(denom))
+    family_series = _without_t(family, Series.z(order), rooted)
+    return float(Fraction(family_series[order]) / Fraction(cs.a_total[order]))
 
 
 def default_t_env(n: int, max_size: int = 40) -> Dict[str, float]:
-    """Heuristic env for t-dependent families.
+    """Env for t-dependent families, from the exact distribution at n <= 3.
 
-    For n <= 3 both entries come from the exact distribution: tau_prime from
-    the tail-averaged limit of the probability of True, t_value from the
-    partial sum of tautology counts against the radius (a slight lower bound;
-    the tail decays like m^(-3/2)).  For larger n the probability of True is
-    only bracketed, so the bracket midpoint is used and t_value falls back to
-    half the non-leaf series value (an upper bound for the tautology series
-    at the radius).
+    tau_prime is the tail-averaged limit of the probability of True, and
+    t_value the partial sum of tautology counts against the radius (a slight
+    lower bound; the tail decays like m^(-3/2)).  For n > 3 the probability
+    of True is only bracketed, so this raises ValueError rather than report
+    a ratio with no error bound.
     """
-    point = singularity(n)
-    if n <= 3:
-        from .distribution import limit_estimate, tautology_count
-        from .formula import TruthTable
+    if n > 3:
+        raise ValueError(
+            f"no t-env at n={n}: for n > 3 the limiting probability of True is "
+            "only bracketed in (0.12161, 0.5), so a t-dependent ratio would be a guess"
+        )
+    from .distribution import limit_estimate, tautology_count
+    from .formula import TruthTable
 
-        rep = limit_estimate(n, TruthTable.constant(n, True), M=max_size)
-        radius = float(point.radius)
-        t_val = sum(tautology_count(m, n) * radius ** m for m in range(1, max_size + 1))
-        return {"t_value": t_val, "tau_prime": rep.estimate}
-    lower, upper = 0.12161, 0.5
-    return {
-        "t_value": float(point.nonleaf_value) / 2,
-        "tau_prime": (lower + upper) / 2,
-    }
+    radius = float(singularity(n).radius)
+    rep = limit_estimate(n, TruthTable.constant(n, True), M=max_size)
+    t_val = sum(tautology_count(m, n) * radius ** m for m in range(1, max_size + 1))
+    return {"t_value": t_val, "tau_prime": rep.estimate}
 
 
 # -- derived quantities ------------------------------------------------------
@@ -190,8 +239,7 @@ def default_t_env(n: int, max_size: int = 40) -> Dict[str, float]:
 
 def expected_first_level_leaves(n: int) -> QuadExt:
     """Exact large-size limit of the mean number of leaf children of the root."""
-    expr = families.first_level_leaf_weight(n)
-    value = limiting_ratio(expr, n, mode="exact")
+    value = limiting_ratio(families.first_level_leaf_weight(n), n, mode="exact")
     assert isinstance(value, QuadExt)
     return value
 
@@ -220,8 +268,8 @@ def nonleaf_partition_sum(n: int, explicit_up_to: int = 8) -> QuadExt:
     point = singularity(n)
     total = QuadExt.rational(0, 2 * n)
     for count in range(explicit_up_to + 1):
-        expr = families.nonleaf_subtrees_corrected(n, count)
-        total = total + limiting_ratio(expr, n, mode="exact")
+        family = families.nonleaf_subtrees_corrected(n, count)
+        total = total + limiting_ratio(family, n, mode="exact")
     # tail: sum_{l > explicit_up_to} radius * l * u^{l-1} / (1-2n radius)^2
     rho = point.radius
     b = point.nonleaf_value

@@ -240,12 +240,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
             f"unknown family {name!r}; known: {sorted(families.CATALOG)} "
             "plus tautology_bounds, expected_first_level_leaves, singularity"
         )
-    expr = builder(cfg.n, **cfg.params)
-    env = None
-    if families.mentions(expr, "t"):
-        env = default_t_env(cfg.n)
-    mode = "exact" if cfg.n <= 10_000 and env is None else "float"
-    value = limiting_ratio(expr, cfg.n, env=env, mode=mode, prec=cfg.precision_bits)
+    family = builder(cfg.n, **cfg.params)
+    env = default_t_env(cfg.n) if name in families.T_DEPENDENT else None
+    value = limiting_ratio(family, cfg.n, env=env, prec=cfg.precision_bits)
     ref_entry = ASYMPTOTIC_REFERENCE.get(name)
     reference = None
     if ref_entry and ref_entry[1] is not None:

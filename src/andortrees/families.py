@@ -1,241 +1,39 @@
-"""Closed-form family expressions in the variables z, a, t.
+"""Closed-form families of trees as functions of z, a, t.
 
-A family of trees is described by an expression over
+Each catalog entry takes n and the family's parameters and returns a plain
+Python function F(z, a, t) of
   z : the size variable,
   a : the rooted-tree series evaluated at z,
   t : the tautology series evaluated at z (no closed form; supplied a value).
+b = a - 2nz stands for the series of rooted trees that are not single leaves.
 
-The same expression tree is interpreted in three domains: exact elements of
-Q(sqrt(2n)) at the singular point, high-precision floats, and truncated power
-series (the coefficient oracle).  Structural differentiation in a and t is
-what the limiting-ratio rule needs.
+F uses only +, -, *, / and non-negative integer powers, with int constants,
+so the same function evaluates in every domain that has them: exact elements
+of Q(sqrt(2n)) at the singular point, high-precision floats, truncated power
+series (the coefficient oracle), and dual numbers over any of those, which
+carry the partial derivatives that the limiting-ratio rule needs.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Dict, Union
+from typing import Any, Callable, Dict
 
-Number = Union[int, Fraction]
-
-
-class Expr:
-    def __add__(self, other):
-        return Add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return Add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return Sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return Mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return Div(_wrap(other), self)
-
-    def __pow__(self, exponent: int):
-        return Pow(self, exponent)
-
-    def __neg__(self):
-        return Sub(Const(0), self)
+#: a family's closed form F(z, a, t)
+Family = Callable[[Any, Any, Any], Any]
 
 
-def _wrap(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Const(value)
-    raise TypeError(f"cannot use {value!r} in a family expression")
-
-
-class Const(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: Number):
-        self.value = value
-
-    def __repr__(self):
-        return f"Const({self.value})"
-
-
-class Var(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if name not in ("z", "a", "t"):
-            raise ValueError("variables are limited to z, a, t")
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-class _Binary(Expr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-
-
-class Add(_Binary):
-    pass
-
-
-class Sub(_Binary):
-    pass
-
-
-class Mul(_Binary):
-    pass
-
-
-class Div(_Binary):
-    pass
-
-
-class Pow(Expr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: Expr, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("powers must have non-negative integer exponents")
-        self.base = base
-        self.exponent = exponent
-
-
-Z = Var("z")
-A = Var("a")
-T = Var("t")
-
-
-def mentions(expr: Expr, name: str) -> bool:
-    if isinstance(expr, Var):
-        return expr.name == name
-    if isinstance(expr, Const):
-        return False
-    if isinstance(expr, Pow):
-        return mentions(expr.base, name)
-    return mentions(expr.left, name) or mentions(expr.right, name)
-
-
-def _is_zero(expr: Expr) -> bool:
-    return isinstance(expr, Const) and expr.value == 0
-
-
-def _is_one(expr: Expr) -> bool:
-    return isinstance(expr, Const) and expr.value == 1
-
-
-def _add(l: Expr, r: Expr) -> Expr:
-    if _is_zero(l):
-        return r
-    if _is_zero(r):
-        return l
-    return Add(l, r)
-
-
-def _mul(l: Expr, r: Expr) -> Expr:
-    if _is_zero(l) or _is_zero(r):
-        return Const(0)
-    if _is_one(l):
-        return r
-    if _is_one(r):
-        return l
-    return Mul(l, r)
-
-
-def diff(expr: Expr, name: str) -> Expr:
-    """Structural partial derivative with light constant folding."""
-    if isinstance(expr, Const):
-        return Const(0)
-    if isinstance(expr, Var):
-        return Const(1 if expr.name == name else 0)
-    if isinstance(expr, Add):
-        return _add(diff(expr.left, name), diff(expr.right, name))
-    if isinstance(expr, Sub):
-        dl, dr = diff(expr.left, name), diff(expr.right, name)
-        if _is_zero(dr):
-            return dl
-        return Sub(dl, dr)
-    if isinstance(expr, Mul):
-        return _add(
-            _mul(diff(expr.left, name), expr.right),
-            _mul(expr.left, diff(expr.right, name)),
-        )
-    if isinstance(expr, Div):
-        # (u/v)' = u'/v - u v'/v^2
-        du, dv = diff(expr.left, name), diff(expr.right, name)
-        term1 = Const(0) if _is_zero(du) else Div(du, expr.right)
-        if _is_zero(dv):
-            return term1
-        term2 = Div(_mul(expr.left, dv), Pow(expr.right, 2))
-        if _is_zero(term1):
-            return Sub(Const(0), term2)
-        return Sub(term1, term2)
-    if isinstance(expr, Pow):
-        if expr.exponent == 0:
-            return Const(0)
-        db = diff(expr.base, name)
-        if _is_zero(db):
-            return Const(0)
-        return _mul(
-            _mul(Const(expr.exponent), Pow(expr.base, expr.exponent - 1)), db
-        )
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-def evaluate(expr: Expr, env: Dict[str, object], lift: Callable[[Number], object]):
-    """Evaluate over any field-like domain; `lift` embeds rational constants."""
-    if isinstance(expr, Const):
-        return lift(expr.value)
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise KeyError(f"expression uses variable {expr.name!r} with no value")
-    if isinstance(expr, Add):
-        return evaluate(expr.left, env, lift) + evaluate(expr.right, env, lift)
-    if isinstance(expr, Sub):
-        return evaluate(expr.left, env, lift) - evaluate(expr.right, env, lift)
-    if isinstance(expr, Mul):
-        return evaluate(expr.left, env, lift) * evaluate(expr.right, env, lift)
-    if isinstance(expr, Div):
-        return evaluate(expr.left, env, lift) / evaluate(expr.right, env, lift)
-    if isinstance(expr, Pow):
-        return evaluate(expr.base, env, lift) ** expr.exponent
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# the family catalog
-# ---------------------------------------------------------------------------
-
-
-def _nonleaf(n: int) -> Expr:
-    """Series of rooted trees that are not single leaves: a - 2nz."""
-    return A - Const(2 * n) * Z
-
-
-def no_first_level_leaf(n: int) -> Expr:
+def no_first_level_leaf(n: int) -> Family:
     """Trees whose root has only non-leaf subtrees: 2z b^2 / (1-b)."""
-    b = _nonleaf(n)
-    return Const(2) * Z * b ** 2 / (Const(1) - b)
+
+    def family(z, a, t):
+        b = a - 2 * n * z
+        return 2 * z * b**2 / (1 - b)
+
+    return family
 
 
-def labels_from(n: int, gamma: int) -> Expr:
+def labels_from(n: int, gamma: int) -> Family:
     """Trees with >= 1 first-level leaf drawn from a fixed set of gamma literals.
 
     2*gamma*z^2 / ((1-(a-gamma z))(1-a)) - 2*gamma*z^2, the subtraction removing
@@ -243,15 +41,12 @@ def labels_from(n: int, gamma: int) -> Expr:
     """
     if not 1 <= gamma <= 2 * n:
         raise ValueError(f"gamma must be in 1..{2*n}")
-    g = Const(gamma)
-    core = (
-        Const(2) * g * Z ** 2
-        / ((Const(1) - (A - g * Z)) * (Const(1) - A))
+    return lambda z, a, t: (
+        2 * gamma * z**2 / ((1 - (a - gamma * z)) * (1 - a)) - 2 * gamma * z**2
     )
-    return core - Const(2) * g * Z ** 2
 
 
-def exact_k_labels(n: int, k: int) -> Expr:
+def exact_k_labels(n: int, k: int) -> Family:
     """Trees with exactly k distinct literal labels among first-level leaves,
     no variable together with its negation.
 
@@ -261,92 +56,96 @@ def exact_k_labels(n: int, k: int) -> Expr:
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    b = _nonleaf(n)
-    coeff = math.comb(n, k) * (2 ** k) * math.factorial(k)
-    expr: Expr = Const(coeff) * Pow(Z, k + 1)
-    for i in range(k + 1):
-        expr = expr / (Const(1) - Const(i) * Z - b)
-    return expr
+    coeff = math.comb(n, k) * (2**k) * math.factorial(k)
+
+    def family(z, a, t):
+        b = a - 2 * n * z
+        value = coeff * z ** (k + 1)
+        for i in range(k + 1):
+            value = value / (1 - i * z - b)
+        return value
+
+    return family
 
 
-def nonleaf_subtrees(n: int, count: int) -> Expr:
-    """Trees whose root has exactly `count` non-leaf subtrees:
-    2z b^count / (1-2nz)^{count+1} (degenerate sequences included)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    b = _nonleaf(n)
-    denom = Pow(Const(1) - Const(2 * n) * Z, count + 1)
-    return Const(2) * Z * Pow(b, count) / denom
+def nonleaf_subtrees(n: int, ell: int) -> Family:
+    """Trees whose root has exactly `ell` non-leaf subtrees:
+    2z b^ell / (1-2nz)^{ell+1} (degenerate sequences included)."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    return lambda z, a, t: 2 * z * (a - 2 * n * z) ** ell / (1 - 2 * n * z) ** (ell + 1)
 
 
-def nonleaf_subtrees_corrected(n: int, count: int) -> Expr:
+def nonleaf_subtrees_corrected(n: int, ell: int) -> Family:
     """nonleaf_subtrees with the degenerate sequences subtracted and, at
-    count = 0, single-leaf trees added, so the counts partition all trees."""
-    base = nonleaf_subtrees(n, count)
-    two_n_z = Const(2 * n) * Z
-    if count == 0:
+    ell = 0, single-leaf trees added, so the counts partition all trees."""
+    base = nonleaf_subtrees(n, ell)
+    if ell == 0:
         # remove the bare root and the arity-1 single-leaf child; add leaves
-        return base - Const(2) * Z - Const(2) * Z * two_n_z + two_n_z
-    if count == 1:
+        return lambda z, a, t: base(z, a, t) - 2 * z - 2 * z * (2 * n * z) + 2 * n * z
+    if ell == 1:
         # remove the arity-1 single-subtree child
-        return base - Const(2) * Z * _nonleaf(n)
+        return lambda z, a, t: base(z, a, t) - 2 * z * (a - 2 * n * z)
     return base
 
 
-def R_family(n: int) -> Expr:
+def R_family(n: int) -> Family:
     """Or-rooted trees whose floor(sqrt(n)) leftmost children are leaves,
     followed by one non-leaf subtree somewhere among further leaf children:
     z (2nz)^s b / (1-2nz)^2 with s = floor(sqrt(n))."""
     s = math.isqrt(n)
-    return Z * Pow(Const(2 * n) * Z, s) * _nonleaf(n) / Pow(Const(1) - Const(2 * n) * Z, 2)
+    return lambda z, a, t: z * (2 * n * z) ** s * (a - 2 * n * z) / (1 - 2 * n * z) ** 2
 
 
-def simple_x(n: int) -> Expr:
+def simple_x(n: int) -> Family:
     """Two-child trees made of one literal leaf and one constant subtree: 4z^2 t."""
-    return Const(4) * Z ** 2 * T
+    return lambda z, a, t: 4 * z**2 * t
 
 
-def check_family(n: int, k: int) -> Expr:
+def check_family(n: int, k: int) -> Family:
     """Or-rooted trees with k distinct-label leaf children and all non-leaf
     subtrees contradictions: binom(n,k) 2^k k! z^{k+1} / (1-t)^{k+1}."""
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    coeff = math.comb(n, k) * (2 ** k) * math.factorial(k)
-    return Const(coeff) * Pow(Z, k + 1) / Pow(Const(1) - T, k + 1)
+    coeff = math.comb(n, k) * (2**k) * math.factorial(k)
+    return lambda z, a, t: coeff * z ** (k + 1) / (1 - t) ** (k + 1)
 
 
-def first_level_leaf_weight(n: int) -> Expr:
+def first_level_leaf_weight(n: int) -> Family:
     """d/du of the bivariate series marking first-level leaves, at u=1:
     8nz^2 a/(1-a) + 4nz^2 a^2/(1-a)^2."""
-    one = Const(1)
-    return (
-        Const(8 * n) * Z ** 2 * A / (one - A)
-        + Const(4 * n) * Z ** 2 * A ** 2 / Pow(one - A, 2)
+    return lambda z, a, t: (
+        8 * n * z**2 * a / (1 - a) + 4 * n * z**2 * a**2 / (1 - a) ** 2
     )
 
 
-def first_level_leaves_exactly(n: int, j: int) -> Expr:
+def first_level_leaves_exactly(n: int, j: int) -> Family:
     """Trees with exactly j leaf children at the root (arity >= 2 respected)."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    b = _nonleaf(n)
-    one = Const(1)
     if j == 0:
         return no_first_level_leaf(n)
     if j == 1:
-        return Const(2) * Z * (Const(2 * n) * Z) * (one / Pow(one - b, 2) - one)
-    return Const(2) * Z * Pow(Const(2 * n) * Z, j) / Pow(one - b, j + 1)
+        return lambda z, a, t: 2 * z * (2 * n * z) * (1 / (1 - (a - 2 * n * z)) ** 2 - 1)
+    return lambda z, a, t: 2 * z * (2 * n * z) ** j / (1 - (a - 2 * n * z)) ** (j + 1)
 
 
-#: catalog exposed to the CLI; callables take (n, **params)
-CATALOG: Dict[str, Callable[..., Expr]] = {
-    "no_first_level_leaf": lambda n: no_first_level_leaf(n),
-    "labels_from": lambda n, gamma: labels_from(n, gamma),
-    "exact_k_labels": lambda n, k: exact_k_labels(n, k),
-    "nonleaf_subtrees": lambda n, ell: nonleaf_subtrees(n, ell),
-    "nonleaf_subtrees_corrected": lambda n, ell: nonleaf_subtrees_corrected(n, ell),
-    "R_family": lambda n: R_family(n),
-    "simple_x": lambda n: simple_x(n),
-    "check_family": lambda n, k: check_family(n, k),
-    "first_level_leaves_exactly": lambda n, j: first_level_leaves_exactly(n, j),
+#: catalog exposed to the CLI: name -> builder taking n and the `--params` names
+CATALOG: Dict[str, Callable[..., Family]] = {
+    builder.__name__: builder
+    for builder in (
+        no_first_level_leaf,
+        labels_from,
+        exact_k_labels,
+        nonleaf_subtrees,
+        nonleaf_subtrees_corrected,
+        R_family,
+        simple_x,
+        check_family,
+        first_level_leaves_exactly,
+    )
 }
+
+#: catalog families whose closed form uses t, so their limiting ratio needs
+#: values for the tautology series and the limiting probability of True
+T_DEPENDENT = frozenset({"simple_x", "check_family"})

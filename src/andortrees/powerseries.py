@@ -1,8 +1,9 @@
 """Truncated power series with exact coefficients.
 
 Used as the independent coefficient oracle for the limiting-ratio engine:
-family expressions are evaluated over Series and their high-order
-coefficients compared against exact tree counts.  Coefficients stay plain
+the catalog families' closed forms, plain functions of (z, a, t), are
+called on Series arguments and their high-order coefficients compared
+against exact tree counts.  Coefficients stay plain
 ints whenever the inputs are ints (every catalog family has unit constant
 terms in its denominators), falling back to Fraction otherwise.
 """

@@ -163,9 +163,9 @@ def criterion_3() -> List[CheckResult]:
         rows = []
         worst = 0.0
         for n in (1, 2, 3):
-            for name, expr in _oracle_families(n):
-                engine = float(limiting_ratio(expr, n, mode="exact"))
-                oracle = coefficient_ratio(expr, n, 400)
+            for name, family in _oracle_families(n):
+                engine = float(limiting_ratio(family, n, mode="exact"))
+                oracle = coefficient_ratio(family, n, 400)
                 rel = abs(oracle / engine - 1.0)
                 worst = max(worst, rel)
                 rows.append({"n": n, "family": name, "engine": engine, "oracle": oracle, "rel": rel})

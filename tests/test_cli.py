@@ -96,6 +96,13 @@ def test_analyze_t_dependent_family_uses_default_env(capsys):
     assert payload["float"] > 0
 
 
+def test_analyze_t_dependent_family_refuses_a_guess_above_n3(capsys):
+    code, out, err = run(capsys, "analyze", "--family", "simple_x", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "(0.12161, 0.5)" in err
+
+
 def test_analyze_tautology_bounds(capsys):
     code, out, _ = run(
         capsys, "analyze", "--family", "tautology_bounds", "--n", "10000"
