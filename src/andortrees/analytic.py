@@ -173,6 +173,8 @@ def limiting_ratio(
     radius) and tau_prime (the limiting probability of True), and evaluates
     in floats.
     """
+    if mode not in ("auto", "exact", "float"):
+        raise ValueError(f"mode must be 'auto', 'exact' or 'float', not {mode!r}")
     point = singularity(n)
     if env is not None:
         if "t_value" not in env or "tau_prime" not in env:

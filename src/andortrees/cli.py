@@ -240,7 +240,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
             f"unknown family {name!r}; known: {sorted(families.CATALOG)} "
             "plus tautology_bounds, expected_first_level_leaves, singularity"
         )
-    family = builder(cfg.n, **cfg.params)
+    try:
+        family = builder(cfg.n, **cfg.params)
+    except TypeError as exc:
+        raise ValueError(f"family {name!r}: {exc}") from exc
     env = default_t_env(cfg.n) if name in families.T_DEPENDENT else None
     value = limiting_ratio(family, cfg.n, env=env, prec=cfg.precision_bits)
     ref_entry = ASYMPTOTIC_REFERENCE.get(name)

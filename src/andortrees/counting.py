@@ -1,11 +1,12 @@
 """Exact enumeration of stratified and/or trees by total node count.
 
-Two independent coefficient computations are cross-checked on every call:
-
-* a sequence dynamic program (a root takes an ordered sequence of >= 2
-  opposite-rooted subtrees), and
-* the recurrence read off the algebraic identity
-  (z+1)*F^2 - (2nz+1)*F + 2nz = 0 satisfied by the rooted series.
+The rooted series F satisfies (z+1)*F^2 - (2nz+1)*F + 2nz = 0.  Its counts
+come from one three-term recurrence for the square root of the
+discriminant, linear in the size, with every division checked as exact.
+The tests check it against two independent O(M^2) methods, a sequence
+dynamic program (a root takes an ordered sequence of >= 2 opposite-rooted
+subtrees) and the convolution recurrence read off the quadratic itself;
+``algebraic_residual`` checks the identity on any computed series.
 
 A brute-force generator over all trees of a given size doubles as the
 ground-truth oracle for small sizes.
@@ -19,11 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from .formula import AND, OR, AndOrTree, Leaf, Literal, Node, serialize
-
-try:  # big-int convolutions are ~10x faster on gmpy2, but it stays optional
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpz = int
 
 
 class CountingError(RuntimeError):
@@ -53,47 +49,33 @@ _series_cache: Dict[Tuple[int, int], CountSeries] = {}
 _lock = threading.Lock()
 
 
-def _sequence_dp(n: int, max_size: int) -> Tuple[List[int], List[int], List[int]]:
-    """Return (a, r, q): tree counts, sequences of >= 1, sequences of >= 2.
+def _rooted_counts(n: int, max_size: int) -> List[int]:
+    """Rooted counts a[0..max_size] from the square root of the discriminant.
 
-    r[t] = a[t] + sum_{s<t} a[s] * r[t-s];  q[t] = r[t] - a[t];
-    a[m] = 2n*[m=1] + q[m-1].
+    Solving (z+1)F^2 - (2nz+1)F + 2nz = 0 gives 2(z+1)F = 2nz + 1 - G with
+    G = sqrt(D), D = (4n^2-8n)z^2 - 4nz + 1.  From 2*D*G' = D'*G,
+    (m+1)g[m+1] = 2n(2m-1)g[m] - (4n^2-8n)(m-2)g[m-1], g[0] = 1,
+    g[1] = -2n; then a[1] = 2n and a[m] = -g[m]/2 - a[m-1] for m >= 2.
+    Both divisions are exact for integer counts, and checked.
     """
-    zero = _mpz(0)
-    a = [zero] * (max_size + 1)
-    r = [zero] * (max_size + 1)
-    q = [zero] * (max_size + 1)
-    for m in range(1, max_size + 1):
-        a[m] = _mpz(2 * n) if m == 1 else q[m - 1]
-        acc = a[m]
-        for s in range(1, m):
-            acc += a[s] * r[m - s]
-        r[m] = acc
-        q[m] = acc - a[m]
-    return a, r, q
-
-
-def _quadratic_recurrence(n: int, max_size: int) -> List[int]:
-    """Coefficients from (z+1)F^2 - (2nz+1)F + 2nz = 0."""
-    b = [_mpz(0)] * (max_size + 1)
-    if max_size >= 1:
-        b[1] = _mpz(2 * n)
-    c_prev = _mpz(0)  # square-series coefficient at m-1
-    for m in range(2, max_size + 1):
-        c_here = _mpz(0)
-        half = (m - 1) // 2
-        for i in range(1, half + 1):
-            c_here += b[i] * b[m - i]
-        c_here *= 2
-        if m % 2 == 0:
-            c_here += b[m // 2] * b[m // 2]
-        b[m] = c_here + c_prev - 2 * n * b[m - 1]
-        c_prev = c_here
-    return b
+    c = 4 * n * n - 8 * n
+    a = [0] * (max_size + 1)
+    a[1] = 2 * n
+    g_prev, g = 1, -2 * n  # g[m-1], g[m]
+    for m in range(1, max_size):
+        g_next, rem = divmod(2 * n * (2 * m - 1) * g - c * (m - 2) * g_prev, m + 1)
+        half, odd = divmod(g_next, 2)
+        if rem or odd:
+            raise CountingError(
+                f"internal inconsistency: inexact division at m={m + 1} for n={n}"
+            )
+        a[m + 1] = -half - a[m]
+        g_prev, g = g, g_next
+    return a
 
 
 def series(n: int, max_size: int) -> CountSeries:
-    """Exact counts up to max_size, cross-checked between two methods."""
+    """Exact counts up to max_size."""
     if n < 1 or max_size < 1:
         raise ValueError("need n >= 1 and max_size >= 1")
     key = (n, max_size)
@@ -101,15 +83,7 @@ def series(n: int, max_size: int) -> CountSeries:
         hit = _series_cache.get(key)
     if hit is not None:
         return hit
-    a, _r, _q = _sequence_dp(n, max_size)
-    b = _quadratic_recurrence(n, max_size)
-    if a != b:
-        first = next(m for m in range(max_size + 1) if a[m] != b[m])
-        raise CountingError(
-            f"internal inconsistency: sequence DP and quadratic recurrence "
-            f"disagree at m={first} for n={n}: {a[first]} != {b[first]}"
-        )
-    rooted = tuple(int(x) for x in a)
+    rooted = tuple(_rooted_counts(n, max_size))
     total = tuple(
         2 * rooted[m] - (2 * n if m == 1 else 0) if m else 0
         for m in range(max_size + 1)

@@ -33,6 +33,10 @@ masks of an orbit have one popcount), and complementation is a permutation
 of the orbits.  Counts are checked in the tests against brute-force
 enumeration, against an independent per-mask computation of both
 connectives and against the full-vector engine this one replaced.
+
+Queries (``prob``, ``prob_ge``, ``tautology_count``, ``exact_distribution``)
+read the orbit layers directly; only ``function_counts`` expands a layer to
+one entry per mask.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import compress, count
 from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -240,6 +244,11 @@ class _Engine:
         for m in range(self.max_size + 1, max_size + 1):
             self._add_layer(m)
 
+    def count(self, m: int, mask: int) -> int:
+        """Trees of size m computing the function with this truth-table mask."""
+        f_id = self.orbit[mask]
+        return _total(self.or_layers[m], m, f_id, self.comp[f_id])
+
     def totals(self, m: int) -> List[int]:
         """Trees of size m computing any one function of each orbit."""
         layer = self.or_layers[m]
@@ -387,66 +396,69 @@ def _store_cached(engine: _Engine) -> None:
 # ---------------------------------------------------------------------------
 
 
-def function_counts(m: int, n: int) -> CountTable:
-    """Exact counts of size-m trees per Boolean function, split by root type."""
+def _check_size(m: int) -> None:
     if m < 1:
         raise ValueError("m must be >= 1")
+
+
+def _size_class(m: int, n: int) -> Tuple[_Engine, int]:
+    """The engine grown to size m, and the number of trees of size m."""
+    total = series(n, m).a_total[m]
+    if total == 0:
+        raise DistributionError(f"empty size class: no trees of size {m}")
+    return _get_engine(n, m), total
+
+
+def function_counts(m: int, n: int) -> CountTable:
+    """Exact counts of size-m trees per Boolean function, split by root type."""
+    _check_size(m)
     engine = _get_engine(n, m)
     or_rooted = engine.per_mask(engine.or_layers[m])
     return CountTable(n=n, m=m, and_rooted=or_rooted[::-1], or_rooted=or_rooted)
 
 
 def exact_distribution(m: int, n: int) -> Distribution:
-    table = function_counts(m, n)
-    total = series(n, m).a_total[m]
-    if total == 0:
-        raise DistributionError(f"empty size class: no trees of size {m}")
-    probs = {
-        mask: Fraction(table.total(mask), total)
-        for mask in range(1 << (1 << n))
-        if table.total(mask)
-    }
+    _check_size(m)
+    engine, total = _size_class(m, n)
+    per_mask = engine.per_mask([Fraction(t, total) if t else 0 for t in engine.totals(m)])
+    probs = dict(compress(enumerate(per_mask), per_mask))
     return Distribution(n=n, m=m, probabilities=probs)
 
 
 def prob(m: int, n: int, f: TruthTable) -> Fraction:
     """Exact probability that a uniform size-m tree computes f."""
+    _check_size(m)
     if f.n != n:
         raise ValueError("truth table n does not match")
-    total = series(n, max(m, 1)).a_total[m]
-    if total == 0:
-        raise DistributionError(f"empty size class: no trees of size {m}")
-    table = function_counts(m, n)
-    return Fraction(table.total(f.bits), total)
+    engine, total = _size_class(m, n)
+    return Fraction(engine.count(m, f.bits), total)
 
 
 def prob_ge(m: int, n: int, f0: TruthTable) -> Fraction:
     """Probability mass of functions pointwise >= f0 (f0 non-constant)."""
+    _check_size(m)
     if f0.is_constant():
         raise ValueError("f0 must be non-constant")
     if f0.n != n:
         raise ValueError("truth table n does not match")
-    total = series(n, m).a_total[m]
-    if total == 0:
-        raise DistributionError(f"empty size class: no trees of size {m}")
-    table = function_counts(m, n)
-    full = (1 << (1 << n)) - 1
-    free = full ^ f0.bits
+    engine, total = _size_class(m, n)
+    totals, orbit = engine.totals(m), engine.orbit
+    free = (len(orbit) - 1) ^ f0.bits
     # enumerate all supersets of f0.bits
-    count = 0
+    mass = 0
     sub = free
     while True:
-        count += table.total(f0.bits | sub)
+        mass += totals[orbit[f0.bits | sub]]
         if sub == 0:
             break
         sub = (sub - 1) & free
-    return Fraction(count, total)
+    return Fraction(mass, total)
 
 
 def tautology_count(m: int, n: int) -> int:
     """Number of size-m trees computing the constant True (any root)."""
-    table = function_counts(m, n)
-    return table.total((1 << (1 << n)) - 1)
+    _check_size(m)
+    return _get_engine(n, m).count(m, (1 << (1 << n)) - 1)
 
 
 def limit_estimate(
@@ -468,14 +480,12 @@ def limit_estimate(
     if f.n != n:
         raise ValueError("truth table n does not match")
     engine = _get_engine(n, M)
-    f_id = engine.orbit[f.bits]
-    not_f_id = engine.comp[f_id]
     totals = series(n, M).a_total
     odd, even = [], []
     for m in range(M - window, M + 1):
         if totals[m] == 0:
             continue
-        value = _total(engine.or_layers[m], m, f_id, not_f_id) / totals[m]
+        value = engine.count(m, f.bits) / totals[m]
         (odd if m % 2 else even).append(value)
     odd_tail = sum(odd) / len(odd) if odd else float("nan")
     even_tail = sum(even) / len(even) if even else float("nan")

@@ -157,6 +157,12 @@ def test_param_validation():
         families.nonleaf_subtrees(2, -1)
 
 
+@pytest.mark.parametrize("mode", ["exakt", "Exact", "", None])
+def test_limiting_ratio_rejects_unknown_mode(mode):
+    with pytest.raises(ValueError, match="mode must be"):
+        limiting_ratio(families.no_first_level_leaf(2), 2, mode=mode)
+
+
 def test_pole_detection():
     for mode in ("exact", "float"):
         with pytest.raises(PoleError):

@@ -88,6 +88,18 @@ def test_analyze_unknown_family(capsys):
         main(["analyze", "--family", "nope", "--n", "2"])
 
 
+@pytest.mark.parametrize(
+    "params,why",
+    [([], "missing 1 required positional argument: 'gamma'"),
+     (["--params", "gama=3"], "unexpected keyword argument 'gama'")],
+)
+def test_analyze_bad_family_parameters_are_a_usage_error(capsys, params, why):
+    code, out, err = run(capsys, "analyze", "--family", "labels_from", "--n", "2", *params)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: family 'labels_from':") and why in err
+
+
 def test_analyze_t_dependent_family_uses_default_env(capsys):
     code, out, _ = run(capsys, "analyze", "--family", "simple_x", "--n", "2")
     payload = json.loads(out)

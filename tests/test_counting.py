@@ -13,6 +13,46 @@ from andortrees.counting import (
 from andortrees.formula import serialize, tree_size, truth_table, validate
 
 
+def _sequence_dp(n, max_size):
+    """Tree counts a[0..max_size] by the sequence DP: a root takes an ordered
+    sequence of >= 2 opposite-rooted subtrees.  With r[t] the sequences of
+    >= 1 subtrees of total size t, r[t] = a[t] + sum_{s<t} a[s] * r[t-s],
+    and a[m] = 2n*[m=1] + r[m-1] - a[m-1]."""
+    a = [0] * (max_size + 1)
+    r = [0] * (max_size + 1)
+    for m in range(1, max_size + 1):
+        a[m] = 2 * n if m == 1 else r[m - 1] - a[m - 1]
+        r[m] = a[m] + sum(a[s] * r[m - s] for s in range(1, m))
+    return a
+
+
+def _quadratic_recurrence(n, max_size):
+    """Tree counts a[0..max_size] read off (z+1)F^2 - (2nz+1)F + 2nz = 0:
+    a[m] = c[m] + c[m-1] - 2n*a[m-1] for m >= 2, with c the square series."""
+    a = [0] * (max_size + 1)
+    if max_size >= 1:
+        a[1] = 2 * n
+    c_prev = 0  # square-series coefficient at m-1
+    for m in range(2, max_size + 1):
+        c_here = sum(a[i] * a[m - i] for i in range(1, m))
+        a[m] = c_here + c_prev - 2 * n * a[m - 1]
+        c_prev = c_here
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 100])
+def test_series_matches_both_quadratic_time_oracles(n):
+    want = _sequence_dp(n, 400)
+    assert _quadratic_recurrence(n, 400) == want
+    cs = series(n, 400)
+    assert list(cs.a_hat) == want
+    assert cs.a_total == tuple(
+        2 * a - (2 * n if m == 1 else 0) for m, a in enumerate(want)
+    )
+    for M in (1, 2, 3):
+        assert list(series(n, M).a_hat) == want[: M + 1]
+
+
 def test_small_counts_n1():
     cs = series(1, 8)
     assert cs.a_total[1:5] == (2, 0, 8, 16)

@@ -230,6 +230,63 @@ def test_n4_totals_match_series_and_true_false_symmetry():
         assert table.total(full) == table.total(0)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_sizes_below_one_are_rejected_before_any_counting(monkeypatch, m):
+    def untouched(*args):
+        raise AssertionError("series or the engine was consulted")
+
+    monkeypatch.setattr(dist_mod, "series", untouched)
+    monkeypatch.setattr(dist_mod, "_get_engine", untouched)
+    x1 = lit_table(1, 2)
+    for query in (
+        lambda: prob(m, 2, x1),
+        lambda: prob_ge(m, 2, x1),
+        lambda: tautology_count(m, 2),
+        lambda: exact_distribution(m, 2),
+        lambda: function_counts(m, 2),
+    ):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            query()
+
+
+_QUERY_SIZES = [(1, m) for m in (1, 2, 3, 6)] + [(2, m) for m in (1, 2, 3, 7)] + [
+    (3, m) for m in (1, 2, 3, 5)
+] + [(4, m) for m in (1, 2, 3, 8)]
+
+
+@pytest.mark.parametrize("n,m", _QUERY_SIZES)
+def test_orbit_queries_match_the_per_mask_view(n, m):
+    table = function_counts(m, n)
+    space = 1 << (1 << n)
+    full = space - 1
+    total = series(n, m).a_total[m]
+    assert tautology_count(m, n) == table.total(full)
+    rng = random.Random(100 * n + m)
+    masks = range(space) if n <= 3 else rng.sample(range(space), 300)
+    f0s = [g for g in masks if g not in (0, full)]
+    if n == 4:  # few clear bits, so that the supersets stay few
+        f0s = [full ^ sum(1 << k for k in rng.sample(range(16), 2)) for _ in range(4)]
+        f0s += [literal_mask(1, False, 4), literal_mask(1, False, 4) & literal_mask(2, True, 4)]
+    if total == 0:
+        with pytest.raises(DistributionError, match="empty size class"):
+            exact_distribution(m, n)
+        with pytest.raises(DistributionError, match="empty size class"):
+            prob(m, n, TruthTable(n, masks[0]))
+        with pytest.raises(DistributionError, match="empty size class"):
+            prob_ge(m, n, TruthTable(n, f0s[0]))
+        return
+    probs = exact_distribution(m, n).probabilities
+    want = {g: Fraction(table.total(g), total) for g in range(space) if table.total(g)}
+    assert probs == want
+    assert list(probs) == sorted(probs)
+    assert sum(probs.values()) == 1
+    for g in masks:
+        assert prob(m, n, TruthTable(n, g)) == Fraction(table.total(g), total)
+    for f0 in f0s:
+        mass = sum(table.total(g) for g in range(space) if g & f0 == f0)
+        assert prob_ge(m, n, TruthTable(n, f0)) == Fraction(mass, total)
+
+
 # ---------------------------------------------------------------------------
 # the engine against an independent oracle
 # ---------------------------------------------------------------------------
