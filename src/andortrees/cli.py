@@ -8,7 +8,7 @@ Configuration precedence: command-line flags > --config file > defaults.
 The config file is flat `key = value` text, keys matching flag names with
 dashes or underscores.  The environment variable ANDORTREES_CACHE_DIR points
 the distribution engine at a cache directory of versioned marshal files
-(format andortrees-engine-2; older pickle caches are ignored).
+(format andortrees-engine-3; files of earlier formats are never opened).
 """
 
 from __future__ import annotations

@@ -14,15 +14,18 @@ the most significant bit belonging to the highest assignment index.
 from __future__ import annotations
 
 import functools
-import random
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 AND = "and"
 OR = "or"
 
 #: Largest n for which full truth tables are built by default (2^2^n functions).
 MAX_TABLE_VARS = 4
+#: Default step budget of the constant-function search.
+SEARCH_BUDGET = 500_000
 
 
 class FormulaError(ValueError):
@@ -172,6 +175,13 @@ class TruthTable:
         if self.n != other.n:
             raise ValueError("mixing truth tables of different n")
         return TruthTable(self.n, self.bits | other.bits)
+
+
+#: (root_and, word, leaves): a tree as its root connective (True for and; a
+#: bare leaf reads False), its preorder arity word (Dershowitz & Zaks 1990),
+#: 0 at a leaf, and the literal index of each leaf in preorder.  Literal
+#: index r is x(r//2 + 1), negated when r is odd, as in `literal_masks`.
+Draw = Tuple[bool, List[int], List[int]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,22 +471,28 @@ class SearchBudgetError(RuntimeError):
     pass
 
 
-def _force_search(tree: AndOrTree, n: int, target: bool, budget: int) -> Optional[dict]:
-    """Find an assignment making `tree` evaluate to `target`, or None.
+def never_evaluates_to(drawn: Draw, target: bool, budget: int = SEARCH_BUDGET) -> bool:
+    """True if no assignment makes the tree of `drawn` evaluate to `target`.
 
     Complete backtracking over partial assignments, on explicit stacks so
     deep trees need no recursion.  A node whose connective lets one child
     decide (or for True, and for False) is a choice point over its children
     in order; at any other node every child must take `target`, literal
     children first so conflicts surface early.  `goals` is the linked list
-    (node, rest) of subtrees still to satisfy; a choice point holds the
-    children, the index of the next to try, the goals after the node and the
-    trail length to undo to.  Each goal taken up is one step of `budget`.
+    ((position, is choice point), rest) of subtrees still to satisfy; a
+    choice point holds the children, the index of the next to try, the
+    goals after the node and the trail length to undo to.  Each goal taken
+    up is one step of `budget`.  A node's child positions are found on its
+    first visit, by the arity balance `sums`.
     """
-    assign: dict = {}
-    trail: list = []
-    choices: list = []
-    goals: Optional[tuple] = (tree, None)
+    root_and, word, leaves = drawn
+    # sums[i] is the sum of (arity - 1) before position i: the subtree at
+    # position c ends at the first j > c with sums[j] = sums[c] - 1
+    sums = list(itertools.accumulate(map((-1).__add__, word), initial=0))
+    rank = list(itertools.accumulate(map(operator.not_, word)))  # leaves up to i
+    nodes: dict = {}  # position -> children as goal items, in search order
+    assign, trail, choices = {}, [], []
+    goals: Optional[tuple] = ((0, root_and != target), None)
     steps = 0
     while goals is not None:
         steps += 1
@@ -484,18 +500,25 @@ def _force_search(tree: AndOrTree, n: int, target: bool, budget: int) -> Optiona
             raise SearchBudgetError(
                 f"constant-function search exceeded budget {budget}"
             )
-        node, goals = goals
-        if isinstance(node, Node):
-            if (node.op == OR) == target:
-                choices.append((node.children, 1, goals, len(trail)))
-                goals = (node.children[0], goals)
+        (pos, choice), goals = goals
+        if word[pos]:
+            children = nodes.get(pos)
+            if children is None:
+                starts = [pos + 1]
+                for _ in range(word[pos] - 1):
+                    starts.append(sums.index(sums[starts[-1]] - 1, starts[-1] + 1))
+                if not choice:
+                    starts.sort(key=lambda c: word[c] > 0)
+                children = nodes[pos] = [(c, not choice) for c in starts]
+            if choice:
+                choices.append((children, 1, goals, len(trail)))
+                goals = (children[0], goals)
             else:
-                leaves_first = sorted(node.children, key=lambda c: isinstance(c, Node))
-                for child in reversed(leaves_first):
+                for child in reversed(children):
                     goals = (child, goals)
             continue
-        need = target ^ node.literal.negated
-        var = node.literal.var
+        var, negated = divmod(leaves[rank[pos] - 1], 2)
+        need = target ^ negated
         if var not in assign:
             assign[var] = need
             trail.append(var)
@@ -503,52 +526,47 @@ def _force_search(tree: AndOrTree, n: int, target: bool, budget: int) -> Optiona
         if assign[var] == need:
             continue
         if not choices:  # conflict with nothing left to try
-            return None
+            return True
         children, idx, rest, mark = choices.pop()
         while len(trail) > mark:
             del assign[trail.pop()]
         if idx + 1 < len(children):
             choices.append((children, idx + 1, rest, mark))
         goals = (children[idx], rest)
-    return dict(assign)
+    return False
 
 
-def is_tautology(
-    tree: AndOrTree,
-    n: int,
-    rng: Optional[random.Random] = None,
-    probes: int = 4,
-    budget: int = 500_000,
-) -> bool:
-    """Exact check that the tree computes the constant True.
-
-    Small n uses the full truth table.  Larger n first probes random
-    assignments (cheap falsification), then runs a complete backtracking
-    search for a falsifying assignment.
-    """
-    if n <= 13:
-        return truth_table(tree, n, max_vars=13).is_true()
-    rng = rng or random.Random(0x5EED)
-    for _ in range(probes):
-        if not evaluate(tree, rng.getrandbits(n)):
-            return False
-    return _force_search(tree, n, False, budget) is None
+def _to_draw(tree: AndOrTree, n: int) -> Draw:
+    """The tree as a `Draw`: a preorder walk, rejecting literal indexes >= 2n."""
+    word, leaves, stack = [], [], [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Node):
+            word.append(len(t.children))
+            stack.extend(reversed(t.children))
+        elif t.literal.var > n:
+            raise VariableRangeError(f"x{t.literal.var} out of range for n={n}")
+        else:
+            word.append(0)
+            leaves.append(2 * t.literal.var - 2 + t.literal.negated)
+    return isinstance(tree, Node) and tree.op == AND, word, leaves
 
 
-def is_contradiction(
-    tree: AndOrTree,
-    n: int,
-    rng: Optional[random.Random] = None,
-    probes: int = 4,
-    budget: int = 500_000,
-) -> bool:
-    if n <= 13:
-        return truth_table(tree, n, max_vars=13).is_false()
-    rng = rng or random.Random(0x5EED)
-    for _ in range(probes):
-        if evaluate(tree, rng.getrandbits(n)):
-            return False
-    return _force_search(tree, n, True, budget) is None
+def _is_constant(tree: AndOrTree, n: int, value: bool, budget: int) -> bool:
+    if n > 13:
+        return never_evaluates_to(_to_draw(tree, n), not value, budget)
+    return truth_table(tree, n, 13).bits == TruthTable.constant(n, value).bits
+
+
+def is_tautology(tree: AndOrTree, n: int, budget: int = SEARCH_BUDGET) -> bool:
+    """Exact check that the tree computes the constant True: its truth table
+    for n <= 13, else a complete search for a falsifying assignment."""
+    return _is_constant(tree, n, True, budget)
+
+
+def is_contradiction(tree: AndOrTree, n: int, budget: int = SEARCH_BUDGET) -> bool:
+    """Exact check that the tree computes the constant False."""
+    return _is_constant(tree, n, False, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +609,6 @@ def is_simple_x_tree(tree: AndOrTree, n: int) -> Optional[Literal]:
     nodes = [c for c in tree.children if isinstance(c, Node)]
     if len(leaves) != 1 or len(nodes) != 1:
         return None
-    table = truth_table(nodes[0], n)
-    if tree.op == OR and table.is_false():
-        return leaves[0].literal
-    if tree.op == AND and table.is_true():
+    if _is_constant(nodes[0], n, tree.op == AND, SEARCH_BUDGET):
         return leaves[0].literal
     return None

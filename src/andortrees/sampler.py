@@ -14,8 +14,9 @@ literal indexes) and `SamplerContext.build` turns them into the one tree of
 `Node`s and `Leaf`s; `sample` is the two in turn.  Monte Carlo statistics
 are folds over the draw itself: the truth table is a postfix fold of literal
 masks over the word (`fold_truth_bits`), the first-level leaf count and the
-simple-tautology flag read the root's leaf children (`fold_root_leaves`).
-Only the tautology rate at n > 13 builds the tree, for `is_tautology`.
+simple-tautology flag read the root's leaf children (`fold_root_leaves`),
+and the tautology rate at n > 13 is a search on the word
+(`formula.never_evaluates_to`).  No statistic builds a tree.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from .formula import (
     AND,
     OR,
     AndOrTree,
+    Draw,
     Leaf,
     Literal,
     Node,
     TruthTable,
-    is_tautology,
     literal_masks,
+    never_evaluates_to,
 )
 
 Z95 = 1.959964  # two-sided 95% normal quantile
@@ -75,10 +77,6 @@ def _frequency_stat(hits: int, trials: int, **extra) -> StatResult:
     return StatResult(
         estimate=p, stderr=se, ci95=(p - Z95 * se, p + Z95 * se), extra=dict(extra)
     )
-
-
-#: (root_and, word, leaves): see `SamplerContext.draw`
-Draw = Tuple[bool, List[int], List[int]]
 
 
 class SamplerContext:
@@ -395,8 +393,9 @@ def monte_carlo(
     truth table of the target function.
 
     Each trial reads its statistics off the draw (`fold_truth_bits`,
-    `fold_root_leaves`); only the tautology rate at n > 13 builds the tree,
-    for `is_tautology`.  `seconds` is the wall time of the call.
+    `fold_root_leaves`, and at n > 13 the tautology rate from
+    `never_evaluates_to`); no tree is built.  `seconds` is the wall time
+    of the call.
 
     With the histogram, ``extra["ks_statistic"]`` is the Kolmogorov-Smirnov
     distance of the leaf counts scaled by 2*sqrt(2n) from the continuous
@@ -422,7 +421,6 @@ def monte_carlo(
             raise ValueError(f"unknown statistic {name!r}")
     ctx = get_context(n, m)
     rng = random.Random(seed)
-    probe_rng = random.Random(f"{seed}-constant-probes")
 
     want_taut = "tautology_rate" in stats
     want_simple = "simple_tautology_rate" in stats
@@ -448,12 +446,8 @@ def monte_carlo(
             if want_hist:
                 leaf_counts.append(x)
         if want_taut:
-            if want_table:
-                taut = bits == full
-            else:
-                taut = is_tautology(ctx.build(drawn), n, rng=probe_rng)
-            if taut:
-                hits["tautology_rate"] += 1
+            taut = bits == full if want_table else never_evaluates_to(drawn, False)
+            hits["tautology_rate"] += taut
     return _summarise(m, n, trials, seed, hits, leaf_counts, start)
 
 

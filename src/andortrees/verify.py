@@ -73,7 +73,7 @@ class CheckResult:
 
 
 def _check(check_id: str, criterion: int, name: str, fn: Callable[[], Dict]) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     detail = fn()
     passed = bool(detail.pop("passed"))
     return CheckResult(
@@ -81,7 +81,7 @@ def _check(check_id: str, criterion: int, name: str, fn: Callable[[], Dict]) -> 
         criterion=criterion,
         name=name,
         passed=passed,
-        seconds=round(time.time() - start, 3),
+        seconds=round(time.perf_counter() - start, 3),
         detail=detail,
     )
 

@@ -1,0 +1,57 @@
+"""Slower independent methods that the library's fast paths are tested against."""
+
+from typing import Optional
+
+from andortrees.formula import OR, AndOrTree, Node, SearchBudgetError
+
+
+def _force_search(tree: AndOrTree, n: int, target: bool, budget: int) -> Optional[dict]:
+    """Find an assignment making `tree` evaluate to `target`, or None.
+
+    Complete backtracking over partial assignments, on explicit stacks so
+    deep trees need no recursion.  A node whose connective lets one child
+    decide (or for True, and for False) is a choice point over its children
+    in order; at any other node every child must take `target`, literal
+    children first so conflicts surface early.  `goals` is the linked list
+    (node, rest) of subtrees still to satisfy; a choice point holds the
+    children, the index of the next to try, the goals after the node and the
+    trail length to undo to.  Each goal taken up is one step of `budget`.
+    """
+    assign: dict = {}
+    trail: list = []
+    choices: list = []
+    goals: Optional[tuple] = (tree, None)
+    steps = 0
+    while goals is not None:
+        steps += 1
+        if steps > budget:
+            raise SearchBudgetError(
+                f"constant-function search exceeded budget {budget}"
+            )
+        node, goals = goals
+        if isinstance(node, Node):
+            if (node.op == OR) == target:
+                choices.append((node.children, 1, goals, len(trail)))
+                goals = (node.children[0], goals)
+            else:
+                leaves_first = sorted(node.children, key=lambda c: isinstance(c, Node))
+                for child in reversed(leaves_first):
+                    goals = (child, goals)
+            continue
+        need = target ^ node.literal.negated
+        var = node.literal.var
+        if var not in assign:
+            assign[var] = need
+            trail.append(var)
+            continue
+        if assign[var] == need:
+            continue
+        if not choices:  # conflict with nothing left to try
+            return None
+        children, idx, rest, mark = choices.pop()
+        while len(trail) > mark:
+            del assign[trail.pop()]
+        if idx + 1 < len(children):
+            choices.append((children, idx + 1, rest, mark))
+        goals = (children[idx], rest)
+    return dict(assign)

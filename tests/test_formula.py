@@ -13,6 +13,7 @@ from andortrees.formula import (
     Literal,
     Node,
     ParseError,
+    SearchBudgetError,
     StratificationError,
     TruthTable,
     VariableRangeError,
@@ -27,12 +28,14 @@ from andortrees.formula import (
     is_tautology,
     literal_mask,
     literal_masks,
+    never_evaluates_to,
     parse_formula,
     serialize,
     tree_size,
     truth_table,
 )
-from andortrees.sampler import sample_many
+from andortrees.sampler import SamplerContext, fold_truth_bits, sample_many
+from oracles import _force_search
 
 
 def leaf(v, neg=False):
@@ -322,6 +325,11 @@ def test_simple_x_tree():
     t3 = parse_formula("(and ~x2 (or x1 ~x1))", 2)
     assert is_simple_x_tree(t3, 2) == Literal(2, True)
     assert is_simple_x_tree(parse_formula("(or x1 (and x2 x2))", 2), 2) is None
+    # any n: the constant subtree is decided by the table or the search
+    for n in (5, 13, 14, 50):
+        t4 = parse_formula("(and x5 (or x2 ~x2))", n)
+        assert is_simple_x_tree(t4, n) == Literal(5)
+        assert is_simple_x_tree(parse_formula("(and x5 (or x2 x3))", n), n) is None
 
 
 def test_first_level_leaf_count():
@@ -333,18 +341,88 @@ def test_first_level_leaf_count():
 
 
 def test_search_tautology_matches_tables():
-    rng = random.Random(7)
     for tree in sample_many(60, 3, 300, seed=99):
         expected = truth_table(tree, 3).is_true()
         # same tree read over a 20-variable alphabet takes the search path
-        assert is_tautology(tree, 20, rng=rng) == expected
+        assert is_tautology(tree, 20) == expected
 
 
 def test_search_contradiction_matches_tables():
-    rng = random.Random(8)
     for tree in sample_many(40, 2, 200, seed=98):
         expected = truth_table(tree, 2).is_false()
-        assert is_contradiction(tree, 20, rng=rng) == expected
+        assert is_contradiction(tree, 20) == expected
+
+
+@pytest.mark.parametrize("n", [14, 20, 50])
+def test_word_search_matches_the_node_oracle(n):
+    ctx = SamplerContext(n, 400)
+    rng = random.Random(n)
+    seen = set()
+    for m in (1, 3, 4, 41, 400):
+        for _ in range(20 if m == 1 else 80):
+            drawn = ctx.draw(m, rng)
+            tree = ctx.build(drawn)
+            for target in (False, True):
+                got = never_evaluates_to(drawn, target)
+                assert got == (_force_search(tree, n, target, 500_000) is None)
+                assert got == (is_contradiction if target else is_tautology)(tree, n)
+                seen.add((target, got))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_word_search_matches_the_folded_table(n):
+    ctx = SamplerContext(n, 200)
+    masks, full = literal_masks(n), (1 << (1 << n)) - 1
+    rng = random.Random(100 + n)
+    for m in (1, 3, 4, 15, 200):
+        for _ in range(100):
+            drawn = ctx.draw(m, rng)
+            bits = fold_truth_bits(drawn, masks, full)
+            assert never_evaluates_to(drawn, False) == (bits == full)
+            assert never_evaluates_to(drawn, True) == (bits == 0)
+
+
+def test_search_budget_is_enforced():
+    tree = parse_formula("(or (and x1 x2) (and ~x1 x2) (and x1 ~x2) (and ~x1 ~x2))", 2)
+    assert is_tautology(tree, 14)
+    with pytest.raises(SearchBudgetError):
+        is_tautology(tree, 14, budget=5)
+    with pytest.raises(SearchBudgetError):
+        is_contradiction(tree, 14, budget=2)
+
+
+def _steps_or_error(search, *args):
+    try:
+        return search(*args)
+    except SearchBudgetError:
+        return "budget"
+
+
+def test_word_search_spends_the_node_oracles_steps():
+    # same rules in the same order: both run out of budget at the same steps
+    ctx = SamplerContext(20, 300)
+    rng = random.Random(21)
+    outcomes = set()
+    for _ in range(60):
+        drawn = ctx.draw(300, rng)
+        tree = ctx.build(drawn)
+        for target in (False, True):
+            for budget in (1, 3, 10, 30, 100, 300):
+                got = _steps_or_error(never_evaluates_to, drawn, target, budget)
+                want = _steps_or_error(_force_search, tree, 20, target, budget)
+                assert got == (want if want == "budget" else want is None)
+                outcomes.add(got)
+    assert outcomes == {"budget", True, False}
+
+
+@pytest.mark.parametrize("check", [is_tautology, is_contradiction])
+def test_search_rejects_variables_beyond_n(check):
+    # n = 13 reads the truth table, n = 14 encodes the tree for the search
+    for n in (13, 14):
+        for var in (n + 1, 20):
+            with pytest.raises(VariableRangeError):
+                check(parse_formula(f"(or x{var} ~x{var})", 20), n)
 
 
 def _chain(base, depth, y=3):
@@ -360,7 +438,6 @@ def test_search_on_a_deep_chain_leaves_the_recursion_limit_alone():
     before = sys.getrecursionlimit()
     taut = _chain(Node(OR, (leaf(1), leaf(1, True))), 1500)
     plain = _chain(Node(OR, (leaf(1), leaf(2))), 1500)
-    # probes=0: straight to the backtracking search
-    assert is_tautology(taut, 20, probes=0)
-    assert not is_tautology(plain, 20, probes=0)
+    assert is_tautology(taut, 20)
+    assert not is_tautology(plain, 20)
     assert sys.getrecursionlimit() == before

@@ -17,7 +17,6 @@ from andortrees.formula import (
     TruthTable,
     first_level_leaf_count,
     is_simple_tautology,
-    is_tautology,
     literal_masks,
     serialize,
     tree_size,
@@ -40,6 +39,7 @@ from andortrees.sampler import (
     sample_many,
     sample_uniform,
 )
+from oracles import _force_search
 
 
 def test_fixed_seed_reproducible():
@@ -138,7 +138,6 @@ def _node_monte_carlo(m, n, trials, seed, stats):
     }
     ctx = get_context(n, m)
     rng = random.Random(seed)
-    probe_rng = random.Random(f"{seed}-constant-probes")
     want_table = bool(targets) or ("tautology_rate" in stats and n <= 13)
     hits = {name: 0 for name in stats if name != "first_level_leaf_histogram"}
     leaf_counts = [] if "first_level_leaf_histogram" in stats else None
@@ -151,7 +150,7 @@ def _node_monte_carlo(m, n, trials, seed, stats):
             if table is not None:
                 taut = table.is_true()
             else:
-                taut = is_tautology(tree, n, rng=probe_rng)
+                taut = _force_search(tree, n, False, 500_000) is None
             hits["tautology_rate"] += taut
         for name, mask in targets.items():
             hits[name] += table.bits == mask
