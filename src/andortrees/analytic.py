@@ -259,14 +259,13 @@ def first_level_leaf_law(n: int, j_max: int) -> list:
     return out
 
 
-def nonleaf_partition_sum(n: int, explicit_up_to: int = 8) -> QuadExt:
+def nonleaf_partition_sum(n: int) -> QuadExt:
     """Exact sum of the corrected per-count limiting ratios over all counts.
 
-    Counts up to `explicit_up_to` go through the engine one by one; the rest
-    is the closed form of the geometric tail.  The total must be exactly 1.
+    Counts up to 8 go through the engine one by one; the rest is the closed
+    form of the geometric tail.  The total must be exactly 1.
     """
-    if explicit_up_to < 2:
-        raise ValueError("explicit_up_to must be >= 2")
+    explicit_up_to = 8
     point = singularity(n)
     total = QuadExt.rational(0, 2 * n)
     for count in range(explicit_up_to + 1):
@@ -287,18 +286,12 @@ def nonleaf_partition_sum(n: int, explicit_up_to: int = 8) -> QuadExt:
 # -- the numeric tautology-ratio bounds ---------------------------------------
 
 
-def tautology_bounds(
-    n: int,
-    k_lo: Optional[int] = None,
-    k_hi: Optional[int] = None,
-    j_max: int = 5,
-    prec: int = 200,
-) -> Dict[str, float]:
+def tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
     """Numeric lower bound on the limiting ratio of simple tautologies.
 
     Sums the limiting ratios of three explicit tree families over
-    k in [k_lo, k_hi] (defaults floor(sqrt(n)) .. 15*floor(sqrt(n))) and
-    j in 1..j_max:
+    k in [k_lo, k_hi] = [floor(sqrt(n)), 15*floor(sqrt(n))] and
+    j in 1..j_max = 1..5:
 
       E_ratio  — or-rooted trees with k leaf children and j non-leaf subtrees,
                  position factor (k+1)^j / j!;
@@ -313,8 +306,7 @@ def tautology_bounds(
     if n < 4:
         raise ValueError("the bound families need floor(sqrt(n)) >= 2")
     s = math.isqrt(n)
-    k_lo = s if k_lo is None else k_lo
-    k_hi = 15 * s if k_hi is None else k_hi
+    k_lo, k_hi, j_max = s, 15 * s, 5
     point = singularity(n)
     with mp.workprec(prec):
         rho = point.radius.to_mpf(prec)

@@ -13,6 +13,8 @@ Brute enumeration is used only to list minimal trees.
 
 from __future__ import annotations
 
+import functools
+import operator
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -143,13 +145,16 @@ def _node_at(tree: AndOrTree, path: Sequence[int]) -> AndOrTree:
 
 
 def _replace_at(tree: AndOrTree, path: Sequence[int], new_node: AndOrTree) -> AndOrTree:
-    if not path:
-        return new_node
-    assert isinstance(tree, Node)
-    idx = path[0]
-    children = list(tree.children)
-    children[idx] = _replace_at(children[idx], path[1:], new_node)
-    return Node(tree.op, tuple(children))
+    """`tree` with the subtree at `path` replaced: the nodes along the path
+    are rebuilt from the bottom up."""
+    along = [tree]
+    for idx in path[:-1]:
+        along.append(along[-1].children[idx])
+    for node, idx in zip(reversed(along), reversed(path)):
+        children = list(node.children)
+        children[idx] = new_node
+        new_node = Node(node.op, tuple(children))
+    return new_node
 
 
 def expand(tree: AndOrTree, step: ExpansionStep) -> AndOrTree:
@@ -206,25 +211,34 @@ def slots_and_bounds(tree: AndOrTree, n: int) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _find_removal(
-    tree: AndOrTree, n: int, path: Tuple[int, ...] = ()
-) -> Optional[Tuple[Tuple[int, ...], int]]:
+def _find_removal(tree: AndOrTree, n: int) -> Optional[Tuple[Tuple[int, ...], int]]:
     """Leftmost-innermost (host path, child index) of a removable child:
-    a tautology child of an and-node or a contradiction child of an or-node."""
-    if isinstance(tree, Leaf):
-        return None
-    for idx, child in enumerate(tree.children):
-        found = _find_removal(child, n, path + (idx,))
-        if found is not None:
-            return found
-    for idx, child in enumerate(tree.children):
-        if isinstance(child, Leaf):
-            continue  # a single literal is never constant
-        table = truth_table(child, n)
-        if tree.op == AND and table.is_true():
-            return path, idx
-        if tree.op == OR and table.is_false():
-            return path, idx
+    a tautology child of an and-node or a contradiction child of an or-node.
+
+    A postorder walk on a stack of (node, its children's tables so far): the
+    first node finished with a removable child is the answer, and its path
+    is the number of tables in each frame below it.
+    """
+    masks, full = literal_masks(n), (1 << (1 << n)) - 1
+    stack = [(tree, [])] if isinstance(tree, Node) else []
+    while stack:
+        node, tables = stack[-1]
+        if len(tables) < len(node.children):
+            child = node.children[len(tables)]
+            if isinstance(child, Leaf):
+                tables.append(masks[2 * child.literal.var - 2 + child.literal.negated])
+            else:
+                stack.append((child, []))
+            continue
+        stack.pop()
+        is_and = node.op == AND
+        for idx, child in enumerate(node.children):
+            # a single literal is never constant
+            if isinstance(child, Node) and tables[idx] == (full if is_and else 0):
+                return tuple(len(t) for _, t in stack), idx
+        if stack:
+            fold = operator.and_ if is_and else operator.or_
+            stack[-1][1].append(functools.reduce(fold, tables))
     return None
 
 
@@ -260,6 +274,7 @@ def reduce_irreducible(
     cannot be produced by grafting a constant subtree into a smaller tree
     computing that function.
     """
+    truth_table(tree, n)  # rejects n > MAX_TABLE_VARS and variables beyond n
     trace: List[AndOrTree] = []
     current = tree
     while True:
@@ -314,8 +329,12 @@ def expansion_count(f: TruthTable, n: int, m: int) -> int:
     return len(seen)
 
 
-def _internal_nodes(tree: AndOrTree, path: Tuple[int, ...] = ()):
-    if isinstance(tree, Node):
-        yield path, tree
-        for idx, child in enumerate(tree.children):
-            yield from _internal_nodes(child, path + (idx,))
+def _internal_nodes(tree: AndOrTree):
+    """(path, node) of every internal node, in preorder."""
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, Node):
+            yield path, node
+            for idx in reversed(range(len(node.children))):
+                stack.append((path + (idx,), node.children[idx]))

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from .formula import AND, OR, AndOrTree, Leaf, Literal, Node, serialize
+from .formula import AND, OR, AndOrTree, Leaf, Node, _literals, serialize
 
 
 class CountingError(RuntimeError):
@@ -147,11 +147,7 @@ class _TreeEnumerator:
 
     def __init__(self, n: int):
         self.n = n
-        self.leaves: Tuple[AndOrTree, ...] = tuple(
-            Leaf(Literal(v, neg))
-            for v in range(1, n + 1)
-            for neg in (False, True)
-        )
+        self.leaves: Tuple[AndOrTree, ...] = tuple(map(Leaf, _literals(n)))
         # (size, op) -> tuple of trees rooted exactly at `op`
         self._rooted: Dict[Tuple[int, str], Tuple[AndOrTree, ...]] = {}
 

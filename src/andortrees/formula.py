@@ -9,6 +9,11 @@ Text format: parenthesised prefix, e.g. ``(or x1 (and x2 ~x1))``.  Truth
 tables are bit vectors over all 2^n assignments, assignment index k giving
 variable j the value of bit j-1 of k; they serialise as lowercase hex with
 the most significant bit belonging to the highest assignment index.
+
+The word format `Draw` (root connective, preorder arity word, leaf literal
+indexes) is what the sampler draws and lives here alone: `encode`, `decode`,
+and the folds `fold_truth_bits` (behind `truth_table`), `fold_root_leaves`
+and `never_evaluates_to` that read a tree off its word.
 """
 
 from __future__ import annotations
@@ -17,13 +22,16 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 AND = "and"
 OR = "or"
 
 #: Largest n for which full truth tables are built by default (2^2^n functions).
 MAX_TABLE_VARS = 4
+#: Largest n at which constants and function frequencies are read off folded
+#: truth tables; above it `never_evaluates_to` decides constants.
+MAX_FOLD_VARS = 13
 #: Default step budget of the constant-function search.
 SEARCH_BUDGET = 500_000
 
@@ -94,19 +102,12 @@ AndOrTree = Union[Leaf, Node]
 class Assignment:
     values: Tuple[bool, ...]
 
-    @classmethod
-    def from_index(cls, k: int, n: int) -> "Assignment":
-        return cls(tuple(bool((k >> j) & 1) for j in range(n)))
-
     def to_index(self) -> int:
         k = 0
         for j, v in enumerate(self.values):
             if v:
                 k |= 1 << j
         return k
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,10 +122,6 @@ class TruthTable:
             raise ValueError("n must be >= 1")
         if not 0 <= self.bits < (1 << (1 << self.n)):
             raise ValueError("bit vector does not fit 2^n bits")
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
 
     @classmethod
     def constant(cls, n: int, value: bool) -> "TruthTable":
@@ -154,9 +151,6 @@ class TruthTable:
     def is_constant(self) -> bool:
         return self.is_true() or self.is_false()
 
-    def negated(self) -> "TruthTable":
-        return TruthTable(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
-
     def is_literal(self) -> bool:
         return self.bits in literal_masks(self.n)
 
@@ -165,16 +159,6 @@ class TruthTable:
         if self.n != other.n:
             raise ValueError("mixing truth tables of different n")
         return other.bits & ~self.bits == 0
-
-    def __and__(self, other: "TruthTable") -> "TruthTable":
-        if self.n != other.n:
-            raise ValueError("mixing truth tables of different n")
-        return TruthTable(self.n, self.bits & other.bits)
-
-    def __or__(self, other: "TruthTable") -> "TruthTable":
-        if self.n != other.n:
-            raise ValueError("mixing truth tables of different n")
-        return TruthTable(self.n, self.bits | other.bits)
 
 
 #: (root_and, word, leaves): a tree as its root connective (True for and; a
@@ -206,6 +190,134 @@ def literal_mask(var: int, negated: bool, n: int) -> int:
     if not 1 <= var <= n:
         raise VariableRangeError(f"variable x{var} out of range for n={n}")
     return literal_masks(n)[2 * var - 2 + negated]
+
+
+# ---------------------------------------------------------------------------
+# the tree word
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _literals(n: int) -> Tuple[Literal, ...]:
+    """x1, ~x1, x2, ~x2, ..., xn, ~xn: the `Literal` of each literal index."""
+    return tuple(
+        Literal(var, negated) for var in range(1, n + 1) for negated in (False, True)
+    )
+
+
+def encode(tree: AndOrTree, n: int) -> Draw:
+    """The tree as a `Draw`: a preorder walk, rejecting variables beyond n."""
+    word, leaves, stack = [], [], [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Node):
+            word.append(len(t.children))
+            stack.extend(reversed(t.children))
+        elif t.literal.var > n:
+            raise VariableRangeError(f"x{t.literal.var} out of range for n={n}")
+        else:
+            word.append(0)
+            leaves.append(2 * t.literal.var - 2 + t.literal.negated)
+    return isinstance(tree, Node) and tree.op == AND, word, leaves
+
+
+def decode(drawn: Draw, n: int) -> AndOrTree:
+    """The tree of a `Draw`, with a new `Leaf` at every leaf position."""
+    root_and, word, leaves = drawn
+    literals = _literals(n)
+    leaf = iter(leaves).__next__
+    # decode in preorder; each frame is [op, arity, children so far]
+    stack: List[list] = []
+    op = AND if root_and else OR
+    for arity in word:
+        if arity:
+            if stack:
+                op = OR if stack[-1][0] == AND else AND
+            stack.append([op, arity, []])
+            continue
+        node: AndOrTree = Leaf(literals[leaf()])
+        while stack:
+            frame = stack[-1]
+            frame[2].append(node)
+            if len(frame[2]) < frame[1]:
+                break
+            stack.pop()
+            node = Node(frame[0], tuple(frame[2]))
+    return node
+
+
+def fold_truth_bits(drawn: Draw, masks: Sequence[int], full: int) -> int:
+    """Truth-table bits of a draw's tree: a postfix fold of literal masks.
+
+    `masks` is `literal_masks(n)` and `full` the all-ones table.  The open
+    node is held in (is_and, remaining, acc), its ancestors' on a stack; a
+    leaf folds its mask into acc, and a node whose children are all in folds
+    into its parent's.
+    """
+    root_and, word, leaves = drawn
+    if len(word) == 1:
+        return masks[leaves[0]]
+    leaf = iter(leaves).__next__
+    is_and, remaining = root_and, word[0]
+    acc = full if is_and else 0
+    stack: List[tuple] = []
+    for arity in itertools.islice(word, 1, None):
+        if arity:
+            stack.append((is_and, remaining, acc))
+            is_and = not is_and
+            remaining = arity
+            acc = full if is_and else 0
+            continue
+        if is_and:
+            acc &= masks[leaf()]
+        else:
+            acc |= masks[leaf()]
+        remaining -= 1
+        while not remaining and stack:
+            value = acc
+            is_and, remaining, acc = stack.pop()
+            if is_and:
+                acc &= value
+            else:
+                acc |= value
+            remaining -= 1
+    return acc
+
+
+def fold_root_leaves(drawn: Draw) -> Tuple[int, bool]:
+    """(first-level leaf count, simple tautology) of a draw's tree.
+
+    Reads the literal indexes of the root's leaf children, skipping each
+    subtree child by its arity balance.  Literal r clashes with r ^ 1, and
+    a clash makes a simple tautology only under an or root.
+    """
+    root_and, word, leaves = drawn
+    if len(word) == 1:
+        return 0, False
+    seen = set()
+    count = 0
+    clash = False
+    pos = 1
+    leaf = 0  # leaves before pos
+    for _ in range(word[0]):
+        if word[pos]:
+            # a subtree child: with k child slots open, the next k letters
+            # leave open the sum of their arities, and none of them can
+            # close the subtree before the last
+            open_slots = 1
+            while open_slots:
+                chunk = word[pos : pos + open_slots]
+                pos += open_slots
+                leaf += chunk.count(0)
+                open_slots = sum(chunk)
+            continue
+        r = leaves[leaf]
+        clash = clash or r ^ 1 in seen
+        seen.add(r)
+        count += 1
+        pos += 1
+        leaf += 1
+    return count, clash and not root_and
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +435,6 @@ def serialize(tree: AndOrTree) -> str:
     return "".join(out)
 
 
-def validate(tree: AndOrTree, n: int) -> None:
-    """Check all structural invariants plus the variable range against n."""
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Leaf):
-            if t.literal.var > n:
-                raise VariableRangeError(
-                    f"variable x{t.literal.var} out of range for n={n}"
-                )
-        else:
-            # Node.__post_init__ already enforced arity and stratification
-            stack.extend(t.children)
-
-
 # ---------------------------------------------------------------------------
 # measurements
 # ---------------------------------------------------------------------------
@@ -389,53 +486,15 @@ def first_level_leaf_count(tree: AndOrTree) -> int:
 
 
 def truth_table(tree: AndOrTree, n: int, max_vars: int = MAX_TABLE_VARS) -> TruthTable:
-    """Bit-parallel evaluation over all 2^n assignments.
-
-    An iterative postfix fold: each frame is [is_and, acc, children iterator]
-    for an open node; leaf children fold into `acc` as they are met, a node
-    child opens a frame, and a finished frame folds into its parent's.
-    """
+    """Bit-parallel evaluation over all 2^n assignments: `fold_truth_bits`
+    over the tree's word."""
     if n > max_vars:
         raise ValueError(
             f"truth tables limited to n <= {max_vars} (asked for n={n}); "
             "raise max_vars explicitly if you mean it"
         )
-    masks = literal_masks(n)
     full = (1 << (1 << n)) - 1
-    try:
-        if isinstance(tree, Leaf):
-            lit = tree.literal
-            return TruthTable(n, masks[2 * lit.var - 2 + lit.negated])
-        is_and = tree.op == AND
-        stack = [[is_and, full if is_and else 0, iter(tree.children)]]
-        while True:
-            frame = stack[-1]
-            is_and, acc, children = frame
-            for child in children:
-                if isinstance(child, Leaf):
-                    lit = child.literal
-                    mask = masks[2 * lit.var - 2 + lit.negated]
-                    if is_and:
-                        acc &= mask
-                    else:
-                        acc |= mask
-                    continue
-                frame[1] = acc
-                is_and = child.op == AND
-                stack.append([is_and, full if is_and else 0, iter(child.children)])
-                break
-            else:
-                stack.pop()
-                if not stack:
-                    return TruthTable(n, acc)
-                parent = stack[-1]
-                if parent[0]:
-                    parent[1] &= acc
-                else:
-                    parent[1] |= acc
-    except IndexError:  # a leaf variable past n
-        validate(tree, n)
-        raise
+    return TruthTable(n, fold_truth_bits(encode(tree, n), literal_masks(n), full))
 
 
 def evaluate(tree: AndOrTree, assignment: Union[Assignment, int]) -> bool:
@@ -536,31 +595,15 @@ def never_evaluates_to(drawn: Draw, target: bool, budget: int = SEARCH_BUDGET) -
     return False
 
 
-def _to_draw(tree: AndOrTree, n: int) -> Draw:
-    """The tree as a `Draw`: a preorder walk, rejecting literal indexes >= 2n."""
-    word, leaves, stack = [], [], [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Node):
-            word.append(len(t.children))
-            stack.extend(reversed(t.children))
-        elif t.literal.var > n:
-            raise VariableRangeError(f"x{t.literal.var} out of range for n={n}")
-        else:
-            word.append(0)
-            leaves.append(2 * t.literal.var - 2 + t.literal.negated)
-    return isinstance(tree, Node) and tree.op == AND, word, leaves
-
-
 def _is_constant(tree: AndOrTree, n: int, value: bool, budget: int) -> bool:
-    if n > 13:
-        return never_evaluates_to(_to_draw(tree, n), not value, budget)
-    return truth_table(tree, n, 13).bits == TruthTable.constant(n, value).bits
+    if n > MAX_FOLD_VARS:
+        return never_evaluates_to(encode(tree, n), not value, budget)
+    return truth_table(tree, n, MAX_FOLD_VARS).bits == TruthTable.constant(n, value).bits
 
 
 def is_tautology(tree: AndOrTree, n: int, budget: int = SEARCH_BUDGET) -> bool:
     """Exact check that the tree computes the constant True: its truth table
-    for n <= 13, else a complete search for a falsifying assignment."""
+    for n <= MAX_FOLD_VARS, else a complete search for a falsifying assignment."""
     return _is_constant(tree, n, True, budget)
 
 

@@ -9,14 +9,16 @@ root connective is a fair coin and each leaf a uniform literal.  Every choice
 is an integer draw, so every size-m tree has probability exactly
 1/(number of size-m trees).
 
-`SamplerContext.draw` returns these choices as (root connective, word, leaf
-literal indexes) and `SamplerContext.build` turns them into the one tree of
-`Node`s and `Leaf`s; `sample` is the two in turn.  Monte Carlo statistics
-are folds over the draw itself: the truth table is a postfix fold of literal
-masks over the word (`fold_truth_bits`), the first-level leaf count and the
-simple-tautology flag read the root's leaf children (`fold_root_leaves`),
-and the tautology rate at n > 13 is a search on the word
-(`formula.never_evaluates_to`).  No statistic builds a tree.
+`SamplerContext.draw` returns these choices as a `formula.Draw` (root
+connective, word, leaf literal indexes); `sample` is `formula.decode` of a
+draw.  This module only draws and runs Monte Carlo: the word format, its
+decoder and the folds over it live in `formula`.  Monte Carlo statistics are
+folds over the draw itself: the truth table is a postfix fold of literal
+masks over the word (`formula.fold_truth_bits`), the first-level leaf count
+and the simple-tautology flag read the root's leaf children
+(`formula.fold_root_leaves`), and the tautology rate at n > MAX_FOLD_VARS
+(13) is a search on the word (`formula.never_evaluates_to`).  No statistic
+builds a tree.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formula import (
-    AND,
-    OR,
+    MAX_FOLD_VARS,
     AndOrTree,
     Draw,
-    Leaf,
-    Literal,
-    Node,
     TruthTable,
+    decode,
+    fold_root_leaves,
+    fold_truth_bits,
     literal_masks,
     never_evaluates_to,
 )
@@ -91,10 +92,6 @@ class SamplerContext:
         self.n = n
         self.max_size = max_size
         self._cum: Dict[int, List[int]] = {}
-        # x1, ~x1, x2, ..., ~xn: literal index r is x(r//2 + 1), negated if r is odd
-        self._literals = tuple(
-            Literal(var, negated) for var in range(1, n + 1) for negated in (False, True)
-        )
 
     def _cum_weights(self, m: int) -> List[int]:
         """Cumulative weights of I = 1..(m-1)//2 internal nodes in a size-m tree.
@@ -164,106 +161,8 @@ class SamplerContext:
             leaves.append(r)
         return root_and, word, leaves
 
-    def build(self, drawn: Draw) -> AndOrTree:
-        """The tree of a draw, with a new `Leaf` at every leaf position."""
-        root_and, word, leaves = drawn
-        literals = self._literals
-        leaf = iter(leaves).__next__
-        # decode in preorder; each frame is [op, arity, children so far]
-        stack: List[list] = []
-        op = AND if root_and else OR
-        for arity in word:
-            if arity:
-                if stack:
-                    op = OR if stack[-1][0] == AND else AND
-                stack.append([op, arity, []])
-                continue
-            node: AndOrTree = Leaf(literals[leaf()])
-            while stack:
-                frame = stack[-1]
-                frame[2].append(node)
-                if len(frame[2]) < frame[1]:
-                    break
-                stack.pop()
-                node = Node(frame[0], tuple(frame[2]))
-        return node
-
     def sample(self, m: int, rng: random.Random) -> AndOrTree:
-        return self.build(self.draw(m, rng))
-
-
-def fold_truth_bits(drawn: Draw, masks: Sequence[int], full: int) -> int:
-    """Truth-table bits of a draw's tree: a postfix fold of literal masks.
-
-    `masks` is `literal_masks(n)` and `full` the all-ones table.  The open
-    node is held in (is_and, remaining, acc), its ancestors' on a stack; a
-    leaf folds its mask into acc, and a node whose children are all in folds
-    into its parent's.
-    """
-    root_and, word, leaves = drawn
-    if len(word) == 1:
-        return masks[leaves[0]]
-    leaf = iter(leaves).__next__
-    is_and, remaining = root_and, word[0]
-    acc = full if is_and else 0
-    stack: List[tuple] = []
-    for arity in itertools.islice(word, 1, None):
-        if arity:
-            stack.append((is_and, remaining, acc))
-            is_and = not is_and
-            remaining = arity
-            acc = full if is_and else 0
-            continue
-        if is_and:
-            acc &= masks[leaf()]
-        else:
-            acc |= masks[leaf()]
-        remaining -= 1
-        while not remaining and stack:
-            value = acc
-            is_and, remaining, acc = stack.pop()
-            if is_and:
-                acc &= value
-            else:
-                acc |= value
-            remaining -= 1
-    return acc
-
-
-def fold_root_leaves(drawn: Draw) -> Tuple[int, bool]:
-    """(first-level leaf count, simple tautology) of a draw's tree.
-
-    Reads the literal indexes of the root's leaf children, skipping each
-    subtree child by its arity balance.  Literal r clashes with r ^ 1, and
-    a clash makes a simple tautology only under an or root.
-    """
-    root_and, word, leaves = drawn
-    if len(word) == 1:
-        return 0, False
-    seen = set()
-    count = 0
-    clash = False
-    pos = 1
-    leaf = 0  # leaves before pos
-    for _ in range(word[0]):
-        if word[pos]:
-            # a subtree child: with k child slots open, the next k letters
-            # leave open the sum of their arities, and none of them can
-            # close the subtree before the last
-            open_slots = 1
-            while open_slots:
-                chunk = word[pos : pos + open_slots]
-                pos += open_slots
-                leaf += chunk.count(0)
-                open_slots = sum(chunk)
-            continue
-        r = leaves[leaf]
-        clash = clash or r ^ 1 in seen
-        seen.add(r)
-        count += 1
-        pos += 1
-        leaf += 1
-    return count, clash and not root_and
+        return decode(self.draw(m, rng), self.n)
 
 
 _contexts: Dict[Tuple[int, int], SamplerContext] = {}
@@ -392,9 +291,9 @@ def monte_carlo(
     'first_level_leaf_histogram', or 'function_frequency:<hex>' with the hex
     truth table of the target function.
 
-    Each trial reads its statistics off the draw (`fold_truth_bits`,
-    `fold_root_leaves`, and at n > 13 the tautology rate from
-    `never_evaluates_to`); no tree is built.  `seconds` is the wall time
+    Each trial reads its statistics off the draw (`formula.fold_truth_bits`,
+    `formula.fold_root_leaves`, and at n > MAX_FOLD_VARS the tautology rate
+    from `formula.never_evaluates_to`); no tree is built.  `seconds` is the wall time
     of the call.
 
     With the histogram, ``extra["ks_statistic"]`` is the Kolmogorov-Smirnov
@@ -413,8 +312,10 @@ def monte_carlo(
     function_targets: Dict[str, int] = {}
     for name in stats:
         if name.startswith("function_frequency:"):
-            if n > 13:
-                raise ValueError("function_frequency needs n <= 13 for truth tables")
+            if n > MAX_FOLD_VARS:
+                raise ValueError(
+                    f"function_frequency needs n <= {MAX_FOLD_VARS} for truth tables"
+                )
             hex_part = name.split(":", 1)[1]
             function_targets[name] = TruthTable.from_hex(hex_part, n).bits
         elif name not in KNOWN_STATS:
@@ -425,7 +326,7 @@ def monte_carlo(
     want_taut = "tautology_rate" in stats
     want_simple = "simple_tautology_rate" in stats
     want_hist = "first_level_leaf_histogram" in stats
-    want_table = bool(function_targets) or (want_taut and n <= 13)
+    want_table = bool(function_targets) or (want_taut and n <= MAX_FOLD_VARS)
     want_root = want_simple or want_hist
     if want_table:
         masks, full = literal_masks(n), (1 << (1 << n)) - 1

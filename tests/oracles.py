@@ -1,8 +1,46 @@
 """Slower independent methods that the library's fast paths are tested against."""
 
+import functools
 from typing import Optional
 
-from andortrees.formula import OR, AndOrTree, Node, SearchBudgetError
+from andortrees.formula import AND, OR, AndOrTree, Leaf, Node, SearchBudgetError
+
+
+@functools.lru_cache(maxsize=None)
+def _bitwise_literal_mask(var: int, negated: bool, n: int) -> int:
+    """The literal's bit vector, one assignment at a time."""
+    mask = 0
+    for k in range(1 << n):
+        if ((k >> (var - 1)) & 1) ^ negated:
+            mask |= 1 << k
+    return mask
+
+
+def _oracle_truth_table(tree: AndOrTree, n: int) -> int:
+    """Truth-table bits by a post-order walk over the `Node`s on an explicit
+    stack, child masks kept by id(): independent of the word and its fold."""
+    full = (1 << (1 << n)) - 1
+    out = {}
+    stack = [(tree, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if isinstance(t, Leaf):
+            out[id(t)] = _bitwise_literal_mask(t.literal.var, t.literal.negated, n)
+            continue
+        if not expanded:
+            stack.append((t, True))
+            stack.extend((c, False) for c in t.children)
+            continue
+        if t.op == AND:
+            mask = full
+            for c in t.children:
+                mask &= out[id(c)]
+        else:
+            mask = 0
+            for c in t.children:
+                mask |= out[id(c)]
+        out[id(t)] = mask
+    return out[id(tree)]
 
 
 def _force_search(tree: AndOrTree, n: int, target: bool, budget: int) -> Optional[dict]:

@@ -10,7 +10,7 @@ from andortrees.counting import (
     brute_enumerate,
     series,
 )
-from andortrees.formula import serialize, tree_size, truth_table, validate
+from andortrees.formula import encode, serialize, tree_size, truth_table
 
 
 def _sequence_dp(n, max_size):
@@ -91,7 +91,7 @@ def test_brute_leaves():
 def test_brute_trees_are_valid_and_distinct():
     seen = set()
     for tree in brute_enumerate(6, 2):
-        validate(tree, 2)
+        encode(tree, 2)  # every variable in range
         assert tree_size(tree) == 6
         s = serialize(tree)
         assert s not in seen

@@ -1,3 +1,4 @@
+import io
 import random
 import sys
 
@@ -5,6 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from andortrees.cli import main as cli_main
+from andortrees.complexity import (
+    TAUTOLOGY_EXPANSION,
+    ExpansionStep,
+    expand,
+    is_valid_expansion,
+    reduce_irreducible,
+    slots_and_bounds,
+)
+from andortrees.counting import brute_enumerate, series
 from andortrees.formula import (
     AND,
     OR,
@@ -17,9 +28,12 @@ from andortrees.formula import (
     StratificationError,
     TruthTable,
     VariableRangeError,
+    decode,
+    encode,
     evaluate,
     expansion_slots,
     first_level_leaf_count,
+    fold_truth_bits,
     internal_count,
     is_contradiction,
     is_simple_contradiction,
@@ -34,8 +48,8 @@ from andortrees.formula import (
     tree_size,
     truth_table,
 )
-from andortrees.sampler import SamplerContext, fold_truth_bits, sample_many
-from oracles import _force_search
+from andortrees.sampler import SamplerContext, sample_many
+from oracles import _bitwise_literal_mask, _force_search, _oracle_truth_table
 
 
 def leaf(v, neg=False):
@@ -184,41 +198,6 @@ def test_truth_table_var_cap():
     assert truth_table(tree, 5, max_vars=5).n == 5
 
 
-def _bitwise_literal_mask(var, negated, n):
-    """The literal's bit vector, one assignment at a time."""
-    mask = 0
-    for k in range(1 << n):
-        if ((k >> (var - 1)) & 1) ^ negated:
-            mask |= 1 << k
-    return mask
-
-
-def _oracle_truth_table(tree, n):
-    """Post-order over an explicit stack, child masks kept by id()."""
-    full = (1 << (1 << n)) - 1
-    out = {}
-    stack = [(tree, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if isinstance(t, Leaf):
-            out[id(t)] = _bitwise_literal_mask(t.literal.var, t.literal.negated, n)
-            continue
-        if not expanded:
-            stack.append((t, True))
-            stack.extend((c, False) for c in t.children)
-            continue
-        if t.op == AND:
-            mask = full
-            for c in t.children:
-                mask &= out[id(c)]
-        else:
-            mask = 0
-            for c in t.children:
-                mask |= out[id(c)]
-        out[id(t)] = mask
-    return out[id(tree)]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_truth_table_fold_matches_oracle_on_sampled_trees(n):
     for m in (1, 3, 4, 9, 40, 201):
@@ -232,15 +211,6 @@ def test_truth_table_of_a_leaf_root():
             got = truth_table(leaf(var, neg), 3)
             assert got.bits == _oracle_truth_table(leaf(var, neg), 3)
             assert got == TruthTable.of_literal(Literal(var, neg), 3)
-
-
-def test_truth_table_on_a_deep_chain_leaves_the_recursion_limit_alone():
-    before = sys.getrecursionlimit()
-    taut = _chain(Node(OR, (leaf(1), leaf(1, True))), 3000)
-    plain = _chain(Node(OR, (leaf(1), leaf(2))), 3000)
-    assert truth_table(taut, 3).is_true()
-    assert truth_table(plain, 3).bits == _oracle_truth_table(plain, 3)
-    assert sys.getrecursionlimit() == before
 
 
 @pytest.mark.parametrize(
@@ -361,7 +331,7 @@ def test_word_search_matches_the_node_oracle(n):
     for m in (1, 3, 4, 41, 400):
         for _ in range(20 if m == 1 else 80):
             drawn = ctx.draw(m, rng)
-            tree = ctx.build(drawn)
+            tree = decode(drawn, n)
             for target in (False, True):
                 got = never_evaluates_to(drawn, target)
                 assert got == (_force_search(tree, n, target, 500_000) is None)
@@ -406,7 +376,7 @@ def test_word_search_spends_the_node_oracles_steps():
     outcomes = set()
     for _ in range(60):
         drawn = ctx.draw(300, rng)
-        tree = ctx.build(drawn)
+        tree = decode(drawn, 20)
         for target in (False, True):
             for budget in (1, 3, 10, 30, 100, 300):
                 got = _steps_or_error(never_evaluates_to, drawn, target, budget)
@@ -425,19 +395,120 @@ def test_search_rejects_variables_beyond_n(check):
                 check(parse_formula(f"(or x{var} ~x{var})", 20), n)
 
 
-def _chain(base, depth, y=3):
+# -- the tree word -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_encode_decode_round_trip_over_every_small_tree(n):
+    words = set()
+    for m in range(1, 8):
+        for tree in brute_enumerate(m, n):
+            drawn = encode(tree, n)
+            assert decode(drawn, n) == tree
+            words.add((drawn[0], tuple(drawn[1]), tuple(drawn[2])))
+    # a bare leaf reads root_and False, so distinct trees give distinct words
+    assert len(words) == sum(series(n, 7).a_total)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100])
+def test_decode_encode_round_trip_over_sampled_words(n):
+    ctx = SamplerContext(n, 600)
+    rng = random.Random(40 + n)
+    for m in (1, 3, 4, 15, 101, 600):
+        for _ in range(10 if m > 100 else 100):
+            drawn = ctx.draw(m, rng)
+            tree = decode(drawn, n)
+            assert tree_size(tree) == m
+            assert encode(tree, n) == drawn
+
+
+def test_encode_rejects_variables_beyond_n():
+    with pytest.raises(VariableRangeError, match="x3 out of range for n=2"):
+        encode(parse_formula("(and x1 (or x2 ~x3))", 3), 2)
+
+
+# -- deep trees ------------------------------------------------------------------------
+
+DEPTH = 3000
+
+
+def _chain_text(base, depth=DEPTH, y=3):
     """t_0 = base, t_k = (or ~y (and y t_{k-1})): the same function as
     base or ~y, nested `depth` levels deep."""
-    tree = base
-    for _ in range(depth):
-        tree = Node(OR, (leaf(y, True), Node(AND, (leaf(y), tree))))
-    return tree
+    return f"(or ~x{y} (and x{y} " * depth + base + "))" * depth
 
 
-def test_search_on_a_deep_chain_leaves_the_recursion_limit_alone():
+#: the and-node holding t_0
+DEEP_HOST = (1, 1) * (DEPTH - 1) + (1,)
+
+
+@pytest.fixture(scope="module")
+def chains():
+    """(a tautology, a non-constant tree whose one removable subtree is the
+    contradiction at the bottom), both 3000 levels deep."""
+    taut = parse_formula(_chain_text("(or x1 ~x1)"), 3)
+    plain = parse_formula(_chain_text("(or x1 x2 (and x2 ~x2))"), 3)
+    return taut, plain
+
+
+def _reduces_the_bottom(tree):
+    reduced, trace = reduce_irreducible(tree, 3)
+    return [serialize(t) for t in trace] == ["(and x2 ~x2)"] and serialize(
+        reduced
+    ) == _chain_text("(or x1 x2)")
+
+
+def _expands_the_bottom(tree):
+    step = ExpansionStep(DEEP_HOST, 1, parse_formula("(or x1 ~x1)", 1), TAUTOLOGY_EXPANSION)
+    expanded = expand(tree, step)
+    return tree_size(expanded) == tree_size(tree) + 3 and is_valid_expansion(tree, step, 3)
+
+
+def _refuses_a_non_minimal_tree(tree):
+    with pytest.raises(ValueError, match="not minimal"):
+        slots_and_bounds(tree, 3)
+    return True
+
+
+DEEP_CASES = {
+    "serialize": lambda taut, plain: serialize(plain)
+    == _chain_text("(or x1 x2 (and x2 ~x2))"),
+    "sizes": lambda taut, plain: (
+        tree_size(plain),
+        internal_count(plain),
+        expansion_slots(plain),
+        first_level_leaf_count(plain),
+    )
+    == (4 * DEPTH + 6, 2 * DEPTH + 2, 6 * DEPTH + 7, 1),
+    "truth_table": lambda taut, plain: truth_table(taut, 3).is_true()
+    and truth_table(plain, 3).bits == _oracle_truth_table(plain, 3),
+    "evaluate": lambda taut, plain: [evaluate(plain, k) for k in range(8)]
+    == [truth_table(plain, 3).value(k) for k in range(8)],
+    "encode_decode": lambda taut, plain: serialize(decode(encode(plain, 3), 3))
+    == serialize(plain),
+    "constants": lambda taut, plain: is_tautology(taut, 3)
+    and is_tautology(taut, 20)
+    and not is_tautology(plain, 20)
+    and not is_contradiction(plain, 20),
+    "simple_shapes": lambda taut, plain: not is_simple_tautology(taut)
+    and not is_simple_contradiction(plain)
+    and is_simple_x_tree(plain, 3) is None,
+    "reduce_irreducible": lambda taut, plain: _reduces_the_bottom(plain),
+    "expand": lambda taut, plain: _expands_the_bottom(plain),
+    "slots_and_bounds": lambda taut, plain: _refuses_a_non_minimal_tree(plain),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CASES))
+def test_deep_chain_needs_no_recursion(chains, name):
     before = sys.getrecursionlimit()
-    taut = _chain(Node(OR, (leaf(1), leaf(1, True))), 1500)
-    plain = _chain(Node(OR, (leaf(1), leaf(2))), 1500)
-    assert is_tautology(taut, 20)
-    assert not is_tautology(plain, 20)
+    assert DEEP_CASES[name](*chains)
     assert sys.getrecursionlimit() == before
+
+
+def test_cli_reduces_a_deep_chain(chains, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize(chains[1])))
+    assert cli_main(["reduce", "--n", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() == _chain_text("(or x1 x2)")
+    assert "removed: (and x2 ~x2)" in err

@@ -15,12 +15,14 @@ from andortrees.formula import (
     OR,
     Node,
     TruthTable,
+    decode,
     first_level_leaf_count,
+    fold_root_leaves,
+    fold_truth_bits,
     is_simple_tautology,
     literal_masks,
     serialize,
     tree_size,
-    truth_table,
 )
 from andortrees.sampler import (
     KNOWN_STATS,
@@ -28,8 +30,6 @@ from andortrees.sampler import (
     SamplerError,
     _summarise,
     chi_square_critical,
-    fold_root_leaves,
-    fold_truth_bits,
     gamma_two_half_cdf,
     get_context,
     ks_critical,
@@ -39,7 +39,7 @@ from andortrees.sampler import (
     sample_many,
     sample_uniform,
 )
-from oracles import _force_search
+from oracles import _force_search, _oracle_truth_table
 
 
 def test_fixed_seed_reproducible():
@@ -117,9 +117,9 @@ def test_folds_match_the_built_tree(m, n):
     simple = 0
     for _ in range(60 if m > 100 else 300):
         drawn = ctx.draw(m, rng)
-        tree = ctx.build(drawn)
+        tree = decode(drawn, n)
         assert tree_size(tree) == m
-        assert fold_truth_bits(drawn, masks, full) == truth_table(tree, n, 13).bits
+        assert fold_truth_bits(drawn, masks, full) == _oracle_truth_table(tree, n)
         got = fold_root_leaves(drawn)
         assert got == (first_level_leaf_count(tree), is_simple_tautology(tree))
         simple += got[1]
@@ -143,17 +143,17 @@ def _node_monte_carlo(m, n, trials, seed, stats):
     leaf_counts = [] if "first_level_leaf_histogram" in stats else None
     for _ in range(trials):
         tree = ctx.sample(m, rng)
-        table = truth_table(tree, n, max_vars=13) if want_table else None
+        bits = _oracle_truth_table(tree, n) if want_table else None
         if "simple_tautology_rate" in hits and is_simple_tautology(tree):
             hits["simple_tautology_rate"] += 1
         if "tautology_rate" in hits:
-            if table is not None:
-                taut = table.is_true()
+            if bits is not None:
+                taut = bits == (1 << (1 << n)) - 1
             else:
                 taut = _force_search(tree, n, False, 500_000) is None
             hits["tautology_rate"] += taut
         for name, mask in targets.items():
-            hits[name] += table.bits == mask
+            hits[name] += bits == mask
         if leaf_counts is not None:
             leaf_counts.append(first_level_leaf_count(tree))
     return _summarise(m, n, trials, seed, hits, leaf_counts, start)
