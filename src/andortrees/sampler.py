@@ -7,7 +7,12 @@ big-integer weights, a uniform composition of the m-1 edges into I arities
 one valid rotation (cycle lemma: Dershowitz & Zaks 1990; Devroye 2012).  The
 root connective is a fair coin and each leaf a uniform literal.  Every choice
 is an integer draw, so every size-m tree has probability exactly
-1/(number of size-m trees).
+1/(number of size-m trees).  The valid rotation is read off the I internal
+letters alone.  At n < 128 the leaf literals come in blocks of 32-bit
+Mersenne Twister words, one word per leaf still missing, whose top bytes a
+table maps to literal indexes and rejects when out of range: the words, the
+indexes and the final rng state are those of one `randrange(2n)` per leaf.
+At n >= 128 an index is wider than a byte and each leaf draws its own bits.
 
 `SamplerContext.draw` returns these choices as a `formula.Draw` (root
 connective, word, leaf literal indexes); `sample` is `formula.decode` of a
@@ -31,6 +36,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formula import (
@@ -92,6 +98,15 @@ class SamplerContext:
         self.n = n
         self.max_size = max_size
         self._cum: Dict[int, List[int]] = {}
+        # at k <= 8 a leaf's index is the top k bits of a byte: the table
+        # from byte to index, and the bytes whose index is >= 2n
+        k = (2 * n).bit_length()
+        self._byte_table: Optional[Tuple[bytes, bytes]] = None
+        if k <= 8:
+            self._byte_table = (
+                bytes(b >> (8 - k) for b in range(256)),
+                bytes(b for b in range(256) if b >> (8 - k) >= 2 * n),
+            )
 
     def _cum_weights(self, m: int) -> List[int]:
         """Cumulative weights of I = 1..(m-1)//2 internal nodes in a size-m tree.
@@ -123,7 +138,18 @@ class SamplerContext:
         a bare leaf draws no coin and reads False), the preorder arity word
         and the literal index of each leaf in preorder.  The rng calls are
         the weight draw of I, the two `rng.sample` calls, the root coin and
-        then one literal index per leaf.
+        then the leaf literals, in the stream of one `randrange(2n)` per
+        leaf: k = (2n).bit_length() random bits, redrawn while >= 2n.
+
+        `getrandbits(k)` with k <= 32 is the top k bits of one 32-bit
+        Mersenne Twister word, and `getrandbits(32 * w)` is the next w words,
+        the first least significant.  So at n < 128 (k <= 8) the leaves come
+        in blocks of one word per leaf still missing: each word's top byte
+        maps through a table to its index, and the words whose index is
+        >= 2n are dropped.  Every leaf takes at least one word, so a block
+        holds no word the per-leaf draw would not read, and the rng ends in
+        the same state.  At n >= 128 an index is wider than a byte and each
+        leaf draws its own k bits.
         """
         if m == 2:
             raise SamplerError("empty size class: no trees of size 2")
@@ -136,25 +162,34 @@ class SamplerContext:
         # a uniform composition of m-1 into `internal` arities >= 2 ...
         cuts = sorted(rng.sample(range(1, m - internal - 1), internal - 1))
         cuts.append(m - 1 - internal)
+        arities = [cut - prev + 1 for prev, cut in zip([0, *cuts], cuts)]
         # ... placed at a uniform set of `internal` letters of the word
+        places = sorted(rng.sample(range(m), internal))
         word = [0] * m
-        prev = 0
-        for pos, cut in zip(sorted(rng.sample(range(m), internal)), cuts):
-            word[pos] = cut - prev + 1
-            prev = cut
-        # the one valid rotation starts after the first minimum of the
-        # prefix sums of (arity - 1), which end at -1
-        sums = list(itertools.accumulate(k - 1 for k in word))
-        start = sums.index(min(sums)) + 1
+        for place, arity in zip(places, arities):
+            word[place] = arity
+        # the one valid rotation starts at the first letter where the sum of
+        # (arity - 1) over the letters before it is least (cycle lemma).  A
+        # leaf lowers the sum by one, so that letter is internal, and before
+        # the one at place p the sum is (arities left of p) - p
+        heights = list(map(sub, itertools.accumulate(arities, initial=0), places))
+        start = places[heights.index(min(heights))]
         word = word[start:] + word[:start]
         root_and = rng.randrange(2) == 0
-        # each leaf draws a literal index as k random bits, redrawn while
-        # >= 2n: exactly uniform, and the same stream as randrange(2n)
+        count = m - internal
+        if self._byte_table is not None:
+            table, rejected = self._byte_table
+            got = b""
+            while len(got) < count:
+                need = count - len(got)
+                block = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+                got += block[3::4].translate(table, rejected)
+            return root_and, word, list(got)
         two_n = 2 * self.n
         k = two_n.bit_length()
         getrandbits = rng.getrandbits
         leaves = []
-        for _ in range(m - internal):
+        for _ in range(count):
             r = getrandbits(k)
             while r >= two_n:
                 r = getrandbits(k)

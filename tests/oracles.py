@@ -1,9 +1,13 @@
 """Slower independent methods that the library's fast paths are tested against."""
 
+import bisect
 import functools
+import itertools
+import random
 from typing import Optional
 
-from andortrees.formula import AND, OR, AndOrTree, Leaf, Node, SearchBudgetError
+from andortrees.formula import AND, OR, AndOrTree, Draw, Leaf, Node, SearchBudgetError
+from andortrees.sampler import SamplerContext
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,3 +97,32 @@ def _force_search(tree: AndOrTree, n: int, target: bool, budget: int) -> Optiona
             choices.append((children, idx + 1, rest, mark))
         goals = (children[idx], rest)
     return dict(assign)
+
+
+def _oracle_draw(ctx: SamplerContext, m: int, rng: random.Random) -> Draw:
+    """`ctx.draw` letter by letter: the rotation from the prefix sums over
+    all m letters, and one `getrandbits(k)` per leaf, redrawn while >= 2n."""
+    if m == 1:
+        return False, [0], [rng.randrange(2 * ctx.n)]
+    cum = ctx._cum_weights(m)
+    internal = bisect.bisect_right(cum, rng.randrange(cum[-1])) + 1
+    cuts = sorted(rng.sample(range(1, m - internal - 1), internal - 1))
+    cuts.append(m - 1 - internal)
+    word = [0] * m
+    prev = 0
+    for pos, cut in zip(sorted(rng.sample(range(m), internal)), cuts):
+        word[pos] = cut - prev + 1
+        prev = cut
+    sums = list(itertools.accumulate(k - 1 for k in word))
+    start = sums.index(min(sums)) + 1
+    word = word[start:] + word[:start]
+    root_and = rng.randrange(2) == 0
+    two_n = 2 * ctx.n
+    k = two_n.bit_length()
+    leaves = []
+    for _ in range(m - internal):
+        r = rng.getrandbits(k)
+        while r >= two_n:
+            r = rng.getrandbits(k)
+        leaves.append(r)
+    return root_and, word, leaves

@@ -39,7 +39,7 @@ from andortrees.sampler import (
     sample_many,
     sample_uniform,
 )
-from oracles import _force_search, _oracle_truth_table
+from oracles import _force_search, _oracle_draw, _oracle_truth_table
 
 
 def test_fixed_seed_reproducible():
@@ -68,7 +68,7 @@ def test_leaf_sampling_uniform():
     assert chi2 < chi_square_critical(0.01, 5)
 
 
-@pytest.mark.parametrize("n", [1, 5, 8, 100])
+@pytest.mark.parametrize("n", [1, 5, 8, 100, 127, 128])
 def test_leaf_draw_reproduces_randrange(n):
     # a size-3 tree draws I, the place of its one internal letter, the root
     # connective and then its two leaves; a generator making the same calls
@@ -83,6 +83,23 @@ def test_leaf_draw_reproduces_randrange(n):
         assert tree.op == (AND if ref.randrange(2) == 0 else OR)
         got = [2 * c.literal.var - 2 + c.literal.negated for c in tree.children]
         assert got == [ref.randrange(2 * n), ref.randrange(2 * n)]
+
+
+DRAW_SIZES = (1, 3, 4, 5, 7, 60, 601, 2000)
+
+
+# at 2n a power of two (n = 1, 2, 4, 128) half the k-bit values are rejected,
+# the most of any n; n = 127 is the widest alphabet drawn in byte blocks and
+# n = 128 the narrowest drawn leaf by leaf
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 50, 100, 127, 128, 129, 1000])
+def test_draw_matches_the_per_leaf_oracle(n):
+    ctx = SamplerContext(n, max(DRAW_SIZES))
+    for m in DRAW_SIZES:
+        for seed in range(20 if m > 600 else 40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert ctx.draw(m, rng) == _oracle_draw(ctx, m, ref)
+                assert rng.getstate() == ref.getstate()
 
 
 def test_bare_leaf_draws_no_coin():
