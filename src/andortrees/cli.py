@@ -14,10 +14,8 @@ the distribution engine at a cache directory of versioned marshal files
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -34,33 +32,54 @@ from .complexity import complexity as complexity_of
 from .complexity import full_table, minimal_trees, reduce_irreducible
 from .counting import BudgetError, series
 from .distribution import exact_distribution, function_counts, limit_estimate
-from .formula import TruthTable, parse_formula, serialize
+from .formula import Record, TruthTable, _set, parse_formula, serialize
 from .quadext import QuadExt
 from .sampler import monte_carlo, sample_many
 from .verify import SUITES, run_suite
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Fully resolved invocation parameters, embedded in every report."""
 
-    command: str
-    n: Optional[int] = None
-    m: Optional[int] = None
-    max_size: Optional[int] = None
-    seed: int = 0
-    trials: int = 10_000
-    precision_bits: int = 200
-    fmt: str = "csv"
-    out: Optional[str] = None
-    suite: Optional[str] = None
-    family: Optional[str] = None
-    f_hex: Optional[str] = None
-    tol: float = 1e-4
-    params: Dict[str, int] = dataclasses.field(default_factory=dict)
+    __slots__ = (
+        "command", "n", "m", "max_size", "seed", "trials", "precision_bits", "fmt",
+        "out", "suite", "family", "f_hex", "tol", "params",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        n: Optional[int] = None,
+        m: Optional[int] = None,
+        max_size: Optional[int] = None,
+        seed: int = 0,
+        trials: int = 10_000,
+        precision_bits: int = 200,
+        fmt: str = "csv",
+        out: Optional[str] = None,
+        suite: Optional[str] = None,
+        family: Optional[str] = None,
+        f_hex: Optional[str] = None,
+        tol: float = 1e-4,
+        params: Optional[Dict[str, int]] = None,
+    ):
+        _set(self, "command", command)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "max_size", max_size)
+        _set(self, "seed", seed)
+        _set(self, "trials", trials)
+        _set(self, "precision_bits", precision_bits)
+        _set(self, "fmt", fmt)
+        _set(self, "out", out)
+        _set(self, "suite", suite)
+        _set(self, "family", family)
+        _set(self, "f_hex", f_hex)
+        _set(self, "tol", tol)
+        _set(self, "params", {} if params is None else params)
 
     def as_dict(self) -> Dict[str, object]:
-        data = dataclasses.asdict(self)
+        data = super().as_dict()
         data["params"] = dict(self.params)
         return data
 
@@ -105,8 +124,8 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
+    if isinstance(value, Record):
+        return _jsonable(value.as_dict())
     if hasattr(value, "__float__") and not isinstance(value, (int, float, bool)):
         return float(value)
     return value

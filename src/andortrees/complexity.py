@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import operator
 from contextlib import closing
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counting import brute_enumerate
@@ -27,8 +26,10 @@ from .formula import (
     AndOrTree,
     Leaf,
     Node,
+    Record,
     StratificationError,
     TruthTable,
+    _set,
     internal_count,
     literal_masks,
     serialize,
@@ -37,12 +38,20 @@ from .formula import (
 )
 
 
-@dataclass(frozen=True)
-class ComplexityRecord:
-    f: TruthTable
-    L: int
-    m_f: Optional[int]
-    witnesses: Optional[Tuple[AndOrTree, ...]]  # always None; see minimal_trees
+class ComplexityRecord(Record):
+    __slots__ = ("f", "L", "m_f", "witnesses")
+
+    def __init__(
+        self,
+        f: TruthTable,
+        L: int,
+        m_f: Optional[int],
+        witnesses: Optional[Tuple[AndOrTree, ...]],  # always None; see minimal_trees
+    ):
+        _set(self, "f", f)
+        _set(self, "L", L)
+        _set(self, "m_f", m_f)
+        _set(self, "witnesses", witnesses)
 
     @property
     def is_constant(self) -> bool:
@@ -118,21 +127,27 @@ CONTRADICTION_EXPANSION = "contradiction-expansion"
 B_EXPANSION = "B-expansion"
 
 
-@dataclass(frozen=True)
-class ExpansionStep:
+class ExpansionStep(Record):
     """Insert `inserted` as a new child of the internal node at `host_path`,
     at gap `position` (0..arity) in its child list."""
 
-    host_path: Tuple[int, ...]
-    position: int
-    inserted: AndOrTree
-    kind: str = B_EXPANSION
+    __slots__ = ("host_path", "position", "inserted", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (TAUTOLOGY_EXPANSION, CONTRADICTION_EXPANSION, B_EXPANSION):
-            raise ValueError(f"unknown expansion kind {self.kind!r}")
-        if self.kind == B_EXPANSION and isinstance(self.inserted, Leaf):
+    def __init__(
+        self,
+        host_path: Tuple[int, ...],
+        position: int,
+        inserted: AndOrTree,
+        kind: str = B_EXPANSION,
+    ):
+        if kind not in (TAUTOLOGY_EXPANSION, CONTRADICTION_EXPANSION, B_EXPANSION):
+            raise ValueError(f"unknown expansion kind {kind!r}")
+        if kind == B_EXPANSION and isinstance(inserted, Leaf):
             raise ValueError("B-expansions must insert a non-leaf subtree")
+        _set(self, "host_path", host_path)
+        _set(self, "position", position)
+        _set(self, "inserted", inserted)
+        _set(self, "kind", kind)
 
 
 def _node_at(tree: AndOrTree, path: Sequence[int]) -> AndOrTree:

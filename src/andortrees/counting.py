@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from .formula import AND, OR, AndOrTree, Leaf, Node, _literals, serialize
+from .formula import AND, OR, AndOrTree, Leaf, Node, Record, _literals, _set, serialize
 
 
 class CountingError(RuntimeError):
@@ -30,8 +29,7 @@ class BudgetError(CountingError):
     pass
 
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(Record):
     """Per-size exact tree counts for a fixed number of variables.
 
     a_hat[m]   : trees with a fixed root connective (leaves counted once),
@@ -39,10 +37,13 @@ class CountSeries:
     Index 0 is a placeholder zero.
     """
 
-    n: int
-    max_size: int
-    a_hat: Tuple[int, ...]
-    a_total: Tuple[int, ...]
+    __slots__ = ("n", "max_size", "a_hat", "a_total")
+
+    def __init__(self, n: int, max_size: int, a_hat: Tuple[int, ...], a_total: Tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "max_size", max_size)
+        _set(self, "a_hat", a_hat)
+        _set(self, "a_total", a_total)
 
 
 _series_cache: Dict[Tuple[int, int], CountSeries] = {}

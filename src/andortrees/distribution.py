@@ -45,14 +45,13 @@ import marshal
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import series
-from .formula import TruthTable, literal_masks
+from .formula import Record, TruthTable, _set, literal_masks
 
 HARD_MAX_VARS = 4
 
@@ -65,8 +64,7 @@ class DistributionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Record):
     """Exact per-function counts of size-m trees, split by root connective.
 
     and_rooted[f] / or_rooted[f] are indexed by the truth-table bit mask;
@@ -75,10 +73,13 @@ class CountTable:
     and_rooted[f] + or_rooted[f] minus the double-counted leaf at m = 1.
     """
 
-    n: int
-    m: int
-    and_rooted: Tuple[int, ...]
-    or_rooted: Tuple[int, ...]
+    __slots__ = ("n", "m", "and_rooted", "or_rooted")
+
+    def __init__(self, n: int, m: int, and_rooted: Tuple[int, ...], or_rooted: Tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "and_rooted", and_rooted)
+        _set(self, "or_rooted", or_rooted)
 
     def total(self, mask: int) -> int:
         return _total(self.or_rooted, self.m, mask, (len(self.or_rooted) - 1) ^ mask)
@@ -97,24 +98,41 @@ def _total(or_layer: Sequence[int], m: int, f: int, not_f: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Distribution:
-    n: int
-    m: int
-    probabilities: Dict[int, Fraction]  # mask -> exact probability
+class Distribution(Record):
+    __slots__ = ("n", "m", "probabilities")
+
+    def __init__(self, n: int, m: int, probabilities: Dict[int, Fraction]):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "probabilities", probabilities)  # mask -> exact probability
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    n: int
-    f_hex: str
-    M: int
-    estimate: float
-    converged: bool
-    odd_tail: float
-    even_tail: float
-    tol: float
-    window: int
+class LimitReport(Record):
+    __slots__ = (
+        "n", "f_hex", "M", "estimate", "converged", "odd_tail", "even_tail", "tol", "window",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        f_hex: str,
+        M: int,
+        estimate: float,
+        converged: bool,
+        odd_tail: float,
+        even_tail: float,
+        tol: float,
+        window: int,
+    ):
+        _set(self, "n", n)
+        _set(self, "f_hex", f_hex)
+        _set(self, "M", M)
+        _set(self, "estimate", estimate)
+        _set(self, "converged", converged)
+        _set(self, "odd_tail", odd_tail)
+        _set(self, "even_tail", even_tail)
+        _set(self, "tol", tol)
+        _set(self, "window", window)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 AND = "and"
@@ -58,49 +57,136 @@ class VariableRangeError(FormulaError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    var: int
-    negated: bool = False
+#: fills one slot of a `Record` from its __init__, past the frozen __setattr__
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.var < 1:
-            raise VariableRangeError(f"variable index must be >= 1, got {self.var}")
+
+class Record:
+    """Base of the package's immutable value types and records.
+
+    A subclass names its fields in `__slots__`, in constructor order, and
+    fills them in `__init__` through `_set`.  Two records are equal when
+    they are of the same class and their compared fields are equal, and they
+    hash like the tuple of those fields; `_uncompared` names fields that
+    only the repr shows.  The repr is ``Class(field=value, ...)``, and
+    pickling and copying rebuild a record through its constructor.
+    """
+
+    __slots__ = ()
+    _uncompared: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _compared(self) -> tuple:
+        skip = self._uncompared
+        return tuple([getattr(self, name) for name in self.__slots__ if name not in skip])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def as_dict(self) -> dict:
+        """The fields by name, in order; values are not copied."""
+        return dict(zip(self.__slots__, self._values()))
+
+
+class Literal(Record):
+    __slots__ = ("var", "negated")
+
+    def __init__(self, var: int, negated: bool = False):
+        if var < 1:
+            raise VariableRangeError(f"variable index must be >= 1, got {var}")
+        _set(self, "var", var)
+        _set(self, "negated", negated)
 
     def __str__(self) -> str:
         return ("~" if self.negated else "") + f"x{self.var}"
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    literal: Literal
+class Leaf(Record):
+    __slots__ = ("literal",)
+
+    def __init__(self, literal: Literal):
+        _set(self, "literal", literal)
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    op: str
-    children: Tuple["AndOrTree", ...]
+class Node(Record):
+    """An internal node.  ==, hash and repr walk the tree on a stack, so
+    they work at any depth."""
 
-    def __post_init__(self):
-        if self.op not in (AND, OR):
-            raise FormulaError(f"unknown connective {self.op!r}")
-        if len(self.children) < 2:
-            raise ArityError(
-                f"internal node needs >= 2 children, got {len(self.children)}"
-            )
-        for child in self.children:
-            if isinstance(child, Node) and child.op == self.op:
+    __slots__ = ("op", "children")
+
+    def __init__(self, op: str, children: Tuple["AndOrTree", ...]):
+        if op not in (AND, OR):
+            raise FormulaError(f"unknown connective {op!r}")
+        if len(children) < 2:
+            raise ArityError(f"internal node needs >= 2 children, got {len(children)}")
+        for child in children:
+            if isinstance(child, Node) and child.op == op:
                 raise StratificationError(
-                    f"child {self.op!r} node directly under an {self.op!r} node"
+                    f"child {op!r} node directly under an {op!r} node"
                 )
+        _set(self, "op", op)
+        _set(self, "children", children)
+
+    def _compared(self) -> tuple:
+        """The tree in preorder: (op, arity) at each node, the leaf itself
+        at each leaf."""
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Node):
+                out.append((t.op, len(t.children)))
+                stack.extend(reversed(t.children))
+            else:
+                out.append(t)
+        return tuple(out)
+
+    def __repr__(self) -> str:
+        out: list = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, Node):
+                out.append(f"{t.__class__.__qualname__}(op={t.op!r}, children=(")
+                stack.append("))")
+                for idx in reversed(range(len(t.children))):
+                    stack.append(t.children[idx])
+                    if idx:
+                        stack.append(", ")
+            else:
+                out.append(repr(t))
+        return "".join(out)
 
 
 AndOrTree = Union[Leaf, Node]
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
-    values: Tuple[bool, ...]
+class Assignment(Record):
+    __slots__ = ("values",)
+
+    def __init__(self, values: Tuple[bool, ...]):
+        _set(self, "values", values)
 
     def to_index(self) -> int:
         k = 0
@@ -110,18 +196,18 @@ class Assignment:
         return k
 
 
-@dataclass(frozen=True, slots=True)
-class TruthTable:
+class TruthTable(Record):
     """A Boolean function of n variables as a 2^n-bit integer."""
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, bits: int):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+        if not 0 <= bits < (1 << (1 << n)):
             raise ValueError("bit vector does not fit 2^n bits")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
 
     @classmethod
     def constant(cls, n: int, value: bool) -> "TruthTable":

@@ -35,7 +35,6 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -43,7 +42,9 @@ from .formula import (
     MAX_FOLD_VARS,
     AndOrTree,
     Draw,
+    Record,
     TruthTable,
+    _set,
     decode,
     fold_root_leaves,
     fold_truth_bits,
@@ -58,24 +59,47 @@ class SamplerError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class StatResult:
-    estimate: Optional[float]
-    stderr: Optional[float]
-    ci95: Optional[Tuple[float, float]]
-    extra: Dict[str, object] = field(default_factory=dict)
+class StatResult(Record):
+    __slots__ = ("estimate", "stderr", "ci95", "extra")
+
+    def __init__(
+        self,
+        estimate: Optional[float],
+        stderr: Optional[float],
+        ci95: Optional[Tuple[float, float]],
+        extra: Optional[Dict[str, object]] = None,
+    ):
+        _set(self, "estimate", estimate)
+        _set(self, "stderr", stderr)
+        _set(self, "ci95", ci95)
+        _set(self, "extra", {} if extra is None else extra)
 
 
-@dataclass(frozen=True)
-class McReport:
-    m: int
-    n: int
-    trials: int
-    seed: int
-    generator: str
-    stats: Dict[str, StatResult]
-    seconds: float = field(compare=False)
-    trees_per_s: float = field(compare=False)
+class McReport(Record):
+    """A Monte Carlo run; its timing fields are left out of ==."""
+
+    __slots__ = ("m", "n", "trials", "seed", "generator", "stats", "seconds", "trees_per_s")
+    _uncompared = ("seconds", "trees_per_s")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        trials: int,
+        seed: int,
+        generator: str,
+        stats: Dict[str, StatResult],
+        seconds: float,
+        trees_per_s: float,
+    ):
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "trials", trials)
+        _set(self, "seed", seed)
+        _set(self, "generator", generator)
+        _set(self, "stats", stats)
+        _set(self, "seconds", seconds)
+        _set(self, "trees_per_s", trees_per_s)
 
 
 def _frequency_stat(hits: int, trials: int, **extra) -> StatResult:

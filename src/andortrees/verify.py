@@ -25,9 +25,8 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from . import families
 from .analytic import (
@@ -42,7 +41,7 @@ from .analytic import (
 from .complexity import full_table, minimal_trees, slots_and_bounds
 from .counting import algebraic_residual, brute_enumerate, series
 from .distribution import function_counts, limit_estimate
-from .formula import TruthTable, literal_mask, serialize
+from .formula import Record, TruthTable, _set, literal_mask, serialize
 from .sampler import (
     chi_square_critical,
     gamma_two_half_cdf,
@@ -58,14 +57,24 @@ SEED_GAP_SMALL = 2025_0303
 SEED_GAP_LARGE = 2025_0304
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    criterion: int
-    name: str
-    passed: bool
-    seconds: float
-    detail: Dict[str, object] = field(default_factory=dict)
+class CheckResult(Record):
+    __slots__ = ("check_id", "criterion", "name", "passed", "seconds", "detail")
+
+    def __init__(
+        self,
+        check_id: str,
+        criterion: int,
+        name: str,
+        passed: bool,
+        seconds: float,
+        detail: Optional[Dict[str, object]] = None,
+    ):
+        _set(self, "check_id", check_id)
+        _set(self, "criterion", criterion)
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "seconds", seconds)
+        _set(self, "detail", {} if detail is None else detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -53,6 +53,53 @@ def test_sample_report(capsys):
     assert payload["config"]["seed"] == 3
 
 
+def test_sample_json_nests_the_stat_records(capsys):
+    """An mc report's StatResults come out as nested objects, field by field
+    in declaration order; only the timing fields vary between runs."""
+    code, out, _ = run(
+        capsys,
+        "sample", "--n", "1", "--m", "5", "--trials", "40", "--seed", "3", "--format", "json",
+        "--stats", "tautology_rate", "first_level_leaf_histogram",
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert list(report) == [
+        "m", "n", "trials", "seed", "generator", "stats", "seconds", "trees_per_s",
+    ]
+    assert report.pop("seconds") > 0 and report.pop("trees_per_s") > 0
+    assert report == {
+        "m": 5,
+        "n": 1,
+        "trials": 40,
+        "seed": 3,
+        "generator": "random.Random (Mersenne Twister)",
+        "stats": {
+            "tautology_rate": {
+                "estimate": 0.2,
+                "stderr": 0.0632455532033676,
+                "ci95": [0.07604099256131484, 0.32395900743868516],
+                "extra": {},
+            },
+            "first_level_leaf_histogram": {
+                "estimate": None,
+                "stderr": None,
+                "ci95": None,
+                "extra": {
+                    "histogram": {"1": 22, "4": 18},
+                    "mean": 2.35,
+                    "mean_stderr": 0.23898825204470744,
+                    "ks_statistic": 0.3917209066715911,
+                    "ks_critical_1pct": 0.25734988929344765,
+                    "scale": 2.8284271247461903,
+                },
+            },
+        },
+    }
+    assert [list(stat) for stat in report["stats"].values()] == [
+        ["estimate", "stderr", "ci95", "extra"]
+    ] * 2
+
+
 def test_sample_emit_trees(capsys):
     code, out, _ = run(
         capsys, "sample", "--n", "2", "--m", "7", "--emit-trees", "4", "--seed", "1"

@@ -464,6 +464,26 @@ def _expands_the_bottom(tree):
     return tree_size(expanded) == tree_size(tree) + 3 and is_valid_expansion(tree, step, 3)
 
 
+def _compares_by_value(tree):
+    """==, hash and repr of a 3000-deep chain: an equal chain built apart,
+    and one with a single literal changed at the bottom."""
+    twin = parse_formula(_chain_text("(or x1 x2 (and x2 ~x2))"), 3)
+    changed = parse_formula(_chain_text("(or x1 x2 (and x2 ~x1))"), 3)
+    text = repr(tree)
+    return (
+        twin is not tree
+        and twin == tree
+        and hash(twin) == hash(tree)
+        and changed != tree
+        and not changed == tree
+        and text.startswith(
+            "Node(op='or', children=(Leaf(literal=Literal(var=3, negated=True)), Node(op='and'"
+        )
+        and text.count("Node(") == 2 * DEPTH + 2
+        and text == repr(twin) != repr(changed)
+    )
+
+
 def _refuses_a_non_minimal_tree(tree):
     with pytest.raises(ValueError, match="not minimal"):
         slots_and_bounds(tree, 3)
@@ -496,6 +516,7 @@ DEEP_CASES = {
     "reduce_irreducible": lambda taut, plain: _reduces_the_bottom(plain),
     "expand": lambda taut, plain: _expands_the_bottom(plain),
     "slots_and_bounds": lambda taut, plain: _refuses_a_non_minimal_tree(plain),
+    "eq_hash_repr": lambda taut, plain: _compares_by_value(plain),
 }
 
 

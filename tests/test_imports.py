@@ -57,6 +57,7 @@ def run_fresh(code: str) -> dict:
 
 SAMPLER_CASE = """
 import json, sys
+before = set(sys.modules)
 import andortrees.sampler as S
 loaded = set(sys.modules)
 reports = []
@@ -65,20 +66,22 @@ for n in (5, 100):
     if n <= 13:
         stats.append("function_frequency:" + "ff" * (1 << (n - 3)))
     reports.append(sorted(S.monte_carlo(60, n, 20, 7, stats).stats) == sorted(stats))
-print(json.dumps({"modules": sorted(sys.modules), "new": sorted(set(sys.modules) - loaded),
-                  "reports": reports}))
+print(json.dumps({"modules": sorted(sys.modules), "imported": sorted(loaded - before),
+                  "new": sorted(set(sys.modules) - loaded), "reports": reports}))
 """
 
 ENGINE_CASE = """
 import json, sys
+before = set(sys.modules)
 import andortrees.distribution, andortrees.complexity
+imported = sorted(set(sys.modules) - before)
 from andortrees.distribution import exact_distribution, limit_estimate
 from andortrees.complexity import full_table
 from andortrees.formula import TruthTable
 rep = limit_estimate(1, TruthTable.constant(1, True), M=20)
 dist = exact_distribution(7, 2)
 table = full_table(2)
-print(json.dumps({"modules": sorted(sys.modules), "functions": len(table),
+print(json.dumps({"modules": sorted(sys.modules), "imported": imported, "functions": len(table),
                   "support": len(dist.probabilities), "estimate": rep.estimate}))
 """
 
@@ -105,6 +108,10 @@ def test_imports_load_only_what_the_caller_uses(code, package_modules, tmp_path,
     out = run_fresh(code)
     loaded = set(out["modules"])
     assert not loaded & set(HEAVY)
+    # the value types are slotted classes, so neither dataclasses nor the
+    # inspect and ast it pulls in are imported; modules a site hook loaded
+    # before the import do not count
+    assert not {"dataclasses", "inspect", "ast"} & set(out["imported"])
     assert sorted(m for m in loaded if m.split(".")[0] == "andortrees") == package_modules
     if "new" in out:  # monte_carlo imports nothing, so no import cost is timed with it
         assert out["new"] == []
