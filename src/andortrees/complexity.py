@@ -13,7 +13,6 @@ Brute enumeration is used only to list minimal trees.
 
 from __future__ import annotations
 
-import functools
 import operator
 from contextlib import closing
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -226,59 +225,6 @@ def slots_and_bounds(tree: AndOrTree, n: int) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _find_removal(tree: AndOrTree, n: int) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """Leftmost-innermost (host path, child index) of a removable child:
-    a tautology child of an and-node or a contradiction child of an or-node.
-
-    A postorder walk on a stack of (node, its children's tables so far): the
-    first node finished with a removable child is the answer, and its path
-    is the number of tables in each frame below it.
-    """
-    masks, full = literal_masks(n), (1 << (1 << n)) - 1
-    stack = [(tree, [])] if isinstance(tree, Node) else []
-    while stack:
-        node, tables = stack[-1]
-        if len(tables) < len(node.children):
-            child = node.children[len(tables)]
-            if isinstance(child, Leaf):
-                tables.append(masks[2 * child.literal.var - 2 + child.literal.negated])
-            else:
-                stack.append((child, []))
-            continue
-        stack.pop()
-        is_and = node.op == AND
-        for idx, child in enumerate(node.children):
-            # a single literal is never constant
-            if isinstance(child, Node) and tables[idx] == (full if is_and else 0):
-                return tuple(len(t) for _, t in stack), idx
-        if stack:
-            fold = operator.and_ if is_and else operator.or_
-            stack[-1][1].append(functools.reduce(fold, tables))
-    return None
-
-
-def _remove_child(tree: AndOrTree, path: Tuple[int, ...], idx: int) -> AndOrTree:
-    host = _node_at(tree, path)
-    assert isinstance(host, Node)
-    rest = host.children[:idx] + host.children[idx + 1 :]
-    if len(rest) >= 2:
-        return _replace_at(tree, path, Node(host.op, rest))
-    survivor = rest[0]
-    if not path:
-        return survivor  # root collapses to its surviving child
-    # splice into the parent: a surviving internal child carries the parent's
-    # connective, a surviving leaf just replaces the host
-    parent_path, host_idx = path[:-1], path[-1]
-    parent = _node_at(tree, parent_path)
-    assert isinstance(parent, Node)
-    siblings = list(parent.children)
-    if isinstance(survivor, Node):
-        siblings[host_idx : host_idx + 1] = list(survivor.children)
-    else:
-        siblings[host_idx] = survivor
-    return _replace_at(tree, parent_path, Node(parent.op, tuple(siblings)))
-
-
 def reduce_irreducible(
     tree: AndOrTree, n: int
 ) -> Tuple[AndOrTree, List[AndOrTree]]:
@@ -288,19 +234,72 @@ def reduce_irreducible(
     removed subtrees in order.  The result computes the same function and
     cannot be produced by grafting a constant subtree into a smaller tree
     computing that function.
+
+    One postorder walk: a node is finished once its subtrees are irreducible,
+    and then loses its removable children (a tautology child of an and-node,
+    a contradiction child of an or-node) left to right, keeping at least
+    one.  A removal leaves the node's function unchanged, so nothing already
+    finished changes, and the walk goes on at the node's parent.  A node
+    left with one child collapses: a surviving leaf takes its place, and a
+    surviving internal child, which carries the parent's connective, has its
+    children spliced into the parent.
     """
     truth_table(tree, n)  # rejects n > MAX_TABLE_VARS and variables beyond n
+    masks, full = literal_masks(n), (1 << (1 << n)) - 1
     trace: List[AndOrTree] = []
-    current = tree
+    if isinstance(tree, Leaf):
+        return tree, trace
+
+    def identity(node: Node) -> int:
+        """The table of a removable child of `node`."""
+        return full if node.op == AND else 0
+
+    def frame(node: Node) -> list:
+        # [node, children visited, children kept, whether each is removable,
+        # their tables folded]
+        return [node, 0, [], [], identity(node)]
+
+    stack = [frame(tree)]
     while True:
-        found = _find_removal(current, n)
-        if found is None:
-            return current, trace
-        path, idx = found
-        host = _node_at(current, path)
-        assert isinstance(host, Node)
-        trace.append(host.children[idx])
-        current = _remove_child(current, path, idx)
+        top = stack[-1]
+        node, visited, kids, removable, table = top
+        if visited < len(node.children):
+            top[1] += 1
+            child = node.children[visited]
+            if isinstance(child, Node):
+                stack.append(frame(child))
+                continue
+            # a leaf joins its parent as it is: a literal is never constant
+            spliced, constant = (child,), False
+            table = masks[2 * child.literal.var - 2 + child.literal.negated]
+        else:
+            stack.pop()
+            left, kept = len(kids), []
+            for kid, is_removable in zip(kids, removable):
+                if is_removable and left > 1:
+                    trace.append(kid)
+                    left -= 1
+                else:
+                    kept.append(kid)
+            if len(kept) > 1:
+                unchanged = len(kept) == len(node.children) and all(
+                    map(operator.is_, kept, node.children)
+                )
+                reduced = node if unchanged else Node(node.op, tuple(kept))
+                spliced = (reduced,)
+            else:  # the node collapses to its survivor
+                reduced = kept[0]
+                spliced = reduced.children if isinstance(reduced, Node) else (reduced,)
+            if not stack:
+                return reduced, trace
+            top = stack[-1]
+            # a spliced child was kept by an irreducible node with the
+            # parent's connective, so the parent cannot remove it either
+            constant = len(kept) > 1 and table == identity(top[0])
+        # `spliced` joins the kept children of `top`, with `table` its table
+        top[2].extend(spliced)
+        top[3].extend([constant] * len(spliced))
+        top[4] = top[4] & table if top[0].op == AND else top[4] | table
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,9 @@ class Leaf(Record):
 
 
 class Node(Record):
-    """An internal node.  ==, hash and repr walk the tree on a stack, so
-    they work at any depth."""
+    """An internal node.  ==, hash and repr walk the tree on a stack, and
+    pickling and copying go through the tree word, so they work at any
+    depth."""
 
     __slots__ = ("op", "children")
 
@@ -159,6 +160,10 @@ class Node(Record):
             else:
                 out.append(t)
         return tuple(out)
+
+    def __reduce__(self):
+        n = max(t.literal.var for t in self._compared() if isinstance(t, Leaf))
+        return decode, (encode(self, n), n)
 
     def __repr__(self) -> str:
         out: list = []

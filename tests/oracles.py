@@ -3,10 +3,21 @@
 import bisect
 import functools
 import itertools
+import operator
 import random
-from typing import Optional
+from typing import List, Optional, Tuple
 
-from andortrees.formula import AND, OR, AndOrTree, Draw, Leaf, Node, SearchBudgetError
+from andortrees.complexity import _node_at, _replace_at
+from andortrees.formula import (
+    AND,
+    OR,
+    AndOrTree,
+    Draw,
+    Leaf,
+    Node,
+    SearchBudgetError,
+    literal_masks,
+)
 from andortrees.sampler import SamplerContext
 
 
@@ -126,3 +137,66 @@ def _oracle_draw(ctx: SamplerContext, m: int, rng: random.Random) -> Draw:
             r = rng.getrandbits(k)
         leaves.append(r)
     return root_and, word, leaves
+
+
+def _find_removal(tree: AndOrTree, n: int) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """Leftmost-innermost (host path, child index) of a removable child:
+    a tautology child of an and-node or a contradiction child of an or-node.
+
+    A postorder walk on a stack of (node, its children's tables so far): the
+    first node finished with a removable child is the answer, and its path
+    is the number of tables in each frame below it.
+    """
+    masks, full = literal_masks(n), (1 << (1 << n)) - 1
+    stack = [(tree, [])] if isinstance(tree, Node) else []
+    while stack:
+        node, tables = stack[-1]
+        if len(tables) < len(node.children):
+            child = node.children[len(tables)]
+            if isinstance(child, Leaf):
+                tables.append(masks[2 * child.literal.var - 2 + child.literal.negated])
+            else:
+                stack.append((child, []))
+            continue
+        stack.pop()
+        is_and = node.op == AND
+        for idx, child in enumerate(node.children):
+            if isinstance(child, Node) and tables[idx] == (full if is_and else 0):
+                return tuple(len(t) for _, t in stack), idx
+        if stack:
+            fold = operator.and_ if is_and else operator.or_
+            stack[-1][1].append(functools.reduce(fold, tables))
+    return None
+
+
+def _remove_child(tree: AndOrTree, path: Tuple[int, ...], idx: int) -> AndOrTree:
+    """`tree` without the child: a host left with one child collapses, the
+    root to its survivor, any other host into its parent."""
+    host = _node_at(tree, path)
+    rest = host.children[:idx] + host.children[idx + 1 :]
+    if len(rest) >= 2:
+        return _replace_at(tree, path, Node(host.op, rest))
+    survivor = rest[0]
+    if not path:
+        return survivor
+    parent_path, host_idx = path[:-1], path[-1]
+    parent = _node_at(tree, parent_path)
+    siblings = list(parent.children)
+    if isinstance(survivor, Node):  # it carries the parent's connective
+        siblings[host_idx : host_idx + 1] = list(survivor.children)
+    else:
+        siblings[host_idx] = survivor
+    return _replace_at(tree, parent_path, Node(parent.op, tuple(siblings)))
+
+
+def _oracle_reduce(tree: AndOrTree, n: int) -> Tuple[AndOrTree, List[AndOrTree]]:
+    """`complexity.reduce_irreducible` by restarting the search for the
+    leftmost-innermost removable child from the root after each removal."""
+    trace: List[AndOrTree] = []
+    while True:
+        found = _find_removal(tree, n)
+        if found is None:
+            return tree, trace
+        path, idx = found
+        trace.append(_node_at(tree, path).children[idx])
+        tree = _remove_child(tree, path, idx)

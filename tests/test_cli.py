@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import andortrees
 from andortrees.cli import main
+
+SRC = os.path.dirname(os.path.dirname(andortrees.__file__))
 
 
 def run(capsys, *argv):
@@ -24,6 +30,105 @@ def test_count_json_embeds_config(capsys):
     payload = json.loads(out)
     assert payload["config"]["n"] == 1
     assert payload["rows"][-1] == {"m": 3, "a_hat": 4, "a_total": 8}
+
+
+def test_count_json_reports_the_default_size(capsys):
+    code, out, _ = run(capsys, "count", "--n", "1", "--format", "json")
+    payload = json.loads(out)
+    assert payload["config"]["max_size"] == 20
+    assert len(payload["rows"]) == 20
+
+
+#: (subcommand, flag) pairs the parent CLI accepted without reading them
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, flags in {
+        "count": ("--seed", "--trials", "--precision-bits"),
+        "dist": ("--seed", "--trials", "--precision-bits"),
+        "limit": ("--seed", "--trials", "--precision-bits", "--format"),
+        "sample": ("--precision-bits", "--format"),
+        "analyze": ("--seed", "--trials", "--format"),
+        "complexity": ("--seed", "--trials", "--precision-bits"),
+        "reduce": ("--seed", "--trials", "--precision-bits", "--format"),
+        "verify": ("--seed", "--trials", "--precision-bits", "--format"),
+    }.items()
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, command, flag):
+    value = "json" if flag == "--format" else "7"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--n", "1", flag, value] if command != "verify" else [command, flag, value])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+#: one invocation per command that prints a JSON payload, and its flags
+CONFIG_KEYS = [
+    (["count", "--n", "1", "--max-size", "3", "--format", "json"],
+     {"config", "n", "out", "max_size", "format"}),
+    (["dist", "--n", "1", "--m", "3", "--format", "json"],
+     {"config", "n", "out", "m", "format"}),
+    (["limit", "--n", "1", "--f-hex", "3", "--m", "20"],
+     {"config", "n", "out", "m", "f_hex", "tol"}),
+    (["sample", "--n", "1", "--m", "5", "--trials", "20"],
+     {"config", "n", "out", "m", "seed", "trials", "stats", "emit_trees"}),
+    (["analyze", "--family", "no_first_level_leaf", "--n", "2"],
+     {"config", "n", "out", "family", "params", "precision_bits"}),
+    (["complexity", "--n", "2", "--all", "--format", "json"],
+     {"config", "n", "out", "all", "f_hex", "format"}),
+    (["complexity", "--n", "2", "--f-hex", "8"],
+     {"config", "n", "out", "all", "f_hex", "format"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    CONFIG_KEYS,
+    ids=["count", "dist", "limit", "sample", "analyze", "complexity-all", "complexity-f-hex"],
+)
+def test_config_lists_exactly_the_commands_flags(capsys, argv, flags):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == flags | {"command"}
+    assert config["command"] == argv[0]
+
+
+def test_config_reports_the_values_used(capsys):
+    code, out, _ = run(capsys, "sample", "--n", "1", "--m", "5", "--trials", "20")
+    config = json.loads(out)["config"]
+    assert (config["seed"], config["trials"], config["stats"]) == (0, 20, ["simple_tautology_rate"])
+    assert list(json.loads(out)["report"]["stats"]) == ["simple_tautology_rate"]
+    code, out, _ = run(capsys, "limit", "--n", "1", "--f-hex", "3")
+    payload = json.loads(out)
+    assert payload["config"]["m"] == payload["M"] == 60
+    assert payload["config"]["tol"] == 1e-4
+    code, out, _ = run(capsys, "complexity", "--n", "2", "--f-hex", "8")
+    assert json.loads(out)["config"]["format"] == "json"
+
+
+def test_complexity_csv_for_one_function_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "complexity", "--n", "2", "--f-hex", "8", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: complexity --f-hex prints JSON")
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "andortrees", "count", "--n", "3", "--max-size", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.readline() == b"m,a_hat,a_total\n"
+    proc.stdout.close()  # the pipe holds far less than the 3000 rows
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_dist_csv(capsys):
@@ -58,7 +163,7 @@ def test_sample_json_nests_the_stat_records(capsys):
     in declaration order; only the timing fields vary between runs."""
     code, out, _ = run(
         capsys,
-        "sample", "--n", "1", "--m", "5", "--trials", "40", "--seed", "3", "--format", "json",
+        "sample", "--n", "1", "--m", "5", "--trials", "40", "--seed", "3",
         "--stats", "tautology_rate", "first_level_leaf_histogram",
     )
     assert code == 0
@@ -276,5 +381,6 @@ def test_verify_exact_suite_passes(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     summary = lines[-1]
     assert summary["failed"] == 0
+    assert summary["config"] == {"command": "verify", "config": None, "out": None, "suite": "exact"}
     assert summary["checks"] == len(lines) - 1
     assert all("[PASS]" in line for line in err.strip().splitlines())

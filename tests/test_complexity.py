@@ -30,6 +30,7 @@ from andortrees.formula import (
     truth_table,
 )
 from andortrees.sampler import sample_many
+from oracles import _oracle_reduce
 
 XOR = TruthTable(2, 0b0110)
 CONJ = TruthTable(2, literal_mask(1, False, 2) & literal_mask(2, False, 2))
@@ -284,6 +285,29 @@ def test_reduce_preserves_function_and_is_idempotent():
             removed = sum(tree_size(t) for t in trace)
             assert tree_size(reduced) + removed <= m
             assert tree_size(reduced) + removed + 2 * len(trace) >= m
+
+
+def test_reduce_matches_the_restart_oracle():
+    """Result and trace equal those of restarting the search for a removable
+    child from the root after each removal, on the inputs above."""
+    cases = [
+        (parse_formula(text, 3), 3)
+        for text in (
+            "(and x1 x2 (or x3 ~x3))",
+            "(and (or x1 ~x1) (or x2 x3))",
+            "(or x1 (and (or x2 x3) (or x1 ~x1)))",
+        )
+    ]
+    cases += [(tree, 2) for m in (9, 15, 23) for tree in sample_many(m, 2, 350, seed=777 + m)]
+    cases += [(tree, 2) for tree in brute_enumerate(6, 2)]
+    removals = 0
+    for tree, n in cases:
+        reduced, trace = reduce_irreducible(tree, n)
+        expected, expected_trace = _oracle_reduce(tree, n)
+        assert serialize(reduced) == serialize(expected)
+        assert [serialize(t) for t in trace] == [serialize(t) for t in expected_trace]
+        removals += len(trace)
+    assert removals > 1000
 
 
 # -- expansion counting ----------------------------------------------------------------

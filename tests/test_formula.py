@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import random
 import sys
 
@@ -458,6 +460,15 @@ def _reduces_the_bottom(tree):
     ) == _chain_text("(or x1 x2)")
 
 
+def _reduces_the_cascade(taut):
+    """Each removal collapses its host into a tautology that the level above
+    removes in turn: 3000 removals."""
+    reduced, trace = reduce_irreducible(taut, 3)
+    return serialize(reduced) == "(or ~x3 x3)" and [serialize(t) for t in trace] == [
+        "(or x1 ~x1)"
+    ] + ["(or ~x3 x3)"] * (DEPTH - 1)
+
+
 def _expands_the_bottom(tree):
     step = ExpansionStep(DEEP_HOST, 1, parse_formula("(or x1 ~x1)", 1), TAUTOLOGY_EXPANSION)
     expanded = expand(tree, step)
@@ -514,6 +525,9 @@ DEEP_CASES = {
     and not is_simple_contradiction(plain)
     and is_simple_x_tree(plain, 3) is None,
     "reduce_irreducible": lambda taut, plain: _reduces_the_bottom(plain),
+    "reduce_cascade": lambda taut, plain: _reduces_the_cascade(taut),
+    "pickle": lambda taut, plain: pickle.loads(pickle.dumps(plain)) == plain,
+    "deepcopy": lambda taut, plain: copy.deepcopy(plain) == plain,
     "expand": lambda taut, plain: _expands_the_bottom(plain),
     "slots_and_bounds": lambda taut, plain: _refuses_a_non_minimal_tree(plain),
     "eq_hash_repr": lambda taut, plain: _compares_by_value(plain),
@@ -533,3 +547,8 @@ def test_cli_reduces_a_deep_chain(chains, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out.strip() == _chain_text("(or x1 x2)")
     assert "removed: (and x2 ~x2)" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize(chains[0])))
+    assert cli_main(["reduce", "--n", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() == "(or ~x3 x3)"
+    assert err.count("removed: ") == DEPTH

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from andortrees.analytic import singularity
-from andortrees.cli import RunConfig
 from andortrees.complexity import B_EXPANSION, ComplexityRecord, ExpansionStep, complexity
 from andortrees.counting import series
 from andortrees.distribution import exact_distribution, function_counts, limit_estimate
@@ -48,7 +47,6 @@ RECORDS = {
     "ComplexityRecord": lambda: complexity(TruthTable(2, 8), 2),
     "ExpansionStep": lambda: ExpansionStep((1,), 0, parse_formula("(and x2 ~x2)", 2)),
     "SingularPoint": lambda: singularity(2),
-    "RunConfig": lambda: RunConfig("count", n=2),
     "CheckResult": lambda: CheckResult("1a", 1, "name", True, 0.5, {"k": [1, 2]}),
 }
 
@@ -135,12 +133,6 @@ def test_keyword_construction_and_defaults():
     assert step.kind == B_EXPANSION
     record = ComplexityRecord(f=TruthTable(2, 8), **dict(L=3, m_f=2, witnesses=None))
     assert record == complexity(TruthTable(2, 8), 2)
-    config = RunConfig(**{"command": "count", "n": 2, "params": {"k": 3}})
-    assert (config.seed, config.trials, config.fmt, config.tol) == (0, 10_000, "csv", 1e-4)
-    assert RunConfig("count").params == {} and RunConfig("count").params is not config.params
-    assert list(config.as_dict()) == list(RunConfig.__slots__)
-    assert config.as_dict()["params"] == {"k": 3}
-    assert config.as_dict()["params"] is not config.params
 
 
 def test_constructors_still_validate():
