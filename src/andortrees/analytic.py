@@ -288,6 +288,23 @@ def nonleaf_partition_sum(n: int) -> QuadExt:
 # -- the numeric tautology-ratio bounds ---------------------------------------
 
 
+def _sum_by_parts(q, degree: int, x, lo: int, hi: int):
+    """sum_{k=lo}^{hi} x^(k-lo) q(k) for a polynomial q of the given degree,
+    as Q(lo) - x^(hi+1-lo) Q(hi+1) with Q = (1-x)^-1 sum_{i<=degree}
+    (x/(1-x))^i Delta^i q: summation by parts (Graham, Knuth & Patashnik,
+    *Concrete Mathematics*, 2.6).  O(degree^2) operations for any range."""
+    r = x / (1 - x)
+
+    def big_q(k):  # Delta^i q(k) off the difference table of q(k..k+degree)
+        row, total = [q(k + i) for i in range(degree + 1)], 0
+        for i in range(degree + 1):
+            total += r**i * row[0]
+            row = [right - left for left, right in zip(row, row[1:])]
+        return total / (1 - x)
+
+    return big_q(lo) - x ** (hi + 1 - lo) * big_q(hi + 1)
+
+
 def tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
     """Numeric lower bound on the limiting ratio of simple tautologies.
 
@@ -302,62 +319,44 @@ def tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
       E2_bound — the same with a small leftmost-label set;
       lower    = E_ratio - E1_bound - E2_bound.
 
-    Everything is evaluated in floats with `prec` bits; the sums are
-    well-conditioned (all terms positive).
+    Each sum over k is a degree-5 polynomial times x^k, x = w or base1,
+    taken in closed form by `_sum_by_parts` in `prec`-bit floats.  Its
+    (1-x)^-6 factor amplifies rounding by up to 6*log2(1 + sqrt(n/2)) bits
+    (1/(1-w) = 1 + sqrt(n/2), and base1 < w), so `prec` below the floor
+    64 + 6*ceil(log2(1 + sqrt(n/2))) (130 bits at n = 4*10^6) raises
+    ValueError.  At the floor the sums keep 64 correct bits, at 200 bits
+    and n = 4*10^6 about 147 (44 digits).
     """
     if n < 4:
         raise ValueError("the bound families need floor(sqrt(n)) >= 2")
+    floor = 64 + 6 * math.ceil(math.log2(1 + math.sqrt(n / 2)))
+    if prec < floor:
+        raise ValueError(f"tautology_bounds at n={n} needs prec >= {floor} bits (got {prec})")
     s = math.isqrt(n)
-    k_lo, k_hi, j_max = s, 15 * s, 5
     point = singularity(n)
     with mp.workprec(prec):
         rho = point.radius.to_mpf(prec)
         b = point.nonleaf_value.to_mpf(prec)
         w = 2 * n * rho
-        b_powers = [b ** i for i in range(j_max)]
-        inv_fact = [mp.mpf(1) / mp.factorial(j - 1) for j in range(1, j_max + 1)]
-
-        def deriv_sum(k_shift: int, k: int) -> mp.mpf:
-            # sum_j (k+shift)^j * j * b^{j-1} / j!
-            total = mp.mpf(0)
-            base = mp.mpf(k + k_shift)
-            p = base
-            for j in range(1, j_max + 1):
-                total += p * b_powers[j - 1] * inv_fact[j - 1]
-                p *= base
-            return total
-
-        e_sum = mp.mpf(0)
-        wk = w ** k_lo
-        for k in range(k_lo, k_hi + 1):
-            e_sum += wk * deriv_sum(1, k)
-            wk *= w
-        e_ratio = rho / 2 * e_sum
-
         base1 = (2 * n - mp.sqrt(n) / 2) * rho
-        e1_sum = mp.mpf(0)
-        bk = mp.mpf(1)
-        for k in range(k_lo, k_hi + 1):
-            e1_sum += bk * deriv_sum(5, k)
-            bk *= base1
-        e1 = rho / 2 * (w ** s) * e1_sum
 
-        e2_sum = mp.mpf(0)
-        wk = mp.mpf(1)
-        for k in range(k_lo, k_hi + 1):
-            e2_sum += wk * deriv_sum(5, k)
-            wk *= w
-        half_s = s // 2
+        def q(y: int) -> mp.mpf:  # sum_{j<=5} y^j b^(j-1) / (j-1)!
+            return y * sum((b * y) ** i / math.factorial(i) for i in range(5))
+
+        def total(x, shift: int) -> mp.mpf:  # sum_k x^(k-s) q(k + shift)
+            return _sum_by_parts(q, 5, x, s + shift, 15 * s + shift)
+
+        e_ratio = rho / 2 * w**s * total(w, 1)
+        e1 = rho / 2 * w**s * total(base1, 5)
         e2 = (
             rho / 2
-            * mp.mpf(math.comb(n, half_s))
+            * mp.mpf(math.comb(n, s // 2))
             * mp.sqrt(2) ** s
             * (mp.sqrt(n) / 2 * rho) ** s
-            * e2_sum
+            * total(w, 5)
         )
-        lower = e_ratio - e1 - e2
         return {
-            "lower": float(lower),
+            "lower": float(e_ratio - e1 - e2),
             "E_ratio": float(e_ratio),
             "E1_bound": float(e1),
             "E2_bound": float(e2),

@@ -7,11 +7,17 @@ Each subcommand takes only the flags it reads, plus --config and --out:
   limit       --n  --f-hex  --m (60)  --tol (1e-4)
   sample      --n  --m  --seed (0)  --trials (10000)  --stats  --emit-trees
   analyze     --n  --family  --params  --precision-bits (200)
-  complexity  --n  --all  --f-hex  --format
+  complexity  --n  --all | --f-hex  --format
   reduce      --n  (formula on stdin)
   verify      --suite (all)
 
-Any other flag is a usage error.  `--format csv|json` exists only on count,
+Any other flag is a usage error, and so is a missing --n, --m (dist,
+sample), --f-hex (limit), --family (analyze), or complexity without exactly
+one of --all and --f-hex.  analyze reads --params and --precision-bits for
+catalog families; of the built-ins singularity and
+expected_first_level_leaves read neither, tautology_bounds reads only
+--precision-bits and refuses fewer bits than 64 + 6*ceil(log2(1 +
+sqrt(n/2))) (130 at n = 4*10^6).  `--format csv|json` exists only on count,
 dist and complexity --all, which print CSV by default; the other commands
 print JSON (reduce and sample --emit-trees print formulas).  A JSON payload's
 "config" holds the command and each of its flags with the value used.  Data
@@ -129,8 +135,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    if args.m is None:
-        raise SystemExit("dist needs --m")
     table = function_counts(args.m, args.n)
     dist = exact_distribution(args.m, args.n)
     rows = [
@@ -142,8 +146,6 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
-    if args.f_hex is None:
-        raise SystemExit("limit needs --f-hex (truth table in hex)")
     f = TruthTable.from_hex(args.f_hex, args.n)
     report = limit_estimate(args.n, f, M=args.m, tol=args.tol)
     _emit_json(
@@ -160,8 +162,6 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.m is None:
-        raise SystemExit("sample needs --m")
     if args.emit_trees:
         trees = sample_many(args.m, args.n, args.emit_trees, args.seed)
         _emit("\n".join(serialize(t) for t in trees), args.out)
@@ -171,9 +171,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.family is None:
-        raise SystemExit("analyze needs --family")
     name, n = args.family, args.n
+    if name in ("tautology_bounds", "expected_first_level_leaves", "singularity"):
+        if args.params:
+            raise ValueError(f"--family {name} takes no --params")
+        del args.params  # config lists only the flags the family reads
+        if name != "tautology_bounds":
+            del args.precision_bits
     if name == "tautology_bounds":
         _emit_json(args, values=tautology_bounds(n, prec=args.precision_bits))
         return 0
@@ -243,8 +247,6 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         rows = [(r.f.to_hex(), r.L, r.m_f) for r in full_table(args.n)]
         _emit_rows(args, ("truth_table_hex", "L", "m_f"), rows)
         return 0
-    if args.f_hex is None:
-        raise SystemExit("complexity needs --f-hex or --all")
     if args.format == "csv":
         raise ValueError("complexity --f-hex prints JSON; --format csv needs --all")
     args.format = "json"
@@ -325,23 +327,23 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = command("dist", cmd_dist, "exact distribution over functions at one size")
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = command("limit", cmd_limit, "tail-averaged limiting probability of one function")
     p.add_argument("--m", type=int, default=60, help="largest size M")
-    p.add_argument("--f-hex", help="target truth table, lowercase hex")
+    p.add_argument("--f-hex", required=True, help="target truth table, lowercase hex")
     p.add_argument("--tol", type=float, default=1e-4)
 
     p = command("sample", cmd_sample, "uniform sampling and Monte Carlo statistics")
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--stats", nargs="+", default=["simple_tautology_rate"])
     p.add_argument("--emit-trees", type=int, default=0, metavar="N")
 
     p = command("analyze", cmd_analyze, "limiting ratio of a catalog family")
-    p.add_argument("--family")
+    p.add_argument("--family", required=True)
     p.add_argument(
         "--params",
         nargs="*",
@@ -351,8 +353,9 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     p.add_argument("--precision-bits", type=int, default=200)
 
     p = command("complexity", cmd_complexity, "tree-size complexity records")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--f-hex")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--f-hex")
     p.add_argument(
         "--format", choices=("csv", "json"), help="output of --all (default csv)"
     )
@@ -368,17 +371,26 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
 def _resolve(commands: Dict[str, argparse.ArgumentParser], argv: List[str]) -> List[str]:
     """`argv` with the --config file's values put in as flags right after
     the subcommand: argparse casts and checks them like the user's flags,
-    which come later and so win."""
+    which come later and so win.  A file value is dropped when the user
+    gave a flag it excludes (the file's f_hex under `complexity --all`)."""
     pre = argparse.ArgumentParser(prog="andortrees", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if not path or not argv or argv[0] not in commands:
         return argv
     values = _read_config_file(path)
+    parser = commands[argv[0]]
+    given = {parser._option_string_actions.get(arg.split("=", 1)[0]) for arg in argv[1:]}
+    excluded = {
+        action
+        for group in parser._mutually_exclusive_groups
+        if given.intersection(group._group_actions)
+        for action in group._group_actions
+    }
     flags: List[str] = []
-    for action in commands[argv[0]]._actions:
+    for action in parser._actions:
         raw = values.get(action.dest)
-        if raw is None or action.nargs == 0 or action.dest == "config":
+        if raw is None or action.nargs == 0 or action.dest == "config" or action in excluded:
             continue
         if action.nargs in ("*", "+"):
             flags += [action.option_strings[0], *raw.split()]

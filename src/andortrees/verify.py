@@ -230,31 +230,33 @@ def criterion_4(n: int = 10**6) -> List[CheckResult]:
 
 
 def criterion_5(n: int = 10**6) -> List[CheckResult]:
-    bounds = tautology_bounds(n)
-
+    # each check computes its own sums (milliseconds each), so its seconds are its own
     def e_ratio():
-        err = abs(bounds["E_ratio"] - 0.36618)
-        return {"passed": err <= 1e-3, "value": bounds["E_ratio"], "target": 0.36618, "abs_err": err}
+        value = tautology_bounds(n)["E_ratio"]
+        err = abs(value - 0.36618)
+        return {"passed": err <= 1e-3, "value": value, "target": 0.36618, "abs_err": err}
 
     def e1():
-        err = abs(bounds["E1_bound"] - 0.24457)
-        return {"passed": err <= 1e-3, "value": bounds["E1_bound"], "target": 0.24457, "abs_err": err}
+        value = tautology_bounds(n)["E1_bound"]
+        err = abs(value - 0.24457)
+        return {"passed": err <= 1e-3, "value": value, "target": 0.24457, "abs_err": err}
 
     def e2():
-        return {"passed": bounds["E2_bound"] < 1e-3, "value": bounds["E2_bound"]}
+        value = tautology_bounds(n)["E2_bound"]
+        return {"passed": value < 1e-3, "value": value}
 
     def lower():
         # 0.12161 is the n -> infinity limit of the sums, whose error is
         # c/sqrt(n); extrapolating n and 4n in 1/sqrt(n) cancels it
-        far = tautology_bounds(4 * n)["lower"]
-        value = 2 * far - bounds["lower"]
+        near, far = tautology_bounds(n)["lower"], tautology_bounds(4 * n)["lower"]
+        value = 2 * far - near
         err = abs(value - 0.12161)
         return {
             "passed": err <= 1e-3,
             "value": value,
             "target": 0.12161,
             "abs_err": err,
-            "lower_at_n": bounds["lower"],
+            "lower_at_n": near,
             "lower_at_4n": far,
         }
 

@@ -3,10 +3,14 @@
 import bisect
 import functools
 import itertools
+import math
 import operator
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import mpmath as mp
+
+from andortrees.analytic import singularity
 from andortrees.complexity import _node_at, _replace_at
 from andortrees.formula import (
     AND,
@@ -200,3 +204,65 @@ def _oracle_reduce(tree: AndOrTree, n: int) -> Tuple[AndOrTree, List[AndOrTree]]
         path, idx = found
         trace.append(_node_at(tree, path).children[idx])
         tree = _remove_child(tree, path, idx)
+
+
+def _oracle_tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
+    """`analytic.tautology_bounds` by summing the three series term by term
+    over k in [floor(sqrt(n)), 15*floor(sqrt(n))]."""
+    if n < 4:
+        raise ValueError("the bound families need floor(sqrt(n)) >= 2")
+    s = math.isqrt(n)
+    k_lo, k_hi, j_max = s, 15 * s, 5
+    point = singularity(n)
+    with mp.workprec(prec):
+        rho = point.radius.to_mpf(prec)
+        b = point.nonleaf_value.to_mpf(prec)
+        w = 2 * n * rho
+        b_powers = [b ** i for i in range(j_max)]
+        inv_fact = [mp.mpf(1) / mp.factorial(j - 1) for j in range(1, j_max + 1)]
+
+        def deriv_sum(k_shift: int, k: int) -> mp.mpf:
+            # sum_j (k+shift)^j * j * b^{j-1} / j!
+            total = mp.mpf(0)
+            base = mp.mpf(k + k_shift)
+            p = base
+            for j in range(1, j_max + 1):
+                total += p * b_powers[j - 1] * inv_fact[j - 1]
+                p *= base
+            return total
+
+        e_sum = mp.mpf(0)
+        wk = w ** k_lo
+        for k in range(k_lo, k_hi + 1):
+            e_sum += wk * deriv_sum(1, k)
+            wk *= w
+        e_ratio = rho / 2 * e_sum
+
+        base1 = (2 * n - mp.sqrt(n) / 2) * rho
+        e1_sum = mp.mpf(0)
+        bk = mp.mpf(1)
+        for k in range(k_lo, k_hi + 1):
+            e1_sum += bk * deriv_sum(5, k)
+            bk *= base1
+        e1 = rho / 2 * (w ** s) * e1_sum
+
+        e2_sum = mp.mpf(0)
+        wk = mp.mpf(1)
+        for k in range(k_lo, k_hi + 1):
+            e2_sum += wk * deriv_sum(5, k)
+            wk *= w
+        half_s = s // 2
+        e2 = (
+            rho / 2
+            * mp.mpf(math.comb(n, half_s))
+            * mp.sqrt(2) ** s
+            * (mp.sqrt(n) / 2 * rho) ** s
+            * e2_sum
+        )
+        lower = e_ratio - e1 - e2
+        return {
+            "lower": float(lower),
+            "E_ratio": float(e_ratio),
+            "E1_bound": float(e1),
+            "E2_bound": float(e2),
+        }

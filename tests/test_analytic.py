@@ -20,6 +20,7 @@ from andortrees.analytic import (
 from andortrees.counting import series
 from andortrees.powerseries import Series
 from andortrees.quadext import QuadExt
+from oracles import _oracle_tautology_bounds
 
 
 def test_singularity_small_n():
@@ -258,3 +259,20 @@ def test_tautology_bounds_extrapolate_to_their_limiting_integrals(bounds_near_fa
 def test_tautology_bounds_rejects_tiny_n():
     with pytest.raises(ValueError):
         tautology_bounds(3)
+
+
+@pytest.mark.parametrize("n", [4, 16, 100, 10**4])
+def test_tautology_bounds_equal_the_term_by_term_sums(n):
+    assert tautology_bounds(n) == _oracle_tautology_bounds(n)
+
+
+@pytest.mark.parametrize("n,floor", [(4, 76), (10**6, 124), (4 * 10**6, 130)])
+def test_tautology_bounds_refuse_a_precision_below_the_floor(n, floor):
+    # floor = 64 + 6*ceil(log2(1/(1-w))), with 1/(1-w) = 1 + sqrt(n/2)
+    with pytest.raises(ValueError, match=f"needs prec >= {floor} bits"):
+        tautology_bounds(n, prec=floor - 1)
+
+
+def test_tautology_bounds_at_the_floor_match_200_bits():
+    n = 4 * 10**6
+    assert tautology_bounds(n, prec=130) == pytest.approx(tautology_bounds(n), rel=1e-12, abs=0)

@@ -56,11 +56,24 @@ REMOVED_FLAGS = [
 ]
 
 
+#: each command's required flags, so that the flag under test is the only error
+REQUIRED = {
+    "count": ["--n", "1"],
+    "dist": ["--n", "1", "--m", "3"],
+    "limit": ["--n", "1", "--f-hex", "3"],
+    "sample": ["--n", "1", "--m", "5"],
+    "analyze": ["--n", "1", "--family", "singularity"],
+    "complexity": ["--n", "1", "--all"],
+    "reduce": ["--n", "1"],
+    "verify": [],
+}
+
+
 @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, command, flag):
     value = "json" if flag == "--format" else "7"
     with pytest.raises(SystemExit) as err:
-        main([command, "--n", "1", flag, value] if command != "verify" else [command, flag, value])
+        main([command, *REQUIRED[command], flag, value])
     assert err.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
@@ -77,6 +90,10 @@ CONFIG_KEYS = [
      {"config", "n", "out", "m", "seed", "trials", "stats", "emit_trees"}),
     (["analyze", "--family", "no_first_level_leaf", "--n", "2"],
      {"config", "n", "out", "family", "params", "precision_bits"}),
+    (["analyze", "--family", "singularity", "--n", "2"],
+     {"config", "n", "out", "family"}),
+    (["analyze", "--family", "tautology_bounds", "--n", "16"],
+     {"config", "n", "out", "family", "precision_bits"}),
     (["complexity", "--n", "2", "--all", "--format", "json"],
      {"config", "n", "out", "all", "f_hex", "format"}),
     (["complexity", "--n", "2", "--f-hex", "8"],
@@ -87,7 +104,10 @@ CONFIG_KEYS = [
 @pytest.mark.parametrize(
     "argv,flags",
     CONFIG_KEYS,
-    ids=["count", "dist", "limit", "sample", "analyze", "complexity-all", "complexity-f-hex"],
+    ids=[
+        "count", "dist", "limit", "sample", "analyze", "singularity",
+        "tautology_bounds", "complexity-all", "complexity-f-hex",
+    ],
 )
 def test_config_lists_exactly_the_commands_flags(capsys, argv, flags):
     code, out, _ = run(capsys, *argv)
@@ -95,6 +115,40 @@ def test_config_lists_exactly_the_commands_flags(capsys, argv, flags):
     config = json.loads(out)["config"]
     assert set(config) == flags | {"command"}
     assert config["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv,why",
+    [(["dist", "--n", "2"], "the following arguments are required: --m"),
+     (["sample", "--n", "2"], "the following arguments are required: --m"),
+     (["limit", "--n", "2"], "the following arguments are required: --f-hex"),
+     (["analyze", "--n", "2"], "the following arguments are required: --family"),
+     (["complexity", "--n", "2"], "one of the arguments --all --f-hex is required"),
+     (["complexity", "--n", "2", "--all", "--f-hex", "8"],
+      "argument --f-hex: not allowed with argument --all")],
+    ids=["dist", "sample", "limit", "analyze", "complexity-neither", "complexity-both"],
+)
+def test_a_missing_or_conflicting_flag_is_a_usage_error(capsys, argv, why):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"usage: andortrees {argv[0]}") and why in stderr
+
+
+@pytest.mark.parametrize(
+    "argv,why",
+    [(["--family", family, "--params", "k=3"], f"--family {family} takes no --params")
+     for family in ("tautology_bounds", "expected_first_level_leaves", "singularity")]
+    + [(["--family", "tautology_bounds", "--precision-bits", "75"],
+        "tautology_bounds at n=16 needs prec >= 76 bits")],
+    ids=["tautology_bounds", "expected_first_level_leaves", "singularity", "below-floor"],
+)
+def test_analyze_builtin_flag_it_cannot_use_is_a_usage_error(capsys, argv, why):
+    code, out, err = run(capsys, "analyze", "--n", "16", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {why}")
 
 
 def test_config_reports_the_values_used(capsys):
@@ -343,6 +397,16 @@ def test_config_file_precedence(tmp_path, capsys):
     # flags beat the file
     code, out, _ = run(capsys, "count", "--config", str(cfg), "--max-size", "4")
     assert out.strip().splitlines()[-1] == "4,8,16"
+
+
+def test_complexity_all_beats_a_config_file_f_hex(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nf_hex = 8\n")
+    code, out, _ = run(capsys, "complexity", "--config", str(cfg), "--all")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 16
+    code, out, _ = run(capsys, "complexity", "--config", str(cfg))
+    assert json.loads(out)["truth_table_hex"] == "8"
 
 
 def test_out_file(tmp_path, capsys):
