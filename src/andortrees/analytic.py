@@ -325,7 +325,10 @@ def tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
     (1/(1-w) = 1 + sqrt(n/2), and base1 < w), so `prec` below the floor
     64 + 6*ceil(log2(1 + sqrt(n/2))) (130 bits at n = 4*10^6) raises
     ValueError.  At the floor the sums keep 64 correct bits, at 200 bits
-    and n = 4*10^6 about 147 (44 digits).
+    and n = 4*10^6 about 147 (44 digits).  The floats round outward: the
+    two upper bounds up (E2_bound is below the smallest float from about
+    n = 10^5 on and reads as 5e-324), ``lower`` down, ``E_ratio`` to
+    nearest.
     """
     if n < 4:
         raise ValueError("the bound families need floor(sqrt(n)) >= 2")
@@ -356,11 +359,28 @@ def tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
             * total(w, 5)
         )
         return {
-            "lower": float(e_ratio - e1 - e2),
+            "lower": _float_down(e_ratio - e1 - e2),
             "E_ratio": float(e_ratio),
-            "E1_bound": float(e1),
-            "E2_bound": float(e2),
+            "E1_bound": _float_up(e1),
+            "E2_bound": _float_up(e2),
         }
+
+
+def _float_up(x: mp.mpf) -> float:
+    """The smallest float >= x.  float(x) rounds to nearest, and to 0.0 below
+    the smallest subnormal (E2_bound from n ~ 10^5 on), so step up from it."""
+    f = float(x)
+    while f < x:
+        f = math.nextafter(f, math.inf)
+    return f
+
+
+def _float_down(x: mp.mpf) -> float:
+    """The largest float <= x."""
+    f = float(x)
+    while f > x:
+        f = math.nextafter(f, -math.inf)
+    return f
 
 
 #: leading asymptotic terms for the catalog, used by the CLI `analyze` output

@@ -13,8 +13,9 @@ Each subcommand takes only the flags it reads, plus --config and --out:
 
 Any other flag is a usage error, and so is a missing --n, --m (dist,
 sample), --f-hex (limit), --family (analyze), or complexity without exactly
-one of --all and --f-hex.  analyze reads --params and --precision-bits for
-catalog families; of the built-ins singularity and
+one of --all and --f-hex.  analyze reads --params for catalog families,
+and --precision-bits for those that depend on t or have n > 10^4 (the
+others evaluate exactly); of the built-ins singularity and
 expected_first_level_leaves read neither, tautology_bounds reads only
 --precision-bits and refuses fewer bits than 64 + 6*ceil(log2(1 +
 sqrt(n/2))) (130 at n = 4*10^6).  `--format csv|json` exists only on count,
@@ -45,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__, families
 from .analytic import (
     ASYMPTOTIC_REFERENCE,
+    EXACT_MAX_N,
     default_t_env,
     expected_first_level_leaves,
     limiting_ratio,
@@ -222,7 +224,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except TypeError as exc:
         raise ValueError(f"family {name!r}: {exc}") from exc
     env = default_t_env(n) if name in families.T_DEPENDENT else None
-    value = limiting_ratio(family, n, env=env, prec=args.precision_bits)
+    if env is None and n <= EXACT_MAX_N:  # exact: --precision-bits is not read
+        del args.precision_bits
+        value = limiting_ratio(family, n, mode="exact")
+    else:
+        value = limiting_ratio(family, n, env=env, prec=args.precision_bits)
     ref_entry = ASYMPTOTIC_REFERENCE.get(name)
     reference = None
     if ref_entry and ref_entry[1] is not None:

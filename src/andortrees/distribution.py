@@ -24,9 +24,10 @@ the transformed f, and it permutes the 2^n assignment points, so it commutes
 with OR, with both transforms and with complementation.  Every layer is
 therefore constant on B_n-orbits of truth-table masks (22 orbits at n = 3,
 402 at n = 4), and the engine keeps each quantity as one list over the
-orbits, indexed by orbit id.  Orbit ids come from a search under the
-generators "swap x_v and x_{v+1}" and "negate x1"; the representative of an
-orbit is its smallest mask.  On orbits the zeta transform is
+orbits, indexed by orbit id.  Orbit ids come from a search under two
+generators of B_n, "swap x1 and x2" and "rotate x1 -> x2 -> ... -> xn ->
+x1, then negate x1", so each mask costs two lookups; the representative of
+an orbit is its smallest mask.  On orbits the zeta transform is
 (Zv)[F] = sum_O c(F, O) * v[O] with c(F, O) = #{G in O : G within F}, the
 Möbius transform uses the same entries with sign (-1)^(|F| - |O|) (all
 masks of an orbit have one popcount), and complementation is a permutation
@@ -46,7 +47,7 @@ import os
 import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -143,19 +144,19 @@ class LimitReport(Record):
 def _generator_images(n: int) -> List[List[int]]:
     """For each generator of B_n, the image of every mask.
 
-    The generators permute assignment points: swapping x_v and x_{v+1} swaps
-    bits v-1 and v of the point, negating x1 flips bit 0.  A mask's image is
-    the OR of one lookup per byte of the mask, in a table per byte position
-    (two tables at n = 4); the loop below builds all images from them.
+    Two generators suffice: "swap x1 and x2" and "rotate x1 -> x2 -> ... ->
+    xn -> x1, then negate x1" (at n = 1 the second alone, "negate x1").
+    They permute assignment points: the swap exchanges bits 0 and 1 of the
+    point, the rotation moves bit v to bit v+1 (bit n-1 to bit 0) and the
+    negation then flips bit 0.  A mask's image is the OR of one lookup per
+    byte of the mask, in a table per byte position (two tables at n = 4);
+    the loop below builds all images from them.
     """
     points = 1 << n
     width = min(8, points)
-    perms = [[k ^ 1 for k in range(points)]]
-    for v in range(n - 1):
-        swap = (1 << v) | (2 << v)
-        perms.append(
-            [k ^ swap if (k >> v & 1) != (k >> (v + 1) & 1) else k for k in range(points)]
-        )
+    perms = [[(k << 1 & (points - 1) | k >> (n - 1)) ^ 1 for k in range(points)]]
+    if n > 1:
+        perms.insert(0, [k ^ 3 if (k ^ k >> 1) & 1 else k for k in range(points)])
     result = []
     for perm in perms:
         images = [0]
@@ -201,19 +202,27 @@ def _incidence(orbit: List[int], reps: List[int]) -> Tuple[_Rows, _Rows]:
 
     The zeta row of representative F holds c(F, O), the number of masks of
     orbit O within F, found by counting the orbit ids of all submasks of F;
-    the Möbius row holds (-1)^(|F| - |O|) * c(F, O).
+    the Möbius row holds (-1)^(|F| - |O|) * c(F, O).  The submasks are read
+    by byte blocks (a mask has at most two bytes, n <= 4): for each submask
+    h of F's high byte, one getter per low-byte pattern picks the orbit ids
+    of the submasks of F's low byte out of the block of masks with high
+    byte h.
     """
+    width = min(8, (len(orbit) - 1).bit_length())
+    block = 1 << width
+    subs = [[0]]  # subs[b]: the submasks of the byte value b
+    for b in range(1, block):
+        rest, low = subs[b & (b - 1)], b & -b
+        subs.append(rest + [s | low for s in rest])
+    # itemgetter of one index returns an item, not a tuple: slice instead
+    getters = [itemgetter(*s) if len(s) > 1 else itemgetter(slice(1)) for s in subs]
+    blocks = [orbit[i : i + block] for i in range(0, len(orbit), block)]
     odd = [rep.bit_count() & 1 for rep in reps]
     zeta: _Rows = []
     mobius: _Rows = []
     for rep, parity in zip(reps, odd):
-        subs = [0]
-        bits = rep
-        while bits:
-            low = bits & -bits
-            subs += [s | low for s in subs]
-            bits ^= low
-        counts = Counter(map(orbit.__getitem__, subs))
+        high_blocks = map(blocks.__getitem__, subs[rep >> width])
+        counts = Counter(chain.from_iterable(map(getters[rep & (block - 1)], high_blocks)))
         ids = tuple(counts)
         coeffs = tuple(counts.values())
         signs = tuple(-c if odd[o] != parity else c for o, c in counts.items())

@@ -6,11 +6,12 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
 
-from andortrees.analytic import singularity
+from andortrees.analytic import _float_down, _float_up, singularity
 from andortrees.complexity import _node_at, _replace_at
 from andortrees.formula import (
     AND,
@@ -206,9 +207,10 @@ def _oracle_reduce(tree: AndOrTree, n: int) -> Tuple[AndOrTree, List[AndOrTree]]
         tree = _remove_child(tree, path, idx)
 
 
-def _oracle_tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
-    """`analytic.tautology_bounds` by summing the three series term by term
-    over k in [floor(sqrt(n)), 15*floor(sqrt(n))]."""
+def _oracle_tautology_sums(n: int, prec: int = 200) -> Dict[str, mp.mpf]:
+    """The four values behind `analytic.tautology_bounds` as `prec`-bit
+    mpfs, summing the three series term by term over k in
+    [floor(sqrt(n)), 15*floor(sqrt(n))]."""
     if n < 4:
         raise ValueError("the bound families need floor(sqrt(n)) >= 2")
     s = math.isqrt(n)
@@ -259,10 +261,86 @@ def _oracle_tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
             * (mp.sqrt(n) / 2 * rho) ** s
             * e2_sum
         )
-        lower = e_ratio - e1 - e2
-        return {
-            "lower": float(lower),
-            "E_ratio": float(e_ratio),
-            "E1_bound": float(e1),
-            "E2_bound": float(e2),
-        }
+        return {"lower": e_ratio - e1 - e2, "E_ratio": e_ratio, "E1_bound": e1, "E2_bound": e2}
+
+
+def _oracle_tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
+    """`analytic.tautology_bounds` from the term-by-term sums, with the same
+    outward rounding to floats."""
+    sums = _oracle_tautology_sums(n, prec)
+    return {
+        "lower": _float_down(sums["lower"]),
+        "E_ratio": float(sums["E_ratio"]),
+        "E1_bound": _float_up(sums["E1_bound"]),
+        "E2_bound": _float_up(sums["E2_bound"]),
+    }
+
+
+def _oracle_generator_images(n: int) -> List[List[int]]:
+    """The image of every mask under each of n generators of B_n: "negate
+    x1" (flip bit 0 of the assignment point) and the adjacent swaps of x_v
+    and x_{v+1} (swap bits v-1 and v), built by byte tables as the library's
+    two-generator version is."""
+    points = 1 << n
+    width = min(8, points)
+    perms = [[k ^ 1 for k in range(points)]]
+    for v in range(n - 1):
+        swap = (1 << v) | (2 << v)
+        perms.append(
+            [k ^ swap if (k >> v & 1) != (k >> (v + 1) & 1) else k for k in range(points)]
+        )
+    result = []
+    for perm in perms:
+        images = [0]
+        for base in range(0, points, width):
+            table = [
+                sum(1 << perm[base + i] for i in range(width) if byte >> i & 1)
+                for byte in range(1 << width)
+            ]
+            images = [high | low for high in table for low in images]
+        result.append(images)
+    return result
+
+
+def _oracle_orbit_tables(n: int) -> Tuple[List[int], List[int]]:
+    """`distribution._orbit_tables` by a search under the n generators of
+    `_oracle_generator_images`: (orbit id of every mask, smallest mask of
+    every orbit), orbits numbered in the order of their smallest masks."""
+    images = _oracle_generator_images(n)
+    orbit = [-1] * (1 << (1 << n))
+    reps: List[int] = []
+    for start, seen in enumerate(orbit):
+        if seen >= 0:
+            continue
+        ident = len(reps)
+        reps.append(start)
+        orbit[start] = ident
+        stack = [start]
+        while stack:
+            mask = stack.pop()
+            for image in images:
+                other = image[mask]
+                if orbit[other] < 0:
+                    orbit[other] = ident
+                    stack.append(other)
+    return orbit, reps
+
+
+def _oracle_incidence(orbit: List[int], reps: List[int]):
+    """`distribution._incidence` by enumerating the submasks of each
+    representative one at a time: (zeta rows, Möbius rows), each row a pair
+    (orbit ids, coefficients)."""
+    odd = [rep.bit_count() & 1 for rep in reps]
+    zeta, mobius = [], []
+    for rep, parity in zip(reps, odd):
+        subs = [0]
+        bits = rep
+        while bits:
+            low = bits & -bits
+            subs += [s | low for s in subs]
+            bits ^= low
+        counts = Counter(map(orbit.__getitem__, subs))
+        ids = tuple(counts)
+        zeta.append((ids, tuple(counts.values())))
+        mobius.append((ids, tuple(-c if odd[o] != parity else c for o, c in counts.items())))
+    return zeta, mobius

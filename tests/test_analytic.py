@@ -9,6 +9,8 @@ from andortrees import families
 from andortrees.analytic import (
     Dual,
     PoleError,
+    _float_down,
+    _float_up,
     default_t_env,
     expected_first_level_leaves,
     first_level_leaf_law,
@@ -20,7 +22,7 @@ from andortrees.analytic import (
 from andortrees.counting import series
 from andortrees.powerseries import Series
 from andortrees.quadext import QuadExt
-from oracles import _oracle_tautology_bounds
+from oracles import _oracle_tautology_bounds, _oracle_tautology_sums
 
 
 def test_singularity_small_n():
@@ -264,6 +266,29 @@ def test_tautology_bounds_rejects_tiny_n():
 @pytest.mark.parametrize("n", [4, 16, 100, 10**4])
 def test_tautology_bounds_equal_the_term_by_term_sums(n):
     assert tautology_bounds(n) == _oracle_tautology_bounds(n)
+
+
+@pytest.mark.parametrize("n", [100, 10**5])
+def test_tautology_bounds_round_outward(n):
+    # at n = 10^5 E2 lies below the smallest float
+    sums, got = _oracle_tautology_sums(n), tautology_bounds(n)
+    assert got["lower"] <= sums["lower"]
+    assert got["E1_bound"] >= sums["E1_bound"]
+    assert got["E2_bound"] >= sums["E2_bound"] > 0
+
+
+def test_tautology_e2_bound_stays_positive_at_a_million():
+    assert 0 < tautology_bounds(10**6)["E2_bound"] < 1e-300
+
+
+@pytest.mark.parametrize(
+    "x", ["1e-400", "3e-324", "1e-310", "0.1", "0.5", "1e300", "0", "-0.1", "-1e-400"]
+)
+def test_outward_float_is_the_nearest_float_on_its_side(x):
+    value = mp.mpf(x)
+    up, down = _float_up(value), _float_down(value)
+    assert math.nextafter(up, -math.inf) < value <= up
+    assert down <= value < math.nextafter(down, math.inf)
 
 
 @pytest.mark.parametrize("n,floor", [(4, 76), (10**6, 124), (4 * 10**6, 130)])

@@ -89,7 +89,7 @@ CONFIG_KEYS = [
     (["sample", "--n", "1", "--m", "5", "--trials", "20"],
      {"config", "n", "out", "m", "seed", "trials", "stats", "emit_trees"}),
     (["analyze", "--family", "no_first_level_leaf", "--n", "2"],
-     {"config", "n", "out", "family", "params", "precision_bits"}),
+     {"config", "n", "out", "family", "params"}),
     (["analyze", "--family", "singularity", "--n", "2"],
      {"config", "n", "out", "family"}),
     (["analyze", "--family", "tautology_bounds", "--n", "16"],
@@ -115,6 +115,18 @@ def test_config_lists_exactly_the_commands_flags(capsys, argv, flags):
     config = json.loads(out)["config"]
     assert set(config) == flags | {"command"}
     assert config["command"] == argv[0]
+
+
+@pytest.mark.parametrize("n,listed", [("2", False), ("20000", True)])
+def test_analyze_lists_precision_bits_only_where_it_reads_them(capsys, n, listed):
+    # a t-free family evaluates exactly up to n = 10^4, in floats above
+    code, out, _ = run(
+        capsys, "analyze", "--family", "no_first_level_leaf", "--n", n, "--precision-bits", "7"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert ("precision_bits" in payload["config"]) == listed
+    assert (payload["exact"] is None) == listed
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from andortrees.formula import (
     literal_masks,
     truth_table,
 )
+from oracles import _oracle_incidence, _oracle_orbit_tables
 
 
 def lit_table(var, n, neg=False):
@@ -482,23 +483,49 @@ def test_orbit_tables(n, orbits):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_tables_match_the_n_generator_oracle(n):
+    # every n up to HARD_MAX_VARS: the two generators span the orbits of B_n
+    assert dist_mod._orbit_tables(n) == _oracle_orbit_tables(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generators_map_each_orbit_into_itself(n):
     orbit, _ = dist_mod._orbit_tables(n)
     images = dist_mod._generator_images(n)
-    assert len(images) == n  # negate x1, and the n - 1 adjacent swaps
+    assert len(images) == min(n, 2)  # swap x1 and x2 (n >= 2), rotate-and-negate
     for image in images:
         assert sorted(image) == list(range(len(orbit)))  # a permutation
         assert [orbit[g] for g in image] == orbit
 
 
 def test_generators_act_on_assignment_points():
-    # n = 2, point k gives x1 bit 0 and x2 bit 1 of k
-    negate_x1, swap_12 = dist_mod._generator_images(2)
-    x1, x2 = literal_mask(1, False, 2), literal_mask(2, False, 2)
-    assert negate_x1[x1] == literal_mask(1, True, 2)
-    assert negate_x1[x2] == x2
-    assert swap_12[x1] == x2 and swap_12[x2] == x1
-    assert swap_12[x1 & ~x2 & 0xF] == x2 & ~x1 & 0xF
+    # point k gives x_v bit v - 1 of k
+    for n in (2, 3):
+        swap_12, rotate = dist_mod._generator_images(n)
+        x = [None] + [literal_mask(v, False, n) for v in range(1, n + 1)]
+        not_x = [None] + [literal_mask(v, True, n) for v in range(1, n + 1)]
+        full = (1 << (1 << n)) - 1
+        assert swap_12[x[1]] == x[2] and swap_12[x[2]] == x[1]
+        assert swap_12[not_x[1]] == not_x[2]
+        assert swap_12[x[1] & ~x[2] & full] == x[2] & ~x[1] & full
+        assert all(swap_12[x[v]] == x[v] for v in range(3, n + 1))
+        # x1 -> x2 -> ... -> xn -> x1, then x1 negated
+        assert all(rotate[x[v]] == x[v + 1] for v in range(1, n))
+        assert rotate[x[n]] == not_x[1] and rotate[not_x[n]] == x[1]
+        assert rotate[x[1] & x[n]] == x[2] & not_x[1]
+    # at n = 1 the rotation is trivial: the one generator negates x1
+    (negate_x1,) = dist_mod._generator_images(1)
+    assert negate_x1 == [0, 2, 1, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_incidence_rows_match_the_submask_oracle(n):
+    orbit, reps = dist_mod._orbit_tables(n)
+    as_maps = lambda rows: [dict(zip(ids, coeffs)) for ids, coeffs in rows]
+    got, want = dist_mod._incidence(orbit, reps), _oracle_incidence(orbit, reps)
+    for got_rows, want_rows in zip(got, want):
+        assert len(got_rows) == len(reps)
+        assert as_maps(got_rows) == as_maps(want_rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
