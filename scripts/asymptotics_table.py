@@ -20,13 +20,12 @@ def main() -> None:
 
     rows = []
     for n in args.n:
-        mode = "exact" if n <= 1000 else "float"
-        noleaf = float(limiting_ratio(families.no_first_level_leaf(n), n, mode=mode))
+        noleaf = float(limiting_ratio(families.no_first_level_leaf(n), n))
         rows.append((n, "no_first_level_leaf", noleaf, 1 / (n * math.sqrt(2 * n))))
         for ell in (1, 2, 3):
-            v = float(limiting_ratio(families.nonleaf_subtrees(n, ell), n, mode=mode))
+            v = float(limiting_ratio(families.nonleaf_subtrees(n, ell), n))
             rows.append((n, f"nonleaf_subtrees({ell})", v, ell / 2 ** (ell + 1)))
-        r = float(limiting_ratio(families.R_family(n), n, mode=mode))
+        r = float(limiting_ratio(families.R_family(n), n))
         rows.append((n, "R_family", r, math.exp(-math.sqrt(2)) / 8))
         leaves = float(expected_first_level_leaves(n))
         rows.append((n, "mean_first_level_leaves", leaves, 2 * math.sqrt(2 * n)))

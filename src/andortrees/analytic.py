@@ -156,44 +156,33 @@ class PoleError(ZeroDivisionError):
     pass
 
 
-#: mode='auto' evaluates a t-free family exactly up to this n, in floats above
+#: limiting_ratio evaluates a t-free family exactly up to this n, in floats above
 EXACT_MAX_N = 10_000
+
+#: working precision of the float evaluations
+_FLOAT_BITS = 200
 
 
 def limiting_ratio(
-    family: Family,
-    n: int,
-    env: Optional[Dict[str, float]] = None,
-    mode: str = "auto",
-    prec: int = 200,
+    family: Family, n: int, env: Optional[Dict[str, float]] = None
 ) -> Union[QuadExt, mp.mpf]:
     """Limiting ratio of the family with closed form `family(z, a, t)`.
 
     Without env the family must be t-free; it evaluates exactly in
-    Q(sqrt(2n)) (in floats when n > EXACT_MAX_N or mode='float').  A family
-    that uses t needs env entries t_value (the tautology series at the
-    radius) and tau_prime (the limiting probability of True), and evaluates
-    in floats.
+    Q(sqrt(2n)) up to n = EXACT_MAX_N and in 200-bit floats above, where the
+    exact numbers grow too large to stay fast.  A family that uses t needs
+    env entries t_value (the tautology series at the radius) and tau_prime
+    (the limiting probability of True), and evaluates in 200-bit floats.
     """
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"mode must be 'auto', 'exact' or 'float', not {mode!r}")
     point = singularity(n)
-    if env is not None:
-        if "t_value" not in env or "tau_prime" not in env:
-            raise ValueError(_NEEDS_T_ENV)
-        if mode == "exact":
-            raise ValueError("t-dependent families have no exact evaluation")
-        mode = "float"
-    elif mode == "auto":
-        mode = "exact" if n <= EXACT_MAX_N else "float"
-
+    if env is not None and ("t_value" not in env or "tau_prime" not in env):
+        raise ValueError(_NEEDS_T_ENV)
     try:
-        if mode == "exact":
-            da = _derivative(_without_t(family, point.radius, Dual(point.rooted_value, 1)))
-            return QuadExt.rational(Fraction(1, 2), 2 * n) * da
-        with mp.workprec(prec):
-            z = point.radius.to_mpf(prec)
-            a = point.rooted_value.to_mpf(prec)
+        if env is None and n <= EXACT_MAX_N:
+            return _exact_ratio(family, point)
+        with mp.workprec(_FLOAT_BITS):
+            z = point.radius.to_mpf(_FLOAT_BITS)
+            a = point.rooted_value.to_mpf(_FLOAT_BITS)
             if env is None:
                 return mp.mpf(_derivative(_without_t(family, z, Dual(a, 1)))) / 2
             t = mp.mpf(env["t_value"])
@@ -204,25 +193,32 @@ def limiting_ratio(
         raise PoleError(f"family has a pole at the singular point: {exc}") from exc
 
 
-def coefficient_ratio(family: Family, n: int, order: int = 400) -> float:
-    """Oracle: [z^order] of the family series over [z^order] of all trees.
+def _exact_ratio(family: Family, point: SingularPoint) -> QuadExt:
+    """The limiting ratio of a t-free family in Q(sqrt(2n)), at any n."""
+    da = _derivative(_without_t(family, point.radius, Dual(point.rooted_value, 1)))
+    return QuadExt.rational(Fraction(1, 2), 2 * point.n) * da
+
+
+def coefficient_ratio(family: Family, n: int) -> float:
+    """Oracle: [z^400] of the family series over [z^400] of all trees.
 
     Only valid for t-free families (the tautology series has no closed form).
     """
+    order = 400
     cs = series(n, order)
     rooted = Series(list(cs.a_hat), order)
     family_series = _without_t(family, Series.z(order), rooted)
     return float(Fraction(family_series[order]) / Fraction(cs.a_total[order]))
 
 
-def default_t_env(n: int, max_size: int = 40) -> Dict[str, float]:
+def default_t_env(n: int) -> Dict[str, float]:
     """Env for t-dependent families, from the exact distribution at n <= 3.
 
-    tau_prime is the tail-averaged limit of the probability of True, and
-    t_value the partial sum of tautology counts against the radius (a slight
-    lower bound; the tail decays like m^(-3/2)).  For n > 3 the probability
-    of True is only bracketed, so this raises ValueError rather than report
-    a ratio with no error bound.
+    tau_prime is the limit of the probability of True tail-averaged up to
+    size 40, and t_value the partial sum of tautology counts up to size 40
+    against the radius (a slight lower bound; the tail decays like
+    m^(-3/2)).  For n > 3 the probability of True is only bracketed, so this
+    raises ValueError rather than report a ratio with no error bound.
     """
     if n > 3:
         raise ValueError(
@@ -232,6 +228,7 @@ def default_t_env(n: int, max_size: int = 40) -> Dict[str, float]:
     from .distribution import limit_estimate, tautology_count
     from .formula import TruthTable
 
+    max_size = 40
     radius = float(singularity(n).radius)
     rep = limit_estimate(n, TruthTable.constant(n, True), M=max_size)
     t_val = sum(tautology_count(m, n) * radius ** m for m in range(1, max_size + 1))
@@ -243,9 +240,7 @@ def default_t_env(n: int, max_size: int = 40) -> Dict[str, float]:
 
 def expected_first_level_leaves(n: int) -> QuadExt:
     """Exact large-size limit of the mean number of leaf children of the root."""
-    value = limiting_ratio(families.first_level_leaf_weight(n), n, mode="exact")
-    assert isinstance(value, QuadExt)
-    return value
+    return _exact_ratio(families.first_level_leaf_weight(n), singularity(n))
 
 
 def first_level_leaf_law(n: int, j_max: int) -> list:
@@ -272,7 +267,7 @@ def nonleaf_partition_sum(n: int) -> QuadExt:
     total = QuadExt.rational(0, 2 * n)
     for count in range(explicit_up_to + 1):
         family = families.nonleaf_subtrees_corrected(n, count)
-        total = total + limiting_ratio(family, n, mode="exact")
+        total = total + _exact_ratio(family, point)
     # tail: sum_{l > explicit_up_to} radius * l * u^{l-1} / (1-2n radius)^2
     rho = point.radius
     b = point.nonleaf_value
@@ -305,7 +300,7 @@ def _sum_by_parts(q, degree: int, x, lo: int, hi: int):
     return big_q(lo) - x ** (hi + 1 - lo) * big_q(hi + 1)
 
 
-def tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
+def tautology_bounds(n: int) -> Dict[str, float]:
     """Numeric lower bound on the limiting ratio of simple tautologies.
 
     Sums the limiting ratios of three explicit tree families over
@@ -320,21 +315,17 @@ def tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
       lower    = E_ratio - E1_bound - E2_bound.
 
     Each sum over k is a degree-5 polynomial times x^k, x = w or base1,
-    taken in closed form by `_sum_by_parts` in `prec`-bit floats.  Its
-    (1-x)^-6 factor amplifies rounding by up to 6*log2(1 + sqrt(n/2)) bits
-    (1/(1-w) = 1 + sqrt(n/2), and base1 < w), so `prec` below the floor
-    64 + 6*ceil(log2(1 + sqrt(n/2))) (130 bits at n = 4*10^6) raises
-    ValueError.  At the floor the sums keep 64 correct bits, at 200 bits
-    and n = 4*10^6 about 147 (44 digits).  The floats round outward: the
-    two upper bounds up (E2_bound is below the smallest float from about
-    n = 10^5 on and reads as 5e-324), ``lower`` down, ``E_ratio`` to
-    nearest.
+    taken in closed form by `_sum_by_parts`.  Its (1-x)^-6 factor amplifies
+    rounding by up to 6*log2(1 + sqrt(n/2)) bits (1/(1-w) = 1 + sqrt(n/2),
+    and base1 < w), so the sums run at max(200, 64 + 6*ceil(log2(1 +
+    sqrt(n/2)))) bits and keep at least 64 correct bits (about 147 at
+    n = 4*10^6).  The floats round outward: the two upper bounds up
+    (E2_bound is below the smallest float from about n = 10^5 on and reads
+    as 5e-324), ``lower`` down, ``E_ratio`` to nearest.
     """
     if n < 4:
         raise ValueError("the bound families need floor(sqrt(n)) >= 2")
-    floor = 64 + 6 * math.ceil(math.log2(1 + math.sqrt(n / 2)))
-    if prec < floor:
-        raise ValueError(f"tautology_bounds at n={n} needs prec >= {floor} bits (got {prec})")
+    prec = max(_FLOAT_BITS, 64 + 6 * math.ceil(math.log2(1 + math.sqrt(n / 2))))
     s = math.isqrt(n)
     point = singularity(n)
     with mp.workprec(prec):

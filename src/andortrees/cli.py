@@ -6,22 +6,22 @@ Each subcommand takes only the flags it reads, plus --config and --out:
   dist        --n  --m  --format
   limit       --n  --f-hex  --m (60)  --tol (1e-4)
   sample      --n  --m  --seed (0)  --trials (10000)  --stats  --emit-trees
-  analyze     --n  --family  --params  --precision-bits (200)
+  analyze     --n  --family  --params
   complexity  --n  --all | --f-hex  --format
   reduce      --n  (formula on stdin)
   verify      --suite (all)
 
 Any other flag is a usage error, and so is a missing --n, --m (dist,
 sample), --f-hex (limit), --family (analyze), or complexity without exactly
-one of --all and --f-hex.  analyze reads --params for catalog families,
-and --precision-bits for those that depend on t or have n > 10^4 (the
-others evaluate exactly); of the built-ins singularity and
-expected_first_level_leaves read neither, tautology_bounds reads only
---precision-bits and refuses fewer bits than 64 + 6*ceil(log2(1 +
-sqrt(n/2))) (130 at n = 4*10^6).  `--format csv|json` exists only on count,
-dist and complexity --all, which print CSV by default; the other commands
-print JSON (reduce and sample --emit-trees print formulas).  A JSON payload's
-"config" holds the command and each of its flags with the value used.  Data
+one of --all and --f-hex, and a negative --emit-trees.  analyze reads
+--params (key=value, each key at most once) for catalog families, and no
+other flag for its built-ins singularity, expected_first_level_leaves and
+tautology_bounds; it has no precision flag, because the library picks its
+own arithmetic (exact for t-free families up to n = 10^4, 200-bit floats
+otherwise).  `--format csv|json` exists only on count, dist and
+complexity --all, which print CSV by default; the other commands print JSON
+(reduce and sample --emit-trees print formulas).  A JSON payload's "config"
+holds the command and each of its flags with the value used.  Data
 goes to stdout (or --out); progress and warnings go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error.  A stdout closed by its
 reader (`| head`) ends the command quietly with exit 0.
@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__, families
 from .analytic import (
     ASYMPTOTIC_REFERENCE,
-    EXACT_MAX_N,
     default_t_env,
     expected_first_level_leaves,
     limiting_ratio,
@@ -178,10 +177,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.params:
             raise ValueError(f"--family {name} takes no --params")
         del args.params  # config lists only the flags the family reads
-        if name != "tautology_bounds":
-            del args.precision_bits
     if name == "tautology_bounds":
-        _emit_json(args, values=tautology_bounds(n, prec=args.precision_bits))
+        _emit_json(args, values=tautology_bounds(n))
         return 0
     if name == "expected_first_level_leaves":
         value = expected_first_level_leaves(n)
@@ -218,24 +215,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise SystemExit(f"--params entries look like key=value, got {item!r}")
         key, value = item.split("=", 1)
-        params[key.strip()] = int(value)
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"--params gives {key!r} more than once")
+        params[key] = int(value)
     try:
         family = builder(n, **params)
     except TypeError as exc:
         raise ValueError(f"family {name!r}: {exc}") from exc
     env = default_t_env(n) if name in families.T_DEPENDENT else None
-    if env is None and n <= EXACT_MAX_N:  # exact: --precision-bits is not read
-        del args.precision_bits
-        value = limiting_ratio(family, n, mode="exact")
-    else:
-        value = limiting_ratio(family, n, env=env, prec=args.precision_bits)
+    value = limiting_ratio(family, n, env)
     ref_entry = ASYMPTOTIC_REFERENCE.get(name)
     reference = None
     if ref_entry and ref_entry[1] is not None:
-        try:
-            reference = {"expr": ref_entry[0], "value": ref_entry[1](n, **params)}
-        except TypeError:
-            reference = {"expr": ref_entry[0]}
+        reference = {"expr": ref_entry[0], "value": ref_entry[1](n, **params)}
     _emit_json(
         args,
         family=name,
@@ -356,7 +349,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         default=[],
         help="family parameters as key=value (e.g. k=3 gamma=2 ell=1)",
     )
-    p.add_argument("--precision-bits", type=int, default=200)
 
     p = command("complexity", cmd_complexity, "tree-size complexity records")
     which = p.add_mutually_exclusive_group(required=True)

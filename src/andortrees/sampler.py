@@ -247,6 +247,8 @@ def sample_uniform(m: int, n: int, seed: int) -> AndOrTree:
 
 
 def sample_many(m: int, n: int, count: int, seed: int) -> List[AndOrTree]:
+    if count < 0:
+        raise ValueError("count must be >= 0")
     ctx = get_context(n, m)
     rng = random.Random(seed)
     return [ctx.sample(m, rng) for _ in range(count)]

@@ -173,8 +173,8 @@ def criterion_3() -> List[CheckResult]:
         worst = 0.0
         for n in (1, 2, 3):
             for name, family in _oracle_families(n):
-                engine = float(limiting_ratio(family, n, mode="exact"))
-                oracle = coefficient_ratio(family, n, 400)
+                engine = float(limiting_ratio(family, n))
+                oracle = coefficient_ratio(family, n)
                 rel = abs(oracle / engine - 1.0)
                 worst = max(worst, rel)
                 rows.append({"n": n, "family": name, "engine": engine, "oracle": oracle, "rel": rel})
@@ -190,7 +190,7 @@ def criterion_3() -> List[CheckResult]:
 
 def criterion_4(n: int = 10**6) -> List[CheckResult]:
     def noleaf():
-        value = float(limiting_ratio(families.no_first_level_leaf(n), n, mode="float"))
+        value = float(limiting_ratio(families.no_first_level_leaf(n), n))
         target = 1.0 / (n * math.sqrt(2 * n))
         rel = abs(value / target - 1.0)
         return {"passed": rel <= 0.01, "value": value, "target": target, "rel": rel}
@@ -205,7 +205,7 @@ def criterion_4(n: int = 10**6) -> List[CheckResult]:
         rows = []
         ok = True
         for ell in (1, 2, 3):
-            value = float(limiting_ratio(families.nonleaf_subtrees(n, ell), n, mode="float"))
+            value = float(limiting_ratio(families.nonleaf_subtrees(n, ell), n))
             target = ell / 2.0 ** (ell + 1)
             rel = abs(value / target - 1.0)
             ok = ok and rel <= 0.01
@@ -213,7 +213,7 @@ def criterion_4(n: int = 10**6) -> List[CheckResult]:
         return {"passed": ok, "rows": rows}
 
     def r_family():
-        value = float(limiting_ratio(families.R_family(n), n, mode="float"))
+        value = float(limiting_ratio(families.R_family(n), n))
         target = math.exp(-math.sqrt(2)) / 8
         rel = abs(value / target - 1.0)
         return {"passed": rel <= 0.01, "value": value, "target": target, "rel": rel}

@@ -7,8 +7,10 @@ import pytest
 
 from andortrees import families
 from andortrees.analytic import (
+    EXACT_MAX_N,
     Dual,
     PoleError,
+    _exact_ratio,
     _float_down,
     _float_up,
     default_t_env,
@@ -54,7 +56,7 @@ def test_nonleaf_value_below_inverse_sqrt():
 
 
 def test_no_first_level_leaf_exact_value():
-    v = limiting_ratio(families.no_first_level_leaf(2), 2, mode="exact")
+    v = limiting_ratio(families.no_first_level_leaf(2), 2)
     assert v == Fraction(11, 200)
 
 
@@ -104,7 +106,7 @@ def test_leaf_law_matches_noleaf_family_and_sums_to_one():
     for n in (2, 10, 100):
         law = first_level_leaf_law(n, 4000)
         assert abs(sum(law) - 1) < 1e-12
-        noleaf = float(limiting_ratio(families.no_first_level_leaf(n), n, mode="exact"))
+        noleaf = float(limiting_ratio(families.no_first_level_leaf(n), n))
         assert abs(law[0] - noleaf) < 1e-14
 
 
@@ -112,21 +114,21 @@ def test_exact_k_labels_is_order_k_over_n():
     # ratio * n / k stays bounded over small k for large n
     for n in (10**3, 10**4):
         for k in range(1, int(n ** 0.25) + 1):
-            value = float(limiting_ratio(families.exact_k_labels(n, k), n, mode="float"))
+            value = float(limiting_ratio(families.exact_k_labels(n, k), n))
             assert value * n / k < 1.0
 
 
 def test_labels_from_asymptotics():
     n = 10**6
     for gamma in (1, 2, 5):
-        value = float(limiting_ratio(families.labels_from(n, gamma), n, mode="float"))
+        value = float(limiting_ratio(families.labels_from(n, gamma), n))
         assert abs(value / (gamma * math.sqrt(2 / n)) - 1) < 0.01
 
 
 def test_labels_from_is_a_probability():
     # even with every literal allowed the ratio stays at most 1
     for n in (1, 2, 3, 10):
-        value = float(limiting_ratio(families.labels_from(n, 2 * n), n, mode="exact"))
+        value = float(limiting_ratio(families.labels_from(n, 2 * n), n))
         assert 0 < value <= 1
 
 
@@ -160,16 +162,33 @@ def test_param_validation():
         families.nonleaf_subtrees(2, -1)
 
 
-@pytest.mark.parametrize("mode", ["exakt", "Exact", "", None])
-def test_limiting_ratio_rejects_unknown_mode(mode):
-    with pytest.raises(ValueError, match="mode must be"):
-        limiting_ratio(families.no_first_level_leaf(2), 2, mode=mode)
-
-
 def test_pole_detection():
-    for mode in ("exact", "float"):
+    # exact up to EXACT_MAX_N, in floats above
+    for n in (2, EXACT_MAX_N + 1):
         with pytest.raises(PoleError):
-            limiting_ratio(lambda z, a, t: a / (a - a), 2, mode=mode)
+            limiting_ratio(lambda z, a, t: a / (a - a), n)
+
+
+@pytest.mark.parametrize("n", [EXACT_MAX_N + 1, 10**6])
+def test_float_ratios_match_the_exact_ones(n):
+    # above EXACT_MAX_N limiting_ratio evaluates in floats; every t-free
+    # catalog family, at a few parameter values, against exact arithmetic
+    instances = [("no_first_level_leaf", {}), ("R_family", {})]
+    instances += [("labels_from", {"gamma": gamma}) for gamma in (1, 2, 5)]
+    instances += [("exact_k_labels", {"k": k}) for k in (1, 3)]
+    for count in range(4):
+        instances += [
+            ("nonleaf_subtrees", {"ell": count}),
+            ("nonleaf_subtrees_corrected", {"ell": count}),
+            ("first_level_leaves_exactly", {"j": count}),
+        ]
+    point = singularity(n)
+    for name, params in instances:
+        family = families.CATALOG[name](n, **params)
+        value = limiting_ratio(family, n)
+        assert isinstance(value, mp.mpf)
+        exact = float(_exact_ratio(family, point))
+        assert float(value) == pytest.approx(exact, rel=1e-13, abs=0), (name, params)
 
 
 def test_dual_derivative_of_a_rational_function():
@@ -212,7 +231,7 @@ def test_exact_limiting_ratios_are_pinned():
     lines = []
     for n in range(1, 5):
         for name, params in _t_free_instances(n):
-            value = limiting_ratio(families.CATALOG[name](n, **params), n, mode="exact")
+            value = limiting_ratio(families.CATALOG[name](n, **params), n)
             lines.append(f"{name} n={n} {params} {value!r}")
         lines.append(f"expected_first_level_leaves n={n} {expected_first_level_leaves(n)!r}")
         lines.append(f"nonleaf_partition_sum n={n} {nonleaf_partition_sum(n)!r}")
@@ -291,13 +310,9 @@ def test_outward_float_is_the_nearest_float_on_its_side(x):
     assert down <= value < math.nextafter(down, math.inf)
 
 
-@pytest.mark.parametrize("n,floor", [(4, 76), (10**6, 124), (4 * 10**6, 130)])
-def test_tautology_bounds_refuse_a_precision_below_the_floor(n, floor):
-    # floor = 64 + 6*ceil(log2(1/(1-w))), with 1/(1-w) = 1 + sqrt(n/2)
-    with pytest.raises(ValueError, match=f"needs prec >= {floor} bits"):
-        tautology_bounds(n, prec=floor - 1)
 
-
-def test_tautology_bounds_at_the_floor_match_200_bits():
+def test_tautology_bounds_keep_their_bits_at_the_largest_checked_n():
+    # n = 4*10^6 is the far point of check 5d; the sums by parts there equal
+    # the term-by-term sums at 300 bits, float for float
     n = 4 * 10**6
-    assert tautology_bounds(n, prec=130) == pytest.approx(tautology_bounds(n), rel=1e-12, abs=0)
+    assert tautology_bounds(n) == _oracle_tautology_bounds(n, prec=300)

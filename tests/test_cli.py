@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import andortrees
+from andortrees.analytic import ASYMPTOTIC_REFERENCE
 from andortrees.cli import main
 
 SRC = os.path.dirname(os.path.dirname(andortrees.__file__))
@@ -39,7 +40,9 @@ def test_count_json_reports_the_default_size(capsys):
     assert len(payload["rows"]) == 20
 
 
-#: (subcommand, flag) pairs the parent CLI accepted without reading them
+#: (subcommand, flag) pairs that are not flags of the command: ones it never
+#: read, and analyze --precision-bits, which went when the library began to
+#: pick its own arithmetic
 REMOVED_FLAGS = [
     (command, flag)
     for command, flags in {
@@ -47,7 +50,7 @@ REMOVED_FLAGS = [
         "dist": ("--seed", "--trials", "--precision-bits"),
         "limit": ("--seed", "--trials", "--precision-bits", "--format"),
         "sample": ("--precision-bits", "--format"),
-        "analyze": ("--seed", "--trials", "--format"),
+        "analyze": ("--seed", "--trials", "--format", "--precision-bits"),
         "complexity": ("--seed", "--trials", "--precision-bits"),
         "reduce": ("--seed", "--trials", "--precision-bits", "--format"),
         "verify": ("--seed", "--trials", "--precision-bits", "--format"),
@@ -93,7 +96,7 @@ CONFIG_KEYS = [
     (["analyze", "--family", "singularity", "--n", "2"],
      {"config", "n", "out", "family"}),
     (["analyze", "--family", "tautology_bounds", "--n", "16"],
-     {"config", "n", "out", "family", "precision_bits"}),
+     {"config", "n", "out", "family"}),
     (["complexity", "--n", "2", "--all", "--format", "json"],
      {"config", "n", "out", "all", "f_hex", "format"}),
     (["complexity", "--n", "2", "--f-hex", "8"],
@@ -117,16 +120,14 @@ def test_config_lists_exactly_the_commands_flags(capsys, argv, flags):
     assert config["command"] == argv[0]
 
 
-@pytest.mark.parametrize("n,listed", [("2", False), ("20000", True)])
-def test_analyze_lists_precision_bits_only_where_it_reads_them(capsys, n, listed):
+@pytest.mark.parametrize("n,exact", [("2", True), ("10000", True), ("10001", False)])
+def test_analyze_is_exact_up_to_ten_thousand(capsys, n, exact):
     # a t-free family evaluates exactly up to n = 10^4, in floats above
-    code, out, _ = run(
-        capsys, "analyze", "--family", "no_first_level_leaf", "--n", n, "--precision-bits", "7"
-    )
+    code, out, _ = run(capsys, "analyze", "--family", "no_first_level_leaf", "--n", n)
     assert code == 0
     payload = json.loads(out)
-    assert ("precision_bits" in payload["config"]) == listed
-    assert (payload["exact"] is None) == listed
+    assert set(payload["config"]) == {"command", "config", "n", "out", "family", "params"}
+    assert (payload["exact"] is not None) == exact
 
 
 @pytest.mark.parametrize(
@@ -151,10 +152,8 @@ def test_a_missing_or_conflicting_flag_is_a_usage_error(capsys, argv, why):
 @pytest.mark.parametrize(
     "argv,why",
     [(["--family", family, "--params", "k=3"], f"--family {family} takes no --params")
-     for family in ("tautology_bounds", "expected_first_level_leaves", "singularity")]
-    + [(["--family", "tautology_bounds", "--precision-bits", "75"],
-        "tautology_bounds at n=16 needs prec >= 76 bits")],
-    ids=["tautology_bounds", "expected_first_level_leaves", "singularity", "below-floor"],
+     for family in ("tautology_bounds", "expected_first_level_leaves", "singularity")],
+    ids=["tautology_bounds", "expected_first_level_leaves", "singularity"],
 )
 def test_analyze_builtin_flag_it_cannot_use_is_a_usage_error(capsys, argv, why):
     code, out, err = run(capsys, "analyze", "--n", "16", *argv)
@@ -271,6 +270,13 @@ def test_sample_json_nests_the_stat_records(capsys):
     ] * 2
 
 
+def test_sample_negative_emit_trees_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "sample", "--n", "2", "--m", "7", "--emit-trees", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: count must be >= 0")
+
+
 def test_sample_emit_trees(capsys):
     code, out, _ = run(
         capsys, "sample", "--n", "2", "--m", "7", "--emit-trees", "4", "--seed", "1"
@@ -299,6 +305,35 @@ def test_analyze_with_params(capsys):
     payload = json.loads(out)
     assert payload["float"] == pytest.approx(0.5)
     assert payload["asymptotic_reference"]["value"] == pytest.approx(0.25)
+
+
+def test_analyze_repeated_param_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "analyze", "--family", "labels_from", "--n", "2", "--params", "gamma=1", "gamma=2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --params gives 'gamma' more than once")
+
+
+#: a parameter for each catalog family that takes one
+PARAMS = {
+    "labels_from": "gamma=2",
+    "exact_k_labels": "k=2",
+    "nonleaf_subtrees": "ell=2",
+    "nonleaf_subtrees_corrected": "ell=2",
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (_, formula) in ASYMPTOTIC_REFERENCE.items() if formula)
+)
+def test_analyze_reports_a_numeric_reference_value(capsys, name):
+    params = ["--params", PARAMS[name]] if name in PARAMS else []
+    code, out, _ = run(capsys, "analyze", "--family", name, "--n", "16", *params)
+    assert code == 0
+    reference = json.loads(out)["asymptotic_reference"]
+    assert isinstance(reference["value"], float) and reference["value"] > 0
 
 
 def test_analyze_unknown_family(capsys):

@@ -356,3 +356,9 @@ def test_unknown_stat_rejected():
 def test_zero_trials_rejected():
     with pytest.raises(ValueError):
         monte_carlo(5, 1, 0, 0, ["tautology_rate"])
+
+
+def test_negative_sample_count_rejected():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        sample_many(5, 2, -3, 0)
+    assert sample_many(5, 2, 0, 0) == []
