@@ -29,7 +29,7 @@ import mpmath as mp
 from . import families
 from .counting import series
 from .families import Family
-from .formula import Record, _set
+from .formula import Record
 from .powerseries import Series
 from .quadext import QuadExt
 
@@ -37,13 +37,10 @@ from .quadext import QuadExt
 class SingularPoint(Record):
     """Exact data at the common dominant singularity for n variables."""
 
+    # radius: smallest positive root of (4n^2-8n)z^2 - 4nz + 1
+    # rooted_value: the rooted-tree series at the radius
+    # nonleaf_value: rooted_value - 2n*radius
     __slots__ = ("n", "radius", "rooted_value", "nonleaf_value")
-
-    def __init__(self, n: int, radius: QuadExt, rooted_value: QuadExt, nonleaf_value: QuadExt):
-        _set(self, "n", n)
-        _set(self, "radius", radius)  # smallest positive root of (4n^2-8n)z^2 - 4nz + 1
-        _set(self, "rooted_value", rooted_value)  # the rooted-tree series at the radius
-        _set(self, "nonleaf_value", nonleaf_value)  # rooted_value - 2n*radius
 
     def discriminant_residual(self) -> QuadExt:
         n, r = self.n, self.radius

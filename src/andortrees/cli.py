@@ -13,18 +13,19 @@ Each subcommand takes only the flags it reads, plus --config and --out:
 
 Any other flag is a usage error, and so is a missing --n, --m (dist,
 sample), --f-hex (limit), --family (analyze), or complexity without exactly
-one of --all and --f-hex, and a negative --emit-trees.  analyze reads
---params (key=value, each key at most once) for catalog families, and no
-other flag for its built-ins singularity, expected_first_level_leaves and
-tautology_bounds; it has no precision flag, because the library picks its
-own arithmetic (exact for t-free families up to n = 10^4, 200-bit floats
-otherwise).  `--format csv|json` exists only on count, dist and
-complexity --all, which print CSV by default; the other commands print JSON
-(reduce and sample --emit-trees print formulas).  A JSON payload's "config"
-holds the command and each of its flags with the value used.  Data
-goes to stdout (or --out); progress and warnings go to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  A stdout closed by its
-reader (`| head`) ends the command quietly with exit 0.
+one of --all and --f-hex, a negative --emit-trees, an unknown --family and
+a --config line without `=`.  analyze reads --params (key=integer, each key
+at most once) for catalog families, and no other flag for its built-ins
+singularity, expected_first_level_leaves and tautology_bounds; it has no
+precision flag, because the library picks its own arithmetic (exact for
+t-free families up to n = 10^4, 200-bit floats otherwise).  `--format
+csv|json` exists only on count, dist and complexity --all, which print CSV
+by default; the other commands print JSON (reduce and sample --emit-trees
+print formulas).  A JSON payload's "config" holds the command and each of
+its flags with the value used.  Data goes to stdout (or --out); progress
+and warnings go to stderr.  Exit codes: 0 success, 1 verification failure,
+2 usage error.  A stdout closed by its reader (`| head`) ends the command
+quietly with exit 0.
 
 Configuration precedence: command-line flags > --config file > defaults.
 The config file is flat `key = value` text, keys matching flag names with
@@ -70,7 +71,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"config line {lineno}: expected key = value")
+                raise ValueError(f"config line {lineno}: expected key = value")
             key, value = line.split("=", 1)
             values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -206,19 +207,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 0
     builder = families.CATALOG.get(name)
     if builder is None:
-        raise SystemExit(
+        raise ValueError(
             f"unknown family {name!r}; known: {sorted(families.CATALOG)} "
             "plus tautology_bounds, expected_first_level_leaves, singularity"
         )
     params: Dict[str, int] = {}
     for item in args.params:
         if "=" not in item:
-            raise SystemExit(f"--params entries look like key=value, got {item!r}")
+            raise ValueError(f"--params entries look like key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
         if key in params:
             raise ValueError(f"--params gives {key!r} more than once")
-        params[key] = int(value)
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise ValueError(f"--params {key} needs an integer, got {value!r}") from None
     try:
         family = builder(n, **params)
     except TypeError as exc:
@@ -274,7 +278,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(args.suite, echo=False)
+    results = run_suite(args.suite)
     records = []
     for result in results:
         records.append(
@@ -400,8 +404,8 @@ def _resolve(commands: Dict[str, argparse.ArgumentParser], argv: List[str]) -> L
 def main(argv: Optional[List[str]] = None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_resolve(commands, argv))
     try:
+        args = parser.parse_args(_resolve(commands, argv))
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:

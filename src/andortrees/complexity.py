@@ -29,7 +29,7 @@ from .formula import (
     StratificationError,
     TruthTable,
     _set,
-    internal_count,
+    expansion_slots,
     literal_masks,
     serialize,
     tree_size,
@@ -38,19 +38,7 @@ from .formula import (
 
 
 class ComplexityRecord(Record):
-    __slots__ = ("f", "L", "m_f", "witnesses")
-
-    def __init__(
-        self,
-        f: TruthTable,
-        L: int,
-        m_f: Optional[int],
-        witnesses: Optional[Tuple[AndOrTree, ...]],  # always None; see minimal_trees
-    ):
-        _set(self, "f", f)
-        _set(self, "L", L)
-        _set(self, "m_f", m_f)
-        _set(self, "witnesses", witnesses)
+    __slots__ = ("f", "L", "m_f", "witnesses")  # witnesses is always None; see minimal_trees
 
     @property
     def is_constant(self) -> bool:
@@ -216,7 +204,7 @@ def slots_and_bounds(tree: AndOrTree, n: int) -> Dict[str, object]:
     size = tree_size(tree)
     if L < 3 or size != L:
         raise ValueError(f"tree of size {size} is not minimal for its function (L={L})")
-    slots = internal_count(tree) + size - 1
+    slots = expansion_slots(tree)
     return {"P_t": slots, "L": L, "check": L <= slots <= (3 * L) // 2}
 
 

@@ -18,7 +18,7 @@ import itertools
 import threading
 from typing import Dict, Iterator, List, Tuple
 
-from .formula import AND, OR, AndOrTree, Leaf, Node, Record, _literals, _set, serialize
+from .formula import AND, OR, AndOrTree, Leaf, Node, Record, _literals, serialize
 
 
 class CountingError(RuntimeError):
@@ -38,12 +38,6 @@ class CountSeries(Record):
     """
 
     __slots__ = ("n", "max_size", "a_hat", "a_total")
-
-    def __init__(self, n: int, max_size: int, a_hat: Tuple[int, ...], a_total: Tuple[int, ...]):
-        _set(self, "n", n)
-        _set(self, "max_size", max_size)
-        _set(self, "a_hat", a_hat)
-        _set(self, "a_total", a_total)
 
 
 _series_cache: Dict[Tuple[int, int], CountSeries] = {}

@@ -52,7 +52,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import series
-from .formula import Record, TruthTable, _set, literal_masks
+from .formula import Record, TruthTable, literal_masks
 
 HARD_MAX_VARS = 4
 
@@ -76,12 +76,6 @@ class CountTable(Record):
 
     __slots__ = ("n", "m", "and_rooted", "or_rooted")
 
-    def __init__(self, n: int, m: int, and_rooted: Tuple[int, ...], or_rooted: Tuple[int, ...]):
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "and_rooted", and_rooted)
-        _set(self, "or_rooted", or_rooted)
-
     def total(self, mask: int) -> int:
         return _total(self.or_rooted, self.m, mask, (len(self.or_rooted) - 1) ^ mask)
 
@@ -100,40 +94,13 @@ def _total(or_layer: Sequence[int], m: int, f: int, not_f: int) -> int:
 
 
 class Distribution(Record):
-    __slots__ = ("n", "m", "probabilities")
-
-    def __init__(self, n: int, m: int, probabilities: Dict[int, Fraction]):
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "probabilities", probabilities)  # mask -> exact probability
+    __slots__ = ("n", "m", "probabilities")  # probabilities: mask -> exact probability
 
 
 class LimitReport(Record):
     __slots__ = (
         "n", "f_hex", "M", "estimate", "converged", "odd_tail", "even_tail", "tol", "window",
     )
-
-    def __init__(
-        self,
-        n: int,
-        f_hex: str,
-        M: int,
-        estimate: float,
-        converged: bool,
-        odd_tail: float,
-        even_tail: float,
-        tol: float,
-        window: int,
-    ):
-        _set(self, "n", n)
-        _set(self, "f_hex", f_hex)
-        _set(self, "M", M)
-        _set(self, "estimate", estimate)
-        _set(self, "converged", converged)
-        _set(self, "odd_tail", odd_tail)
-        _set(self, "even_tail", even_tail)
-        _set(self, "tol", tol)
-        _set(self, "window", window)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +460,10 @@ def limit_estimate(
     f: TruthTable,
     M: int = 60,
     tol: float = 1e-4,
-    window: int = 10,
 ) -> LimitReport:
     """Tail-averaged estimate of the limiting probability of f.
 
-    Sizes in [M-window, M] are split by parity before averaging because
+    Sizes in [M-10, M] are split by parity before averaging because
     square-root-singularity series often oscillate between parities; the
     convergence flag records whether the two parity means agree within tol.
     Non-convergence is reported, never raised.
@@ -508,6 +474,7 @@ def limit_estimate(
         raise ValueError("truth table n does not match")
     engine = _get_engine(n, M)
     totals = series(n, M).a_total
+    window = 10
     odd, even = [], []
     for m in range(M - window, M + 1):
         if totals[m] == 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 AND = "and"
 OR = "or"
@@ -64,16 +64,40 @@ _set = object.__setattr__
 class Record:
     """Base of the package's immutable value types and records.
 
-    A subclass names its fields in `__slots__`, in constructor order, and
-    fills them in `__init__` through `_set`.  Two records are equal when
-    they are of the same class and their compared fields are equal, and they
-    hash like the tuple of those fields; `_uncompared` names fields that
-    only the repr shows.  The repr is ``Class(field=value, ...)``, and
-    pickling and copying rebuild a record through its constructor.
+    A subclass names its fields in `__slots__`, in constructor order.  The
+    constructor takes them by position or keyword, like a dataclass's, and
+    `_defaults` maps a field to a factory whose fresh value fills it when it
+    is left out or given as None; a subclass that validates its arguments
+    writes its own `__init__` and fills the slots through `_set`.  Two
+    records are equal when they are of the same class and their compared
+    fields are equal, and they hash like the tuple of those fields;
+    `_uncompared` names fields that only the repr shows.  The repr is
+    ``Class(field=value, ...)``, and pickling and copying rebuild a record
+    through its constructor.
     """
 
     __slots__ = ()
     _uncompared: Tuple[str, ...] = ()
+    _defaults: Dict[str, Callable[[], object]] = {}
+
+    def __init__(self, *args, **kwargs):
+        names, cls = self.__slots__, self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{cls} takes {len(names)} fields, got {len(args)} positional")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls} got field {name!r} twice")
+            values[name] = value
+        for name in names:
+            value = values.get(name)
+            if value is None and name in self._defaults:
+                value = self._defaults[name]()
+            elif name not in values:
+                raise TypeError(f"{cls} is missing field {name!r}")
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -189,9 +213,6 @@ AndOrTree = Union[Leaf, Node]
 
 class Assignment(Record):
     __slots__ = ("values",)
-
-    def __init__(self, values: Tuple[bool, ...]):
-        _set(self, "values", values)
 
     def to_index(self) -> int:
         k = 0

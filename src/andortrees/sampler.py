@@ -44,7 +44,6 @@ from .formula import (
     Draw,
     Record,
     TruthTable,
-    _set,
     decode,
     fold_root_leaves,
     fold_truth_bits,
@@ -61,18 +60,7 @@ class SamplerError(RuntimeError):
 
 class StatResult(Record):
     __slots__ = ("estimate", "stderr", "ci95", "extra")
-
-    def __init__(
-        self,
-        estimate: Optional[float],
-        stderr: Optional[float],
-        ci95: Optional[Tuple[float, float]],
-        extra: Optional[Dict[str, object]] = None,
-    ):
-        _set(self, "estimate", estimate)
-        _set(self, "stderr", stderr)
-        _set(self, "ci95", ci95)
-        _set(self, "extra", {} if extra is None else extra)
+    _defaults = {"extra": dict}
 
 
 class McReport(Record):
@@ -80,26 +68,6 @@ class McReport(Record):
 
     __slots__ = ("m", "n", "trials", "seed", "generator", "stats", "seconds", "trees_per_s")
     _uncompared = ("seconds", "trees_per_s")
-
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        trials: int,
-        seed: int,
-        generator: str,
-        stats: Dict[str, StatResult],
-        seconds: float,
-        trees_per_s: float,
-    ):
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "trials", trials)
-        _set(self, "seed", seed)
-        _set(self, "generator", generator)
-        _set(self, "stats", stats)
-        _set(self, "seconds", seconds)
-        _set(self, "trees_per_s", trees_per_s)
 
 
 def _frequency_stat(hits: int, trials: int, **extra) -> StatResult:

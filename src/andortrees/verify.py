@@ -26,7 +26,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from . import families
 from .analytic import (
@@ -41,7 +41,7 @@ from .analytic import (
 from .complexity import full_table, minimal_trees, slots_and_bounds
 from .counting import algebraic_residual, brute_enumerate, series
 from .distribution import function_counts, limit_estimate
-from .formula import Record, TruthTable, _set, literal_mask, serialize
+from .formula import Record, TruthTable, literal_mask, serialize
 from .sampler import (
     chi_square_critical,
     gamma_two_half_cdf,
@@ -56,25 +56,17 @@ SEED_KS = 2025_0302
 SEED_GAP_SMALL = 2025_0303
 SEED_GAP_LARGE = 2025_0304
 
+#: n of the large-n checks of criteria 4 and 5
+LARGE_N = 10**6
+#: trees drawn by checks 10a, 10b and each side of 10c
+CHI2_TRIALS = 100_000
+KS_TRIALS = 10_000
+GAP_TRIALS = 10_000
+
 
 class CheckResult(Record):
     __slots__ = ("check_id", "criterion", "name", "passed", "seconds", "detail")
-
-    def __init__(
-        self,
-        check_id: str,
-        criterion: int,
-        name: str,
-        passed: bool,
-        seconds: float,
-        detail: Optional[Dict[str, object]] = None,
-    ):
-        _set(self, "check_id", check_id)
-        _set(self, "criterion", criterion)
-        _set(self, "name", name)
-        _set(self, "passed", passed)
-        _set(self, "seconds", seconds)
-        _set(self, "detail", {} if detail is None else detail)
+    _defaults = {"detail": dict}
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -188,7 +180,9 @@ def criterion_3() -> List[CheckResult]:
 # -- criterion 4: large-n asymptotics -----------------------------------------
 
 
-def criterion_4(n: int = 10**6) -> List[CheckResult]:
+def criterion_4() -> List[CheckResult]:
+    n = LARGE_N
+
     def noleaf():
         value = float(limiting_ratio(families.no_first_level_leaf(n), n))
         target = 1.0 / (n * math.sqrt(2 * n))
@@ -229,7 +223,9 @@ def criterion_4(n: int = 10**6) -> List[CheckResult]:
 # -- criterion 5: numeric tautology bounds ------------------------------------
 
 
-def criterion_5(n: int = 10**6) -> List[CheckResult]:
+def criterion_5() -> List[CheckResult]:
+    n = LARGE_N
+
     # each check computes its own sums (milliseconds each), so its seconds are its own
     def e_ratio():
         value = tautology_bounds(n)["E_ratio"]
@@ -416,17 +412,13 @@ def _leaf_law_gamma_distance(n: int) -> float:
     return worst
 
 
-def criterion_10(
-    chi2_trials: int = 100_000,
-    ks_trials: int = 10_000,
-    gap_trials: int = 10_000,
-) -> List[CheckResult]:
+def criterion_10() -> List[CheckResult]:
     def uniformity():
         support = [serialize(t) for t in brute_enumerate(3, 1)]
         ctx = get_context(1, 3)
         rng = random.Random(SEED_UNIFORMITY)
-        counts = Counter(serialize(ctx.sample(3, rng)) for _ in range(chi2_trials))
-        expected = chi2_trials / len(support)
+        counts = Counter(serialize(ctx.sample(3, rng)) for _ in range(CHI2_TRIALS))
+        expected = CHI2_TRIALS / len(support)
         stat = sum((counts.get(s, 0) - expected) ** 2 / expected for s in support)
         crit = chi_square_critical(0.01, len(support) - 1)
         return {
@@ -434,16 +426,16 @@ def criterion_10(
             "chi2": stat,
             "critical_1pct": crit,
             "df": len(support) - 1,
-            "trials": chi2_trials,
+            "trials": CHI2_TRIALS,
         }
 
     def ks_gamma():
         n = 100
         report = monte_carlo(
-            2000, n, ks_trials, SEED_KS, ["first_level_leaf_histogram"]
+            2000, n, KS_TRIALS, SEED_KS, ["first_level_leaf_histogram"]
         )
         extra = report.stats["first_level_leaf_histogram"].extra
-        crit = ks_critical(0.01, ks_trials)
+        crit = ks_critical(0.01, KS_TRIALS)
         # the sample estimates the exact law at n; that law reaches the Gamma
         # limit only as n grows, so the Gamma fit is checked exactly at large n
         stat = ks_discrete(extra["histogram"], _leaf_law(n))
@@ -455,16 +447,16 @@ def criterion_10(
             "exact_law_ks_vs_gamma": gamma,
             "sample_ks_vs_gamma": extra["ks_statistic"],
             "mean_scaled": extra["mean"] / extra["scale"],
-            "trials": ks_trials,
+            "trials": KS_TRIALS,
         }
 
     def rates_and_gap():
         small = monte_carlo(
-            1000, 5, gap_trials, SEED_GAP_SMALL,
+            1000, 5, GAP_TRIALS, SEED_GAP_SMALL,
             ["tautology_rate", "simple_tautology_rate"],
         )
         large = monte_carlo(
-            1000, 50, gap_trials, SEED_GAP_LARGE,
+            1000, 50, GAP_TRIALS, SEED_GAP_LARGE,
             ["tautology_rate", "simple_tautology_rate"],
         )
         results = {}
@@ -476,7 +468,7 @@ def criterion_10(
             results[label] = {"tautology": taut, "simple": simple, "gap": taut - simple}
         gap_small = results["n=5"]["gap"]
         gap_large = results["n=50"]["gap"]
-        se = math.sqrt(max(gap_large * (1 - gap_large), 1e-12) / gap_trials)
+        se = math.sqrt(max(gap_large * (1 - gap_large), 1e-12) / GAP_TRIALS)
         upper = gap_large + 1.959964 * se
         return {
             "passed": order_ok and upper < gap_small,
@@ -501,13 +493,7 @@ SUITES: Dict[str, List[Callable[[], List[CheckResult]]]] = {
 SUITES["all"] = SUITES["exact"] + SUITES["asymptotic"] + SUITES["montecarlo"]
 
 
-def run_suite(name: str, echo: bool = False) -> List[CheckResult]:
+def run_suite(name: str) -> List[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    results: List[CheckResult] = []
-    for criterion in SUITES[name]:
-        for result in criterion():
-            results.append(result)
-            if echo:
-                print(result.line(), flush=True)
-    return results
+    return [result for criterion in SUITES[name] for result in criterion()]

@@ -337,8 +337,28 @@ def test_analyze_reports_a_numeric_reference_value(capsys, name):
 
 
 def test_analyze_unknown_family(capsys):
-    with pytest.raises(SystemExit):
-        main(["analyze", "--family", "nope", "--n", "2"])
+    code, out, err = run(capsys, "analyze", "--family", "nope", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown family 'nope'")
+
+
+def test_analyze_param_without_equals_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "analyze", "--family", "labels_from", "--n", "2", "--params", "gamma"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --params entries look like key=value, got 'gamma'")
+
+
+def test_analyze_non_integer_param_names_the_flag_and_key(capsys):
+    code, out, err = run(
+        capsys, "analyze", "--family", "labels_from", "--n", "2", "--params", "gamma=x"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --params gamma needs an integer, got 'x'\n"
 
 
 @pytest.mark.parametrize(
@@ -444,6 +464,15 @@ def test_config_file_precedence(tmp_path, capsys):
     # flags beat the file
     code, out, _ = run(capsys, "count", "--config", str(cfg), "--max-size", "4")
     assert out.strip().splitlines()[-1] == "4,8,16"
+
+
+def test_config_line_without_equals_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 1\nmax-size 3\n")
+    code, out, err = run(capsys, "count", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: config line 2: expected key = value\n"
 
 
 def test_complexity_all_beats_a_config_file_f_hex(tmp_path, capsys):

@@ -23,6 +23,7 @@ from andortrees.formula import (
     Literal,
     StratificationError,
     TruthTable,
+    expansion_slots,
     literal_mask,
     parse_formula,
     serialize,
@@ -244,6 +245,14 @@ def test_all_minimal_trees_respect_slot_bounds():
             out = slots_and_bounds(tree, 2)
             assert out["check"]
             assert out["L"] <= out["P_t"] <= (3 * out["L"]) // 2
+
+
+def test_slot_count_is_expansion_slots_for_every_minimal_tree_at_n2():
+    table = [rec for rec in full_table(2) if rec.L >= 3]
+    trees = [w for rec in table for w in minimal_trees(rec.f, 2)]
+    assert len(trees) == sum(rec.m_f for rec in table) == 48
+    for tree in trees:
+        assert slots_and_bounds(tree, 2)["P_t"] == expansion_slots(tree)
 
 
 # -- irreducibility -----------------------------------------------------------------

@@ -189,6 +189,16 @@ def test_limit_estimate_convergence():
         assert abs(rep.odd_tail - rep.even_tail) <= 1e-4
 
 
+def test_limit_estimate_averages_each_parity_over_the_last_eleven_sizes():
+    f = TruthTable.constant(2, True)
+    rep = limit_estimate(2, f, M=20)
+    assert rep.window == 10
+    odd = [float(prob(m, 2, f)) for m in range(11, 21, 2)]
+    even = [float(prob(m, 2, f)) for m in range(10, 21, 2)]
+    assert rep.odd_tail == sum(odd) / len(odd)
+    assert rep.even_tail == sum(even) / len(even)
+
+
 def test_limit_estimate_reports_nonconvergence():
     rep = limit_estimate(1, TruthTable.constant(1, True), M=12, tol=1e-12)
     assert not rep.converged  # never an exception

@@ -1,6 +1,6 @@
 """Value semantics of the package's records: repr text, equality only within
-one class, immutability, pickling and copying, and keyword construction
-with defaults."""
+one class, immutability, pickling and copying, and construction by position
+or keyword with defaults."""
 
 import copy
 import pickle
@@ -16,6 +16,7 @@ from andortrees.formula import (
     Leaf,
     Literal,
     Node,
+    Record,
     TruthTable,
     VariableRangeError,
     parse_formula,
@@ -49,6 +50,12 @@ RECORDS = {
     "SingularPoint": lambda: singularity(2),
     "CheckResult": lambda: CheckResult("1a", 1, "name", True, 0.5, {"k": [1, 2]}),
 }
+
+#: the classes that take the generic `Record` constructor
+GENERIC = (
+    "Assignment", "CheckResult", "ComplexityRecord", "CountSeries", "CountTable",
+    "Distribution", "LimitReport", "McReport", "SingularPoint", "StatResult",
+)
 
 
 def test_repr_is_the_field_by_field_text():
@@ -133,6 +140,37 @@ def test_keyword_construction_and_defaults():
     assert step.kind == B_EXPANSION
     record = ComplexityRecord(f=TruthTable(2, 8), **dict(L=3, m_f=2, witnesses=None))
     assert record == complexity(TruthTable(2, 8), 2)
+    assert StatResult(estimate=0.5, stderr=None, ci95=None, extra=None).extra == {}
+    assert CheckResult("1a", 1, "x", True, 0.1, detail=None).detail == {}
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_constructor_rejects_missing_extra_unknown_and_repeated_fields(name):
+    record = RECORDS[name]()
+    cls, fields = type(record), record.as_dict()
+    first, *rest = fields
+    values = list(fields.values())
+    assert cls(*values) == record and cls(**fields) == record
+    assert cls(*values[:1], **{k: fields[k] for k in rest}) == record
+    with pytest.raises(TypeError, match=f"{name} is missing field '{first}'"):
+        cls(**{k: fields[k] for k in rest})
+    with pytest.raises(TypeError, match=f"{name} takes {len(values)} fields, got"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=f"{name} has no field 'bogus'"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError, match=f"{name} got field '{first}' twice"):
+        cls(*values, **{first: values[0]})
+
+
+def test_only_validating_classes_and_leaf_write_a_constructor():
+    classes, stack = [], [Record]
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    own = {cls.__name__ for cls in classes if "__init__" in vars(cls)}
+    assert own == {"Record", "Literal", "Leaf", "Node", "TruthTable", "ExpansionStep"}
+    assert {cls.__name__ for cls in classes} >= set(GENERIC)
 
 
 def test_constructors_still_validate():
