@@ -8,9 +8,10 @@ arithmetic with a limiting-ratio engine and family catalog, uniform sampling
 with Monte Carlo statistics, tree-size complexity tables, expansion and
 irreducibility tooling, and a verification harness.
 
-The package-level names below resolve on first use (PEP 562), so that
-``import andortrees.sampler`` loads only `formula` and `sampler`, and the
-analytic stack (mpmath) loads only for a caller that needs it.
+The package depends on the standard library alone: high-precision values
+are `decimal.Decimal`.  The package-level names below resolve on first use
+(PEP 562), so that ``import andortrees.sampler`` loads only `formula` and
+`sampler`, and the analytic stack loads only for a caller that needs it.
 """
 
 import importlib

@@ -15,16 +15,17 @@ probability of the constant True).
 The partial derivatives come from evaluating F itself on dual numbers
 (`Dual`), value plus derivative, in the same ring as the point.  Everything
 is exact for t-free families; large-n sweeps and t-dependent families
-switch to high-precision floats.
+switch to high-precision decimal floats (the standard library's `decimal`,
+in a local context that leaves the caller's context as it was).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, Optional, Union
-
-import mpmath as mp
 
 from . import families
 from .counting import series
@@ -74,7 +75,7 @@ class Dual:
     derivative in that argument as `deriv` (forward-mode differentiation;
     Griewank & Walther, *Evaluating Derivatives*, 2008).  Both parts may lie
     in any ring with +, -, *, / and int operands on either side: QuadExt,
-    mpf, Fraction or Series.
+    Decimal, Fraction or Series.
     """
 
     __slots__ = ("value", "deriv")
@@ -156,20 +157,31 @@ class PoleError(ZeroDivisionError):
 #: limiting_ratio evaluates a t-free family exactly up to this n, in floats above
 EXACT_MAX_N = 10_000
 
-#: working precision of the float evaluations
+#: working precision of the float evaluations, in bits
 _FLOAT_BITS = 200
+
+
+def _decimal_context(bits: int) -> decimal.Context:
+    """A decimal context with at least `bits` bits of precision and an
+    exponent range wide enough never to underflow (e2 of `tautology_bounds`
+    is about 1e-3479 at n = 4*10^6).  A fresh context: the caller's
+    rounding and traps do not reach the result, and its flags stay as they
+    were."""
+    digits = math.ceil(bits * math.log10(2)) + 1
+    return decimal.Context(prec=digits, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
 def limiting_ratio(
     family: Family, n: int, env: Optional[Dict[str, float]] = None
-) -> Union[QuadExt, mp.mpf]:
+) -> Union[QuadExt, Decimal]:
     """Limiting ratio of the family with closed form `family(z, a, t)`.
 
     Without env the family must be t-free; it evaluates exactly in
-    Q(sqrt(2n)) up to n = EXACT_MAX_N and in 200-bit floats above, where the
-    exact numbers grow too large to stay fast.  A family that uses t needs
-    env entries t_value (the tautology series at the radius) and tau_prime
-    (the limiting probability of True), and evaluates in 200-bit floats.
+    Q(sqrt(2n)) up to n = EXACT_MAX_N and in 200-bit decimal floats above,
+    where the exact numbers grow too large to stay fast.  A family that uses
+    t needs env entries t_value (the tautology series at the radius) and
+    tau_prime (the limiting probability of True), and evaluates in 200-bit
+    decimal floats.
     """
     point = singularity(n)
     if env is not None and ("t_value" not in env or "tau_prime" not in env):
@@ -177,15 +189,15 @@ def limiting_ratio(
     try:
         if env is None and n <= EXACT_MAX_N:
             return _exact_ratio(family, point)
-        with mp.workprec(_FLOAT_BITS):
-            z = point.radius.to_mpf(_FLOAT_BITS)
-            a = point.rooted_value.to_mpf(_FLOAT_BITS)
+        with decimal.localcontext(_decimal_context(_FLOAT_BITS)):
+            z = point.radius.to_decimal()
+            a = point.rooted_value.to_decimal()
             if env is None:
-                return mp.mpf(_derivative(_without_t(family, z, Dual(a, 1)))) / 2
-            t = mp.mpf(env["t_value"])
-            value = mp.mpf(_derivative(family(z, Dual(a, 1), t))) / 2
+                return Decimal(_derivative(_without_t(family, z, Dual(a, 1)))) / 2
+            t = Decimal(env["t_value"])
+            value = Decimal(_derivative(family(z, Dual(a, 1), t))) / 2
             dt = _derivative(family(z, a, Dual(t, 1)))
-            return value + mp.mpf(env["tau_prime"]) * dt
+            return value + Decimal(env["tau_prime"]) * dt
     except ZeroDivisionError as exc:
         raise PoleError(f"family has a pole at the singular point: {exc}") from exc
 
@@ -325,25 +337,25 @@ def tautology_bounds(n: int) -> Dict[str, float]:
     prec = max(_FLOAT_BITS, 64 + 6 * math.ceil(math.log2(1 + math.sqrt(n / 2))))
     s = math.isqrt(n)
     point = singularity(n)
-    with mp.workprec(prec):
-        rho = point.radius.to_mpf(prec)
-        b = point.nonleaf_value.to_mpf(prec)
+    with decimal.localcontext(_decimal_context(prec)):
+        rho = point.radius.to_decimal()
+        b = point.nonleaf_value.to_decimal()
         w = 2 * n * rho
-        base1 = (2 * n - mp.sqrt(n) / 2) * rho
+        base1 = (2 * n - Decimal(n).sqrt() / 2) * rho
 
-        def q(y: int) -> mp.mpf:  # sum_{j<=5} y^j b^(j-1) / (j-1)!
+        def q(y: int) -> Decimal:  # sum_{j<=5} y^j b^(j-1) / (j-1)!
             return y * sum((b * y) ** i / math.factorial(i) for i in range(5))
 
-        def total(x, shift: int) -> mp.mpf:  # sum_k x^(k-s) q(k + shift)
+        def total(x, shift: int) -> Decimal:  # sum_k x^(k-s) q(k + shift)
             return _sum_by_parts(q, 5, x, s + shift, 15 * s + shift)
 
         e_ratio = rho / 2 * w**s * total(w, 1)
         e1 = rho / 2 * w**s * total(base1, 5)
         e2 = (
             rho / 2
-            * mp.mpf(math.comb(n, s // 2))
-            * mp.sqrt(2) ** s
-            * (mp.sqrt(n) / 2 * rho) ** s
+            * math.comb(n, s // 2)
+            * Decimal(2).sqrt() ** s
+            * (Decimal(n).sqrt() / 2 * rho) ** s
             * total(w, 5)
         )
         return {
@@ -354,7 +366,7 @@ def tautology_bounds(n: int) -> Dict[str, float]:
         }
 
 
-def _float_up(x: mp.mpf) -> float:
+def _float_up(x: Decimal) -> float:
     """The smallest float >= x.  float(x) rounds to nearest, and to 0.0 below
     the smallest subnormal (E2_bound from n ~ 10^5 on), so step up from it."""
     f = float(x)
@@ -363,7 +375,7 @@ def _float_up(x: mp.mpf) -> float:
     return f
 
 
-def _float_down(x: mp.mpf) -> float:
+def _float_down(x: Decimal) -> float:
     """The largest float <= x."""
     f = float(x)
     while f > x:

@@ -13,19 +13,19 @@ Each subcommand takes only the flags it reads, plus --config and --out:
 
 Any other flag is a usage error, and so is a missing --n, --m (dist,
 sample), --f-hex (limit), --family (analyze), or complexity without exactly
-one of --all and --f-hex, a negative --emit-trees, an unknown --family and
-a --config line without `=`.  analyze reads --params (key=integer, each key
-at most once) for catalog families, and no other flag for its built-ins
-singularity, expected_first_level_leaves and tautology_bounds; it has no
-precision flag, because the library picks its own arithmetic (exact for
-t-free families up to n = 10^4, 200-bit floats otherwise).  `--format
-csv|json` exists only on count, dist and complexity --all, which print CSV
-by default; the other commands print JSON (reduce and sample --emit-trees
-print formulas).  A JSON payload's "config" holds the command and each of
-its flags with the value used.  Data goes to stdout (or --out); progress
-and warnings go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  A stdout closed by its reader (`| head`) ends the command
-quietly with exit 0.
+one of --all and --f-hex, a negative --emit-trees, an unknown --family, an
+unreadable --config file and a --config line without `=`.  analyze reads
+--params (key=integer, each key at most once) for catalog families, and no
+other flag for its built-ins singularity, expected_first_level_leaves and
+tautology_bounds; it has no precision flag, because the library picks its
+own arithmetic (exact for t-free families up to n = 10^4, 200-bit decimal
+floats otherwise).  `--format csv|json` exists only on count, dist and
+complexity --all, which print CSV by default; the other commands print
+JSON (reduce and sample --emit-trees print formulas).  A JSON payload's
+"config" holds the command and each of its flags with the value used.
+Data goes to stdout (or --out); progress and warnings go to stderr.  Exit
+codes: 0 success, 1 verification failure, 2 usage error.  A stdout closed
+by its reader (`| head`) ends the command quietly with exit 0.
 
 Configuration precedence: command-line flags > --config file > defaults.
 The config file is flat `key = value` text, keys matching flag names with
@@ -64,16 +64,20 @@ from .verify import SUITES, run_suite
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
     values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 

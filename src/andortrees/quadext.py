@@ -12,6 +12,7 @@ coefficient-wise.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -142,18 +143,32 @@ class QuadExt:
         return hash((self.p, self.q, self.d))
 
     def __float__(self) -> float:
-        return float(self.p) + float(self.q) * math.sqrt(self.d)
+        """The float nearest to p + q*sqrt(d), computed from integers."""
+        if not self.q:
+            return float(self.p)
+        # p + q*sqrt(d) = (a + b*sqrt(d)) / den with integers a, b, den > 0
+        den = math.lcm(self.p.denominator, self.q.denominator)
+        a = self.p.numerator * (den // self.p.denominator)
+        b = self.q.numerator * (den // self.q.denominator)
+        k = 64
+        while True:
+            # b*sqrt(d)*2^k lies strictly inside (low, low + 1): sqrt(d) is
+            # irrational here, because d has no square root in Q when q != 0
+            root = math.isqrt(b * b * self.d << 2 * k)
+            low = (a << k) + (root if b > 0 else -root - 1)
+            # int / int rounds correctly, and rounding is monotone, so when
+            # both ends of the bracket round to one float the value does too
+            lo, hi = low / (den << k), (low + 1) / (den << k)
+            if lo == hi:
+                return lo
+            k *= 2
 
-    def to_mpf(self, prec: int = 200):
-        """High-precision float conversion (mpmath)."""
-        import mpmath as mp
-
-        with mp.workprec(prec):
-            val = (
-                mp.mpf(self.p.numerator) / self.p.denominator
-                + mp.mpf(self.q.numerator) / self.q.denominator * mp.sqrt(self.d)
-            )
-        return val
+    def to_decimal(self) -> Decimal:
+        """p + q*sqrt(d) as a Decimal, rounded in the current decimal context."""
+        return (
+            Decimal(self.p.numerator) / self.p.denominator
+            + Decimal(self.q.numerator) / self.q.denominator * Decimal(self.d).sqrt()
+        )
 
     def __repr__(self) -> str:
         return f"QuadExt({self.p!r}, {self.q!r}, d={self.d})"

@@ -295,11 +295,27 @@ def ks_critical(alpha: float, n_samples: int) -> float:
 
 
 def chi_square_critical(alpha: float, df: int) -> float:
-    """Upper critical value of the chi-square distribution (no scipy needed)."""
-    import mpmath as mp  # here, so that sampling never loads mpmath
+    """Upper critical value of the chi-square distribution with a positive
+    integer number of degrees of freedom (no scipy needed)."""
+    if not isinstance(df, int) or df < 1:
+        raise ValueError(f"df must be a positive int, got {df!r}")
 
     def survival(x: float) -> float:
-        return float(mp.gammainc(df / 2, x / 2, mp.inf, regularized=True))
+        # closed forms of the regularized upper gamma Q(df/2, x/2) at integer
+        # df (Abramowitz & Stegun 26.4.4, 26.4.5): e^(-x/2) sum_{j<df/2}
+        # (x/2)^j / j! for even df; erfc(sqrt(x/2)) + sqrt(2x/pi) e^(-x/2)
+        # sum_{j<(df-1)/2} x^j / (1*3*...*(2j+1)) for odd df
+        term, total = 1.0, 0.0
+        if df % 2 == 0:
+            for j in range(1, df // 2 + 1):
+                total += term
+                term *= x / 2 / j
+            return math.exp(-x / 2) * total
+        for j in range(1, (df + 1) // 2):
+            total += term
+            term *= x / (2 * j + 1)
+        tail = math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * total
+        return math.erfc(math.sqrt(x / 2)) + tail
 
     lo, hi = 0.0, 10.0 * df + 100.0
     for _ in range(200):

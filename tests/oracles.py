@@ -207,6 +207,31 @@ def _oracle_reduce(tree: AndOrTree, n: int) -> Tuple[AndOrTree, List[AndOrTree]]
         tree = _remove_child(tree, path, idx)
 
 
+def _oracle_mpf(x) -> mp.mpf:
+    """The QuadExt `x` as an mpf at the working precision."""
+    return (
+        mp.mpf(x.p.numerator) / x.p.denominator
+        + mp.mpf(x.q.numerator) / x.q.denominator * mp.sqrt(x.d)
+    )
+
+
+def _oracle_chi_square_critical(alpha: float, df: int) -> float:
+    """`sampler.chi_square_critical` by the same bisection, on mpmath's
+    regularized upper incomplete gamma function."""
+
+    def survival(x: float) -> float:
+        return float(mp.gammainc(df / 2, x / 2, mp.inf, regularized=True))
+
+    lo, hi = 0.0, 10.0 * df + 100.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if survival(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def _oracle_tautology_sums(n: int, prec: int = 200) -> Dict[str, mp.mpf]:
     """The four values behind `analytic.tautology_bounds` as `prec`-bit
     mpfs, summing the three series term by term over k in
@@ -217,8 +242,8 @@ def _oracle_tautology_sums(n: int, prec: int = 200) -> Dict[str, mp.mpf]:
     k_lo, k_hi, j_max = s, 15 * s, 5
     point = singularity(n)
     with mp.workprec(prec):
-        rho = point.radius.to_mpf(prec)
-        b = point.nonleaf_value.to_mpf(prec)
+        rho = _oracle_mpf(point.radius)
+        b = _oracle_mpf(point.nonleaf_value)
         w = 2 * n * rho
         b_powers = [b ** i for i in range(j_max)]
         inv_fact = [mp.mpf(1) / mp.factorial(j - 1) for j in range(1, j_max + 1)]

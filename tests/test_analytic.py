@@ -1,5 +1,7 @@
+import decimal
 import hashlib
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,7 +26,7 @@ from andortrees.analytic import (
 from andortrees.counting import series
 from andortrees.powerseries import Series
 from andortrees.quadext import QuadExt
-from oracles import _oracle_tautology_bounds, _oracle_tautology_sums
+from oracles import _oracle_mpf, _oracle_tautology_bounds, _oracle_tautology_sums
 
 
 def test_singularity_small_n():
@@ -186,7 +188,7 @@ def test_float_ratios_match_the_exact_ones(n):
     for name, params in instances:
         family = families.CATALOG[name](n, **params)
         value = limiting_ratio(family, n)
-        assert isinstance(value, mp.mpf)
+        assert isinstance(value, Decimal)
         exact = float(_exact_ratio(family, point))
         assert float(value) == pytest.approx(exact, rel=1e-13, abs=0), (name, params)
 
@@ -202,10 +204,12 @@ def test_dual_derivative_of_a_rational_function():
     for a in (Fraction(2, 7), QuadExt(Fraction(1, 3), Fraction(1, 5), 2)):
         result = f(Dual(a, 1))
         assert (result.value, result.deriv) == (f(a), df(a))
-    a = mp.mpf("0.3")
-    result = f(Dual(a, 1))
-    assert mp.almosteq(result.value, f(a)) and mp.almosteq(result.deriv, df(a))
-    for one in (Fraction(1), QuadExt(1, 0, 2), mp.mpf(1)):
+    with decimal.localcontext(decimal.Context(prec=40)):
+        a = Decimal("0.3")
+        result = f(Dual(a, 1))
+        assert abs(result.value - f(a)) < Decimal("1e-35")
+        assert abs(result.deriv - df(a)) < Decimal("1e-35")
+    for one in (Fraction(1), QuadExt(1, 0, 2), Decimal(1)):
         with pytest.raises(ZeroDivisionError):
             f(Dual(one, 1))
 
@@ -223,6 +227,33 @@ def _t_free_instances(n):
         yield "nonleaf_subtrees", {"ell": count}
         yield "nonleaf_subtrees_corrected", {"ell": count}
         yield "first_level_leaves_exactly", {"j": count}
+
+
+def test_floats_of_exact_values_are_the_nearest_floats():
+    # float(QuadExt) against 300-bit mpmath, over the catalog at n = 1..60
+    # (parameters capped at 3) and the singular point's values
+    with mp.workprec(300):
+        for n in range(1, 61):
+            point = singularity(n)
+            values = [point.radius, point.rooted_value, point.nonleaf_value]
+            values.append(expected_first_level_leaves(n))
+            for name, params in _t_free_instances(n):
+                if max(params.values(), default=0) <= 3:
+                    values.append(limiting_ratio(families.CATALOG[name](n, **params), n))
+            for value in values:
+                assert float(value) == float(_oracle_mpf(value)), (n, value)
+
+
+def test_float_evaluations_leave_the_decimal_context_alone():
+    before = decimal.getcontext().copy()
+    limiting_ratio(families.R_family(10**6), 10**6)
+    limiting_ratio(families.simple_x(2), 2, env=default_t_env(2))
+    tautology_bounds(10**5)
+    after = decimal.getcontext()
+    assert (after.prec, after.rounding, after.Emin, after.Emax) == (
+        before.prec, before.rounding, before.Emin, before.Emax,
+    )
+    assert after.flags == before.flags and after.traps == before.traps
 
 
 def test_exact_limiting_ratios_are_pinned():
@@ -304,7 +335,7 @@ def test_tautology_e2_bound_stays_positive_at_a_million():
     "x", ["1e-400", "3e-324", "1e-310", "0.1", "0.5", "1e300", "0", "-0.1", "-1e-400"]
 )
 def test_outward_float_is_the_nearest_float_on_its_side(x):
-    value = mp.mpf(x)
+    value = Decimal(x)
     up, down = _float_up(value), _float_down(value)
     assert math.nextafter(up, -math.inf) < value <= up
     assert down <= value < math.nextafter(down, math.inf)

@@ -475,6 +475,14 @@ def test_config_line_without_equals_is_a_usage_error(tmp_path, capsys):
     assert err == "error: config line 2: expected key = value\n"
 
 
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run(capsys, "count", "--n", "1", "--config", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file: ") and str(missing) in err
+
+
 def test_complexity_all_beats_a_config_file_f_hex(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nf_hex = 8\n")

@@ -5,6 +5,7 @@ every module of the package.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -187,3 +188,53 @@ def test_complexity_stays_the_function_after_its_submodule_loads():
         "families": True,
         "powerseries": "andortrees.powerseries",
     }
+
+
+ALL_MODULES_CASE = """
+import importlib, json, sys
+for name in %r:
+    importlib.import_module("andortrees." + name)
+print(json.dumps({"modules": sorted(sys.modules)}))
+"""
+
+LIBRARY = (
+    "analytic cli complexity counting distribution families formula powerseries quadext"
+    " sampler verify"
+)
+
+
+def test_no_library_import_loads_mpmath():
+    out = run_fresh(ALL_MODULES_CASE % (LIBRARY.split(),))
+    assert {f"andortrees.{name}" for name in LIBRARY.split()} <= set(out["modules"])
+    assert "mpmath" not in out["modules"]
+
+
+NO_MPMATH_CASE = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None  # from here on, importing mpmath raises ImportError
+from andortrees.analytic import tautology_bounds
+from andortrees.cli import main
+from andortrees.sampler import chi_square_critical
+analyze = []
+for argv in (["analyze", "--family", "R_family", "--n", "20000"],
+             ["analyze", "--family", "simple_x", "--n", "2"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    payload = json.loads(out.getvalue())
+    analyze.append([code, payload["exact"], payload["float"]])
+print(json.dumps({"analyze": analyze, "bounds": tautology_bounds(10**5),
+                  "critical": chi_square_critical(0.01, 7)}))
+"""
+
+
+def test_the_library_runs_without_mpmath():
+    out = run_fresh(NO_MPMATH_CASE)
+    (code_r, exact_r, r_family), (code_x, exact_x, simple_x) = out["analyze"]
+    assert code_r == code_x == 0
+    assert exact_r is None and exact_x is None  # both evaluate in decimal floats
+    assert r_family == pytest.approx(math.exp(-math.sqrt(2)) / 8, rel=0.05)  # leading order
+    assert 0 < simple_x < 1
+    assert out["bounds"]["E2_bound"] == 5e-324
+    assert 0 < out["bounds"]["lower"] < out["bounds"]["E_ratio"]
+    assert out["critical"] == pytest.approx(18.475307, rel=1e-6)

@@ -1,10 +1,14 @@
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andortrees.quadext import QuadExt
+from oracles import _oracle_mpf
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -48,7 +52,27 @@ def test_mixing_fields_raises():
 def test_float_and_mpf():
     x = QuadExt(1, 1, 2)
     assert abs(float(x) - 2.414213562) < 1e-8
-    assert abs(float(x.to_mpf(100)) - float(x)) < 1e-12
+    assert float(x) == float(1 + mp.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "p, q, d", [(-99, 70, 2), (99, -70, 2), (Fraction(-1, 3), Fraction(1, 7), 5)]
+)
+def test_float_is_the_nearest_float_under_cancellation(p, q, d):
+    # 70*sqrt(2) - 99 = -0.00505...: float(p) + float(q)*sqrt(d) would lose
+    # the bits that cancel
+    x = QuadExt(p, q, d)
+    with mp.workprec(300):
+        assert float(x) == float(_oracle_mpf(x))
+
+
+def test_to_decimal_rounds_in_the_current_context():
+    x = QuadExt(Fraction(1, 3), 1, 2)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        value = x.to_decimal()
+    with decimal.localcontext(decimal.Context(prec=60)):
+        assert len(value.as_tuple().digits) == 50
+        assert abs(value - (Decimal(1) / 3 + Decimal(2).sqrt())) < Decimal("1e-48")
 
 
 def test_pow():

@@ -39,7 +39,24 @@ from andortrees.sampler import (
     sample_many,
     sample_uniform,
 )
-from oracles import _force_search, _oracle_draw, _oracle_truth_table
+from oracles import (
+    _force_search,
+    _oracle_chi_square_critical,
+    _oracle_draw,
+    _oracle_truth_table,
+)
+
+
+def test_chi_square_critical_matches_the_incomplete_gamma_oracle():
+    for df in range(1, 61):
+        oracle = _oracle_chi_square_critical(0.01, df)
+        assert abs(chi_square_critical(0.01, df) - oracle) <= 4 * math.ulp(oracle), df
+
+
+@pytest.mark.parametrize("df", [0, 2.5])
+def test_chi_square_critical_needs_a_positive_integer_df(df):
+    with pytest.raises(ValueError, match="positive int"):
+        chi_square_critical(0.01, df)
 
 
 def test_fixed_seed_reproducible():
