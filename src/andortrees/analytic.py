@@ -254,14 +254,24 @@ def expected_first_level_leaves(n: int) -> QuadExt:
 
 def first_level_leaf_law(n: int, j_max: int) -> list:
     """Exact limiting distribution of the number of first-level leaves,
-    as floats, for j = 0..j_max."""
+    as floats, for j = 0..j_max.
+
+    P(0) = radius * (1/(1-b)^2 - 1) and P(j) = (j+1) * radius * u^j /
+    (1-b)^2 for j >= 1, with b the non-leaf value and u = 2n*radius/(1-b).
+    The powers of u are a running product in 200-bit decimal floats, so
+    each term is rounded to a float once; powers of rounded floats would
+    lose about log10(j) digits at j ~ 40*sqrt(2n).
+    """
     point = singularity(n)
-    radius = float(point.radius)
-    b = float(point.nonleaf_value)
-    w = 2 * n * radius
-    out = [radius * (1 / (1 - b) ** 2 - 1)]
-    for j in range(1, j_max + 1):
-        out.append(radius * w ** j * (j + 1) / (1 - b) ** (j + 2))
+    with decimal.localcontext(_decimal_context(_FLOAT_BITS)):
+        radius = point.radius.to_decimal()
+        inverse = 1 / (1 - point.nonleaf_value.to_decimal())
+        u = 2 * n * radius * inverse
+        term = radius * inverse * inverse  # radius * u^j / (1-b)^2
+        out = [float(term - radius)]
+        for j in range(1, j_max + 1):
+            term *= u
+            out.append(float(term * (j + 1)))
     return out
 
 

@@ -352,9 +352,11 @@ def _oracle_orbit_tables(n: int) -> Tuple[List[int], List[int]]:
 
 
 def _oracle_incidence(orbit: List[int], reps: List[int]):
-    """`distribution._incidence` by enumerating the submasks of each
-    representative one at a time: (zeta rows, Möbius rows), each row a pair
-    (orbit ids, coefficients)."""
+    """The zeta and Möbius incidence on orbits by enumerating the submasks of
+    each representative one at a time: (zeta rows, Möbius rows), each row a
+    pair (orbit ids, coefficients).  The zeta row of F holds c(F, O), the
+    masks of orbit O within F; the Möbius row holds (-1)^(|F| - |O|) c(F, O).
+    `distribution._incidence` is the zeta rows as columns, diagonal left out."""
     odd = [rep.bit_count() & 1 for rep in reps]
     zeta, mobius = [], []
     for rep, parity in zip(reps, odd):
@@ -369,3 +371,24 @@ def _oracle_incidence(orbit: List[int], reps: List[int]):
         zeta.append((ids, tuple(counts.values())))
         mobius.append((ids, tuple(-c if odd[o] != parity else c for o, c in counts.items())))
     return zeta, mobius
+
+
+def _oracle_transform(rows, v: List[int]) -> List[int]:
+    """The rows of `_oracle_incidence` applied to the orbit vector v, one
+    dot product per row: `distribution._zeta` and `distribution._mobius`
+    without their triangular structure."""
+    at = v.__getitem__
+    return [sum(map(operator.mul, coeffs, map(at, ids))) for ids, coeffs in rows]
+
+
+def _oracle_first_level_leaf_law(n: int, j_max: int, prec: int = 200) -> List[float]:
+    """`analytic.first_level_leaf_law` in `prec`-bit mpfs, every term from
+    its own power u^j of u = 2n*radius/(1 - nonleaf_value), not a running
+    product."""
+    point = singularity(n)
+    with mp.workprec(prec):
+        rho = _oracle_mpf(point.radius)
+        inverse = 1 / (1 - _oracle_mpf(point.nonleaf_value))
+        u = 2 * n * rho * inverse
+        scale = rho * inverse**2
+        return [float(scale - rho)] + [float(scale * (j + 1) * u**j) for j in range(1, j_max + 1)]

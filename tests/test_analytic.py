@@ -26,7 +26,12 @@ from andortrees.analytic import (
 from andortrees.counting import series
 from andortrees.powerseries import Series
 from andortrees.quadext import QuadExt
-from oracles import _oracle_mpf, _oracle_tautology_bounds, _oracle_tautology_sums
+from oracles import (
+    _oracle_first_level_leaf_law,
+    _oracle_mpf,
+    _oracle_tautology_bounds,
+    _oracle_tautology_sums,
+)
 
 
 def test_singularity_small_n():
@@ -110,6 +115,15 @@ def test_leaf_law_matches_noleaf_family_and_sums_to_one():
         assert abs(sum(law) - 1) < 1e-12
         noleaf = float(limiting_ratio(families.no_first_level_leaf(n), n))
         assert abs(law[0] - noleaf) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 100, 10**6])
+def test_leaf_law_terms_match_the_mpmath_oracle(n):
+    # every term check 10b reads at this n, each within 4 ulps
+    j_max = int(40 * math.sqrt(2 * n))
+    got, want = first_level_leaf_law(n, j_max), _oracle_first_level_leaf_law(n, j_max)
+    assert len(got) == len(want) == j_max + 1
+    assert all(abs(g - w) <= 4 * math.ulp(w) for g, w in zip(got, want))
 
 
 def test_exact_k_labels_is_order_k_over_n():

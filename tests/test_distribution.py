@@ -1,3 +1,4 @@
+import functools
 import marshal
 import pickle
 import random
@@ -33,7 +34,7 @@ from andortrees.formula import (
     literal_masks,
     truth_table,
 )
-from oracles import _oracle_incidence, _oracle_orbit_tables
+from oracles import _oracle_incidence, _oracle_orbit_tables, _oracle_transform
 
 
 def lit_table(var, n, neg=False):
@@ -412,9 +413,12 @@ def _mobius_subset(v):
     return _butterfly(v, sub)
 
 
+@functools.lru_cache(maxsize=None)
 def _full_vector_layers(n, M):
     """OR layers for sizes 1..M from the recurrence of the module docstring
-    on whole vectors over all 2^(2^n) masks, with no use of symmetry."""
+    on whole vectors over all 2^(2^n) masks, with no use of symmetry.
+    Cached, because two tests read n = 4 to size 12 (about a second); the
+    callers only read the lists."""
     space = 1 << (1 << n)
     or_layers, X, S = [None], [None], [None]
     for m in range(1, M + 1):
@@ -530,12 +534,19 @@ def test_generators_act_on_assignment_points():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_incidence_rows_match_the_submask_oracle(n):
+    # the columns are the oracle's zeta rows transposed, the diagonal of ones
+    # left out, and every entry lies below the diagonal in orbit-id order
     orbit, reps = dist_mod._orbit_tables(n)
-    as_maps = lambda rows: [dict(zip(ids, coeffs)) for ids, coeffs in rows]
-    got, want = dist_mod._incidence(orbit, reps), _oracle_incidence(orbit, reps)
-    for got_rows, want_rows in zip(got, want):
-        assert len(got_rows) == len(reps)
-        assert as_maps(got_rows) == as_maps(want_rows)
+    zeta_rows, _ = _oracle_incidence(orbit, reps)
+    want = [{} for _ in reps]
+    for f, (ids, coeffs) in enumerate(zeta_rows):
+        row = dict(zip(ids, coeffs))
+        assert row.pop(f) == 1
+        for o, c in row.items():
+            want[o][f] = c
+    columns = dist_mod._incidence(orbit, reps)
+    assert [dict(zip(ids, coeffs)) for ids, coeffs in columns] == want
+    assert all(f > o for o, (ids, _) in enumerate(columns) for f in ids)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -546,18 +557,27 @@ def test_complement_permutes_orbits(n):
     assert all(engine.comp[o] == engine.orbit[full ^ g] for g, o in enumerate(engine.orbit))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_transforms_match_butterfly(n):
     orbit, reps = dist_mod._orbit_tables(n)
-    zeta, mobius = dist_mod._incidence(orbit, reps)
+    columns = dist_mod._incidence(orbit, reps)
+    zeta_rows, mobius_rows = _oracle_incidence(orbit, reps)
     rng = random.Random(7 + n)
-    for _ in range(3):
-        v = [rng.randrange(-(10**20), 10**20) for _ in reps]
+    big = lambda: rng.choice((-1, 1)) * rng.randrange(1, 10**20)
+    vectors = [[big() for _ in reps] for _ in range(3)]  # dense
+    for _ in range(4):  # sparse: 1 to 25 nonzero orbits
+        v = [0] * len(reps)
+        for o in rng.sample(range(len(reps)), min(rng.randint(1, 25), len(reps))):
+            v[o] = big()
+        vectors.append(v)
+    for v in vectors:
         full = [v[o] for o in orbit]  # a B_n-invariant vector
-        z, want_z, want_mu = dist_mod._transform(zeta, v), _zeta_subset(full), _mobius_subset(full)
-        assert z == [want_z[r] for r in reps]
-        assert dist_mod._transform(mobius, v) == [want_mu[r] for r in reps]
-        assert dist_mod._transform(mobius, z) == v
+        want_z, want_mu = _zeta_subset(full), _mobius_subset(full)
+        z, mu = dist_mod._zeta(columns, v), dist_mod._mobius(columns, v)
+        assert z == [want_z[r] for r in reps] == _oracle_transform(zeta_rows, v)
+        assert mu == [want_mu[r] for r in reps] == _oracle_transform(mobius_rows, v)
+        assert dist_mod._mobius(columns, z) == v
+        assert dist_mod._zeta(columns, mu) == v
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +639,21 @@ def test_cache_file_is_reused(cache_dir, monkeypatch):
     monkeypatch.setattr(dist_mod, "_engines", {})
     monkeypatch.setattr(dist_mod._Engine, "_add_layer", None)  # no recomputing
     assert function_counts(6, 2) == want
+
+
+def test_loaded_engine_extends_past_the_cache_file(cache_dir, monkeypatch):
+    function_counts(6, 4)
+    monkeypatch.setattr(dist_mod, "_engines", {})
+    loaded = dist_mod._get_engine(4, 6)
+    assert loaded.max_size == 6 and loaded._columns is None  # read, not computed
+    or_layers = _full_vector_layers(4, 12)
+    for m in range(1, 13):
+        assert list(function_counts(m, 4).or_rooted) == or_layers[m]
+    assert loaded._columns is not None
+    stored = marshal.loads((cache_dir / f"{CACHE_FORMAT}_n4.marshal").read_bytes())
+    assert [[stored["or_layers"][m][o] for o in stored["orbit"]] for m in range(1, 13)] == (
+        or_layers[1:]
+    )
 
 
 def test_engine_2_cache_is_never_read(cache_dir, monkeypatch):
