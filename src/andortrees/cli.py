@@ -258,7 +258,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         raise ValueError("complexity --f-hex prints JSON; --format csv needs --all")
     args.format = "json"
     record = complexity_of(TruthTable.from_hex(args.f_hex, args.n), args.n)
-    try:  # null for constants, literals and size-L classes too large to list
+    try:  # null for constants, literals and functions with too many minimal trees
         witnesses = [serialize(w) for w in minimal_trees(record.f, args.n)]
     except (ValueError, BudgetError):
         witnesses = None

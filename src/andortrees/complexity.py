@@ -8,7 +8,9 @@ size-2 "minimal trees" of a literal are degenerate unary shapes that are not
 valid trees here and are never materialised (m_f = 2 is still reported for
 them).  L and m_f are invariant under variable permutations and input
 negations, so the sweep reads them once per symmetry class of the engine.
-Brute enumeration is used only to list minimal trees.
+The minimal trees themselves, and the constant subtrees that expansions
+graft, are generated top down from the same counts
+(``distribution._trees``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import operator
 from contextlib import closing
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .counting import brute_enumerate
-from .distribution import _orbit_ids, _sizes
+from .counting import DEFAULT_ENUMERATION_BUDGET, BudgetError
+from .distribution import _orbit_ids, _sizes, _trees
 from .formula import (
     AND,
     OR,
@@ -43,20 +45,6 @@ class ComplexityRecord(Record):
     @property
     def is_constant(self) -> bool:
         return self.L == 0
-
-
-# per-n cache of (tree, truth-table-bits) lists by size
-_table_cache: Dict[int, Dict[int, List[Tuple[AndOrTree, int]]]] = {}
-
-
-def _trees_with_tables(size: int, n: int) -> List[Tuple[AndOrTree, int]]:
-    per_n = _table_cache.setdefault(n, {})
-    hit = per_n.get(size)
-    if hit is None:
-        hit = per_n[size] = [
-            (t, truth_table(t, n).bits) for t in brute_enumerate(size, n)
-        ]
-    return hit
 
 
 def _sweep(fs: Sequence[TruthTable], n: int) -> List[ComplexityRecord]:
@@ -91,13 +79,19 @@ def complexity(f: TruthTable, n: int) -> ComplexityRecord:
 
 
 def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
-    """All size-L(f) trees computing f, in canonical order; needs L(f) >= 3
-    (real trees exist).  Raises counting.BudgetError when the size-L(f)
-    class is too large to enumerate."""
-    L = complexity(f, n).L
-    if L < 3:
+    """All size-L(f) trees computing f, in canonical order (by `serialize`);
+    needs L(f) >= 3 (real trees exist).  Raises counting.BudgetError, before
+    generating any, when m_f is over counting.DEFAULT_ENUMERATION_BUDGET."""
+    record = complexity(f, n)
+    if record.L < 3:
         raise ValueError("constants and literal functions have no materialised minimal trees")
-    return [t for t, bits in _trees_with_tables(L, n) if bits == f.bits]
+    if record.m_f > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"{f.to_hex()} has {record.m_f} minimal trees, over budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
+    trees = [t for op in (AND, OR) for t in _trees(n, record.L, f.bits, op)]
+    trees.sort(key=serialize)
+    return trees
 
 
 def full_table(n: int) -> List[ComplexityRecord]:
@@ -295,16 +289,6 @@ def reduce_irreducible(
 # ---------------------------------------------------------------------------
 
 
-def _constant_subtrees(size: int, n: int, root_op: str, value: bool) -> List[AndOrTree]:
-    """All size-`size` trees rooted at `root_op` computing the given constant."""
-    target = TruthTable.constant(n, value).bits
-    return [
-        t
-        for t, bits in _trees_with_tables(size, n)
-        if bits == target and isinstance(t, Node) and t.op == root_op
-    ]
-
-
 def expansion_count(f: TruthTable, n: int, m: int) -> int:
     """Distinct trees of size m reachable by ONE constant-subtree expansion of
     a minimal tree of f (tautology under and-hosts, contradiction under
@@ -315,8 +299,8 @@ def expansion_count(f: TruthTable, n: int, m: int) -> int:
     insert_size = m - L
     if insert_size < 3:
         return 0  # no constant subtree is that small
-    taut = _constant_subtrees(insert_size, n, OR, True)
-    contra = _constant_subtrees(insert_size, n, AND, False)
+    taut = list(_trees(n, insert_size, TruthTable.constant(n, True).bits, OR))
+    contra = list(_trees(n, insert_size, 0, AND))
     seen = set()
     for tree in minimal_trees(f, n):
         for path, host in _internal_nodes(tree):

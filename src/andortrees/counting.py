@@ -94,24 +94,11 @@ def algebraic_residual(cs: CountSeries) -> List[int]:
 
     All entries must be zero; exposed so the verification harness can assert it.
     """
-    n, M = cs.n, cs.max_size
-    a = cs.a_hat
-    res = [0] * (M + 1)
-    sq = [0] * (M + 1)
-    for i in range(1, M + 1):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(1, M + 1 - i):
-            sq[i + j] += ai * a[j]
-    for m in range(M + 1):
-        val = sq[m] + (sq[m - 1] if m >= 1 else 0)
-        val -= a[m]
-        val -= 2 * n * (a[m - 1] if m >= 1 else 0)
-        if m == 1:
-            val += 2 * n
-        res[m] = val
-    return res
+    from .powerseries import Series  # loaded only by the callers that check
+
+    F, z = Series(cs.a_hat, cs.max_size), Series.z(cs.max_size)
+    two_nz = 2 * cs.n * z
+    return ((z + 1) * (F * F) - (two_nz + 1) * F + two_nz).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +106,8 @@ def algebraic_residual(cs: CountSeries) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-#: default cap on |size class| for brute enumeration
+#: default cap on the trees listed: a size class by brute_enumerate, the
+#: minimal trees of a function by complexity.minimal_trees
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 

@@ -41,7 +41,8 @@ connectives and against the full-vector engine this one replaced.
 
 Queries (``prob``, ``prob_ge``, ``tautology_count``, ``exact_distribution``)
 read the orbit layers directly; only ``function_counts`` expands a layer to
-one entry per mask.
+one entry per mask.  ``_trees`` lists the trees computing a mask, top down
+from the OR layers, for ``complexity``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import series
-from .formula import Record, TruthTable, literal_masks
+from .formula import AND, OR, AndOrTree, Leaf, Node, Record, TruthTable, _literals, literal_masks
 
 HARD_MAX_VARS = 4
 
@@ -345,6 +346,78 @@ def _sizes(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
                 _store_cached(engine)
 
 
+def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
+    """Every size-s tree rooted at `op` computing the mask f, each once (at
+    s = 1, the leaf of f if f is a literal).
+
+    The recursive method of Flajolet, Zimmermann & Van Cutsem (1994), top
+    down on the engine's counts.  Take the x-mask of an op-rooted tree to be
+    its mask under an or root and the complement of its mask under an and
+    root.  Then a node's x-mask is the OR of its children's masks taken in
+    the same frame, under either root, and a child with mask g in its
+    parent's frame has x-mask full ^ g in its own.  By duality,
+    or_layers[t][orbit[x]] counts the size-t trees with x-mask x of either
+    root, so a child with mask g and size t exists iff
+    or_layers[t][orbit[full ^ g]] is nonzero, and a run of >= 2 children
+    whose masks OR to h, of total size t, iff or_layers[t + 1][orbit[h]]
+    is.  A node's children split into a first child and the run of the
+    others, and only splits with nonzero counts are entered.  The masks
+    with nonzero counts are listed once per size, and a split scans those
+    lists instead of the submasks of its x-mask.
+    """
+    engine = _get_engine(n, s)
+    orbit, layers = engine.orbit, engine.or_layers
+    full = len(orbit) - 1
+    masks = range(full + 1)
+    # one[t][g]: children of mask g and size t; run[t]: the masks of the
+    # runs of >= 1 children of total size t
+    one = [None] + [engine.per_mask(layers[t])[::-1] for t in range(1, s)]
+    run = [None] + [
+        list(compress(masks, map(add, one[t], engine.per_mask(layers[t + 1]))))
+        for t in range(1, s)
+    ]
+    child = [None] + [list(compress(masks, counts)) for counts in one[1:]]
+    leaves = dict(zip(literal_masks(n), map(Leaf, _literals(n))))
+    memo: Dict[Tuple[str, int, int], List[AndOrTree]] = {}
+
+    def rooted(op: str, x: int, size: int) -> List[AndOrTree]:
+        """The op-rooted trees of this size with x-mask x."""
+        key = (op, x, size)
+        trees = memo.get(key)
+        if trees is None:
+            if size == 1:
+                trees = [leaves[x if op == OR else full ^ x]]
+            else:
+                trees = [Node(op, kids) for kids in runs(op, x, size - 1, False)]
+            memo[key] = trees
+        return trees
+
+    def runs(op: str, x: int, size: int, alone: bool) -> Iterator[tuple]:
+        """Children of an op node whose masks OR to x, of total size
+        `size`: >= 2 of them, or also a single one if `alone`."""
+        other = AND if op == OR else OR
+        if alone and one[size][x]:
+            for kid in rooted(other, full ^ x, size):
+                yield (kid,)
+        for first in range(1, size):
+            heads = [g for g in child[first] if g | x == x]
+            if not heads:
+                continue
+            tails = [h for h in run[size - first] if h | x == x]
+            for g in heads:
+                need = x ^ g
+                for h in tails:
+                    if h & need == need:
+                        kids = rooted(other, full ^ g, first)
+                        for more in runs(op, h, size - first, True):
+                            for kid in kids:
+                                yield (kid,) + more
+
+    x = f if op == OR else full ^ f
+    if layers[s][orbit[x]]:
+        yield from rooted(op, x, s)
+
+
 def _load_cached(n: int) -> Optional[_Engine]:
     """The engine stored for n, or None when the file is absent or unusable.
 
@@ -395,7 +468,8 @@ def _store_cached(engine: _Engine) -> None:
     path = _cache_path(engine.n)
     if not path:
         return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     data = {
         "format": CACHE_FORMAT,
         "n": engine.n,
@@ -405,10 +479,19 @@ def _store_cached(engine: _Engine) -> None:
         "X": engine.X,
         "S": engine.S,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(marshal.dumps(data))
-    os.replace(tmp, path)
+    import tempfile  # only a process that writes the cache pays for the import
+
+    # a temp name of its own per writer: with one shared name, a second
+    # writer's replace would move the first writer's file away before its own
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(marshal.dumps(data))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

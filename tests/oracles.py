@@ -13,6 +13,7 @@ import mpmath as mp
 
 from andortrees.analytic import _float_down, _float_up, singularity
 from andortrees.complexity import _node_at, _replace_at
+from andortrees.counting import brute_enumerate
 from andortrees.formula import (
     AND,
     OR,
@@ -205,6 +206,22 @@ def _oracle_reduce(tree: AndOrTree, n: int) -> Tuple[AndOrTree, List[AndOrTree]]
         path, idx = found
         trace.append(_node_at(tree, path).children[idx])
         tree = _remove_child(tree, path, idx)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_size_class(size: int, n: int) -> Tuple[Tuple[AndOrTree, int], ...]:
+    """(tree, truth-table bits) of every size-`size` tree, in brute order."""
+    return tuple((t, _oracle_truth_table(t, n)) for t in brute_enumerate(size, n))
+
+
+def _oracle_minimal_trees(f: int, n: int) -> List[AndOrTree]:
+    """`complexity.minimal_trees` for a function with L(f) >= 3, by filtering
+    brute enumerations of sizes 3, 4, ... until one holds a tree computing
+    f: the smallest such size is L(f)."""
+    for size in itertools.count(3):
+        trees = [t for t, bits in _oracle_size_class(size, n) if bits == f]
+        if trees:
+            return trees
 
 
 def _oracle_mpf(x) -> mp.mpf:

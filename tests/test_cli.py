@@ -8,6 +8,7 @@ import pytest
 import andortrees
 from andortrees.analytic import ASYMPTOTIC_REFERENCE
 from andortrees.cli import main
+from andortrees.formula import parse_formula, tree_size, truth_table
 
 SRC = os.path.dirname(os.path.dirname(andortrees.__file__))
 
@@ -422,14 +423,25 @@ def test_complexity_all_n3(capsys):
     assert L["96"] == L["69"] == 17
 
 
+def test_complexity_single_lists_the_witnesses_at_n3(capsys):
+    code, out, _ = run(capsys, "complexity", "--n", "3", "--f-hex", "06")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["L"], payload["m_f"]) == (8, 24)
+    assert len(set(payload["witnesses"])) == 24
+    for text in payload["witnesses"]:
+        tree = parse_formula(text, 3)
+        assert tree_size(tree) == 8 and truth_table(tree, 3).bits == 0x06
+
+
 def test_complexity_single_over_enumeration_budget(tmp_path, capsys):
     # a config file from before the budget option was removed still loads
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("n = 3\nbudget = 9\n")
-    code, out, _ = run(capsys, "complexity", "--config", str(cfg), "--f-hex", "96")
+    cfg.write_text("n = 4\nbudget = 9\n")
+    code, out, _ = run(capsys, "complexity", "--config", str(cfg), "--f-hex", "1669")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["L"], payload["m_f"]) == (17, 131328)
+    assert (payload["L"], payload["m_f"]) == (28, 45121536)
     assert payload["witnesses"] is None
     assert "budget" not in payload["config"]
 

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from collections import Counter
 
@@ -31,7 +32,7 @@ from andortrees.formula import (
     truth_table,
 )
 from andortrees.sampler import sample_many
-from oracles import _oracle_reduce
+from oracles import _oracle_minimal_trees, _oracle_reduce
 
 XOR = TruthTable(2, 0b0110)
 CONJ = TruthTable(2, literal_mask(1, False, 2) & literal_mask(2, False, 2))
@@ -160,9 +161,39 @@ def test_n4_conjunction_and_disjunction_of_all_inputs():
         assert (rec.L, rec.m_f) == (5, 24)  # the 4! orders of the children
 
 
-def test_minimal_trees_over_the_enumeration_budget_raise():
+def test_minimal_trees_match_the_brute_oracle():
+    checked = 0
+    for n in (1, 2):
+        for rec in full_table(n):
+            if rec.L >= 3:
+                got = [serialize(t) for t in minimal_trees(rec.f, n)]
+                assert got == [serialize(t) for t in _oracle_minimal_trees(rec.f.bits, n)]
+                checked += 1
+    assert checked == 10
+
+
+def test_minimal_trees_at_n3_number_m_f():
+    counts = {}
+    for rec in full_table(3):
+        if rec.L >= 3:
+            trees = minimal_trees(rec.f, 3)
+            assert len(trees) == rec.m_f
+            counts[rec.f.bits] = len(trees)
+            for tree in trees[:: max(1, len(trees) // 50)]:
+                assert tree_size(tree) == rec.L and truth_table(tree, 3) == rec.f
+    assert len(counts) == 248
+    assert counts[0x96] == counts[0x69] == 131328
+    assert sum(counts.values()) == 317232
+
+
+def test_minimal_trees_over_the_enumeration_budget_raise(monkeypatch):
+    f = TruthTable(4, 0x1669)
+    rec = complexity(f, 4)
+    assert (rec.L, rec.m_f) == (28, 45121536)
+    # raised before any tree is generated
+    monkeypatch.setattr(importlib.import_module("andortrees.complexity"), "_trees", None)
     with pytest.raises(BudgetError):
-        minimal_trees(TruthTable(3, 0x96), 3)  # L = 17
+        minimal_trees(f, 4)
 
 
 def test_complexity_past_the_engine_raises():

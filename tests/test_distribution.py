@@ -1,5 +1,6 @@
 import functools
 import marshal
+import os
 import pickle
 import random
 import types
@@ -27,11 +28,13 @@ from andortrees.distribution import (
 from andortrees.complexity import full_table
 from andortrees.formula import (
     AND,
+    OR,
     Leaf,
     Literal,
     TruthTable,
     literal_mask,
     literal_masks,
+    serialize,
     truth_table,
 )
 from oracles import _oracle_incidence, _oracle_orbit_tables, _oracle_transform
@@ -580,6 +583,25 @@ def test_orbit_transforms_match_butterfly(n):
         assert dist_mod._zeta(columns, mu) == v
 
 
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for n in (1, 2) for m in range(1, 8)] + [(3, m) for m in range(1, 7)]
+)
+def test_generated_trees_are_the_brute_size_class(n, m):
+    """Over every mask and both roots the generator yields the size-m class
+    of `brute_enumerate`, each tree once, each under its own mask and root;
+    a leaf is a tree of either root, so at m = 1 each root yields them all."""
+    brute = [serialize(t) for t in brute_enumerate(m, n)]
+    for roots in ((AND,), (OR,)) if m == 1 else ((AND, OR),):
+        got = []
+        for op in roots:
+            for f in range(1 << (1 << n)):
+                for tree in dist_mod._trees(n, m, f, op):
+                    assert truth_table(tree, n).bits == f
+                    assert isinstance(tree, Leaf) if m == 1 else tree.op == op
+                    got.append(serialize(tree))
+        assert sorted(got) == brute
+
+
 # ---------------------------------------------------------------------------
 # the on-disk cache
 # ---------------------------------------------------------------------------
@@ -632,6 +654,25 @@ def test_cache_is_written_once_per_sweep(cache_dir, monkeypatch):
     full_table(3)
     assert stores == [17]  # parity of three inputs has L = 17
     assert (cache_dir / f"{CACHE_FORMAT}_n3.marshal").exists()
+
+
+def test_cache_write_survives_a_nested_writer(cache_dir, monkeypatch):
+    """A second writer that runs between the first writer's write and its
+    replace leaves both writes whole."""
+    engine = dist_mod._get_engine(2, 6)
+    replace, nested = os.replace, []
+
+    def replace_after_another_writer(src, dst):
+        if not nested:
+            nested.append(src)
+            dist_mod._store_cached(engine)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_another_writer)
+    dist_mod._store_cached(engine)
+    assert nested
+    assert os.listdir(cache_dir) == [f"{CACHE_FORMAT}_n2.marshal"]
+    assert dist_mod._load_cached(2).or_layers == engine.or_layers
 
 
 def test_cache_file_is_reused(cache_dir, monkeypatch):
