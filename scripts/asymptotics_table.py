@@ -5,10 +5,14 @@ Usage: python scripts/asymptotics_table.py [--n 100 10000 1000000]
 """
 
 import argparse
-import math
 
 from andortrees import families
-from andortrees.analytic import expected_first_level_leaves, limiting_ratio
+from andortrees.analytic import ASYMPTOTIC_REFERENCE, expected_first_level_leaves, limiting_ratio
+
+
+def leading(name: str, n: int, **params: int) -> float:
+    """The leading-order term of `name` at n."""
+    return ASYMPTOTIC_REFERENCE[name][1](n, **params)
 
 
 def main() -> None:
@@ -21,14 +25,16 @@ def main() -> None:
     rows = []
     for n in args.n:
         noleaf = float(limiting_ratio(families.no_first_level_leaf(n), n))
-        rows.append((n, "no_first_level_leaf", noleaf, 1 / (n * math.sqrt(2 * n))))
+        rows.append((n, "no_first_level_leaf", noleaf, leading("no_first_level_leaf", n)))
         for ell in (1, 2, 3):
             v = float(limiting_ratio(families.nonleaf_subtrees(n, ell), n))
-            rows.append((n, f"nonleaf_subtrees({ell})", v, ell / 2 ** (ell + 1)))
+            rows.append((n, f"nonleaf_subtrees({ell})", v, leading("nonleaf_subtrees", n, ell=ell)))
         r = float(limiting_ratio(families.R_family(n), n))
-        rows.append((n, "R_family", r, math.exp(-math.sqrt(2)) / 8))
+        rows.append((n, "R_family", r, leading("R_family", n)))
         leaves = float(expected_first_level_leaves(n))
-        rows.append((n, "mean_first_level_leaves", leaves, 2 * math.sqrt(2 * n)))
+        rows.append(
+            (n, "mean_first_level_leaves", leaves, leading("expected_first_level_leaves", n))
+        )
 
     print(f"{'n':>9}  {'family':<26} {'engine':>14} {'leading term':>14} {'ratio':>8}")
     for n, name, value, target in rows:

@@ -393,7 +393,9 @@ def _float_down(x: Decimal) -> float:
     return f
 
 
-#: leading asymptotic terms for the catalog, used by the CLI `analyze` output
+#: leading asymptotic terms, (expression, value at n and the family's
+#: parameters), read by the CLI `analyze` output, checks 4a-4d and
+#: scripts/asymptotics_table.py
 ASYMPTOTIC_REFERENCE = {
     "no_first_level_leaf": ("1/(n*sqrt(2n))", lambda n, **kw: 1.0 / (n * math.sqrt(2 * n))),
     "labels_from": ("gamma*sqrt(2/n)", lambda n, gamma: gamma * math.sqrt(2.0 / n)),
@@ -407,7 +409,5 @@ ASYMPTOTIC_REFERENCE = {
         lambda n, ell: ell / 2.0 ** (ell + 1),
     ),
     "R_family": ("exp(-sqrt(2))/8", lambda n, **kw: math.exp(-math.sqrt(2)) / 8),
-    "simple_x": ("tau'/n^2", None),
-    "check_family": (None, None),
-    "first_level_leaves_exactly": (None, None),
+    "expected_first_level_leaves": ("2*sqrt(2n)", lambda n, **kw: 2.0 * math.sqrt(2 * n)),
 }

@@ -176,6 +176,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reference(name: str, n: int, **params: int) -> Optional[dict]:
+    """The leading-order term of `name` at n, or None where none is known."""
+    if name not in ASYMPTOTIC_REFERENCE:
+        return None
+    expr, value = ASYMPTOTIC_REFERENCE[name]
+    return {"expr": expr, "value": value(n, **params)}
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     name, n = args.family, args.n
     if name in ("tautology_bounds", "expected_first_level_leaves", "singularity"):
@@ -191,7 +199,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             args,
             exact=str(value),
             float=float(value),
-            asymptotic_reference={"expr": "2*sqrt(2n)", "value": 2 * (2 * n) ** 0.5},
+            asymptotic_reference=_reference(name, n),
         )
         return 0
     if name == "singularity":
@@ -233,16 +241,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"family {name!r}: {exc}") from exc
     env = default_t_env(n) if name in families.T_DEPENDENT else None
     value = limiting_ratio(family, n, env)
-    ref_entry = ASYMPTOTIC_REFERENCE.get(name)
-    reference = None
-    if ref_entry and ref_entry[1] is not None:
-        reference = {"expr": ref_entry[0], "value": ref_entry[1](n, **params)}
     _emit_json(
         args,
         family=name,
         exact=str(value) if isinstance(value, QuadExt) else None,
         float=float(value),
-        asymptotic_reference=reference,
+        asymptotic_reference=_reference(name, n, **params),
         t_env=env,
     )
     return 0

@@ -30,8 +30,10 @@ from .formula import (
     Record,
     StratificationError,
     TruthTable,
+    _preorder,
     _set,
     expansion_slots,
+    literal_mask,
     literal_masks,
     serialize,
     tree_size,
@@ -217,71 +219,58 @@ def reduce_irreducible(
     cannot be produced by grafting a constant subtree into a smaller tree
     computing that function.
 
-    One postorder walk: a node is finished once its subtrees are irreducible,
-    and then loses its removable children (a tautology child of an and-node,
-    a contradiction child of an or-node) left to right, keeping at least
-    one.  A removal leaves the node's function unchanged, so nothing already
-    finished changes, and the walk goes on at the node's parent.  A node
-    left with one child collapses: a surviving leaf takes its place, and a
-    surviving internal child, which carries the parent's connective, has its
-    children spliced into the parent.
+    One fold over the reversed preorder, which reaches every node after all
+    of its subtrees: each finished subtree pushes (reduced subtree, whether
+    it collapsed, its table, its removals in order), and a node pops one
+    entry per child, children in order.  Its subtrees being irreducible, the
+    node loses its removable children (a tautology child of an and-node, a
+    contradiction child of an or-node) left to right, keeping at least one;
+    a removal leaves the node's function unchanged, so nothing below
+    changes.  A node left with one child collapses: a surviving leaf takes
+    its place in the parent, and a surviving internal child, which carries
+    the parent's connective, has its children spliced into the parent.  A
+    subtree that is not reduced at all is returned as the same object.
     """
     truth_table(tree, n)  # rejects n > MAX_TABLE_VARS and variables beyond n
-    masks, full = literal_masks(n), (1 << (1 << n)) - 1
-    trace: List[AndOrTree] = []
-    if isinstance(tree, Leaf):
-        return tree, trace
-
-    def identity(node: Node) -> int:
-        """The table of a removable child of `node`."""
-        return full if node.op == AND else 0
-
-    def frame(node: Node) -> list:
-        # [node, children visited, children kept, whether each is removable,
-        # their tables folded]
-        return [node, 0, [], [], identity(node)]
-
-    stack = [frame(tree)]
-    while True:
-        top = stack[-1]
-        node, visited, kids, removable, table = top
-        if visited < len(node.children):
-            top[1] += 1
-            child = node.children[visited]
-            if isinstance(child, Node):
-                stack.append(frame(child))
-                continue
-            # a leaf joins its parent as it is: a literal is never constant
-            spliced, constant = (child,), False
-            table = masks[2 * child.literal.var - 2 + child.literal.negated]
-        else:
-            stack.pop()
-            left, kept = len(kids), []
-            for kid, is_removable in zip(kids, removable):
-                if is_removable and left > 1:
-                    trace.append(kid)
-                    left -= 1
-                else:
-                    kept.append(kid)
-            if len(kept) > 1:
-                unchanged = len(kept) == len(node.children) and all(
-                    map(operator.is_, kept, node.children)
-                )
-                reduced = node if unchanged else Node(node.op, tuple(kept))
-                spliced = (reduced,)
-            else:  # the node collapses to its survivor
-                reduced = kept[0]
-                spliced = reduced.children if isinstance(reduced, Node) else (reduced,)
-            if not stack:
-                return reduced, trace
-            top = stack[-1]
-            # a spliced child was kept by an irreducible node with the
-            # parent's connective, so the parent cannot remove it either
-            constant = len(kept) > 1 and table == identity(top[0])
-        # `spliced` joins the kept children of `top`, with `table` its table
-        top[2].extend(spliced)
-        top[3].extend([constant] * len(spliced))
-        top[4] = top[4] & table if top[0].op == AND else top[4] | table
+    full = (1 << (1 << n)) - 1
+    done: list = []
+    for node in reversed(_preorder(tree)):
+        if isinstance(node, Leaf):
+            literal = node.literal
+            done.append((node, False, literal_mask(literal.var, literal.negated, n), []))
+            continue
+        identity = full if node.op == AND else 0
+        table, kids, removals = identity, [], []  # kids: (child, whether removable)
+        for _ in node.children:
+            child, collapsed, child_table, child_removals = done.pop()
+            table = table & child_table if node.op == AND else table | child_table
+            if removals:
+                removals += child_removals
+            else:  # the finished entry's list is free to grow
+                removals = child_removals
+            if not collapsed:
+                kids.append((child, child_table == identity))
+            else:
+                # a spliced child was kept by an irreducible node with this
+                # node's connective, so this node cannot remove it either
+                spliced = child.children if isinstance(child, Node) else (child,)
+                kids += [(kid, False) for kid in spliced]
+        left, kept = len(kids), []
+        for kid, removable in kids:
+            if removable and left > 1:
+                removals.append(kid)
+                left -= 1
+            else:
+                kept.append(kid)
+        if len(kept) == 1:
+            done.append((kept[0], True, table, removals))
+            continue
+        unchanged = len(kept) == len(node.children) and all(
+            map(operator.is_, kept, node.children)
+        )
+        done.append((node if unchanged else Node(node.op, tuple(kept)), False, table, removals))
+    reduced, _, _, trace = done.pop()
+    return reduced, trace
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+import re
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 AND = "and"
 OR = "or"
@@ -175,18 +176,12 @@ class Node(Record):
     def _compared(self) -> tuple:
         """The tree in preorder: (op, arity) at each node, the leaf itself
         at each leaf."""
-        out, stack = [], [self]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Node):
-                out.append((t.op, len(t.children)))
-                stack.extend(reversed(t.children))
-            else:
-                out.append(t)
-        return tuple(out)
+        return tuple(
+            [(t.op, len(t.children)) if isinstance(t, Node) else t for t in _preorder(self)]
+        )
 
     def __reduce__(self):
-        n = max(t.literal.var for t in self._compared() if isinstance(t, Leaf))
+        n = max(t.literal.var for t in _preorder(self) if isinstance(t, Leaf))
         return decode, (encode(self, n), n)
 
     def __repr__(self) -> str:
@@ -245,6 +240,9 @@ class TruthTable(Record):
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "TruthTable":
+        """The table of hex digits `text`; no sign, prefix, space or underscore."""
+        if not re.fullmatch("[0-9a-fA-F]+", text):
+            raise ValueError(f"truth table must be hex digits, got {text!r}")
         return cls(n, int(text, 16))
 
     def to_hex(self) -> str:
@@ -437,24 +435,6 @@ def fold_root_leaves(drawn: Draw) -> Tuple[int, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(text: str) -> Iterator[Tuple[str, int]]:
-    i, length = 0, len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            yield ch, i
-            i += 1
-            continue
-        j = i
-        while j < length and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        yield text[i:j], i
-        i = j
-
-
 def _parse_atom(token: str, pos: int, n: int) -> Leaf:
     body = token
     negated = False
@@ -475,35 +455,25 @@ def parse_formula(text: str, n: int) -> AndOrTree:
     """Parse the canonical prefix form into a validated tree."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # stack of (op, children, open_position)
-    stack: list = []
-    result: Optional[AndOrTree] = None
-
-    def emit(tree: AndOrTree, pos: int):
-        nonlocal result
-        if stack:
-            stack[-1][1].append(tree)
-        elif result is None:
-            result = tree
-        else:
-            raise ParseError("trailing content after complete formula", pos)
-
-    tokens = list(_tokenize(text))
-    i = 0
-    while i < len(tokens):
-        token, pos = tokens[i]
+    # frames [op, children, position of the '(']; the bottom one collects the result
+    stack: List[list] = [[None, [], 0]]
+    tokens = re.finditer(r"[()]|[^\s()]+", text)
+    for match in tokens:
+        token, pos = match.group(), match.start()
         if token == "(":
-            if i + 1 >= len(tokens):
+            connective = next(tokens, None)
+            if connective is None:
                 raise ParseError("unexpected end of input after '('", pos)
-            op, op_pos = tokens[i + 1]
+            op = connective.group()
             if op not in (AND, OR):
-                raise ParseError(f"expected 'and' or 'or', got {op!r}", op_pos)
-            stack.append((op, [], pos))
-            i += 2
+                raise ParseError(f"expected 'and' or 'or', got {op!r}", connective.start())
+            stack.append([op, [], pos])
             continue
-        if token == ")":
-            if not stack:
-                raise ParseError("unmatched ')'", pos)
+        if token != ")":
+            tree = _parse_atom(token, pos, n)
+        elif len(stack) == 1:
+            raise ParseError("unmatched ')'", pos)
+        else:
             op, children, open_pos = stack.pop()
             if len(children) < 2:
                 raise ArityError(
@@ -516,16 +486,15 @@ def parse_formula(text: str, n: int) -> AndOrTree:
                         f"nested {op!r} under {op!r} violates stratification "
                         f"(at position {open_pos})"
                     )
-            emit(Node(op, tuple(children)), pos)
-            i += 1
-            continue
-        emit(_parse_atom(token, pos, n), pos)
-        i += 1
-    if stack:
+            tree = Node(op, tuple(children))
+        if len(stack) == 1 and stack[0][1]:
+            raise ParseError("trailing content after complete formula", pos)
+        stack[-1][1].append(tree)
+    if len(stack) > 1:
         raise ParseError("unclosed '('", stack[-1][2])
-    if result is None:
+    if not stack[0][1]:
         raise ParseError("empty input", 0)
-    return result
+    return stack[0][1][0]
 
 
 def serialize(tree: AndOrTree) -> str:
@@ -552,27 +521,24 @@ def serialize(tree: AndOrTree) -> str:
 # ---------------------------------------------------------------------------
 
 
-def tree_size(tree: AndOrTree) -> int:
-    """Total node count, internal nodes plus leaves."""
-    count = 0
-    stack = [tree]
+def _preorder(tree: AndOrTree) -> List[AndOrTree]:
+    """Every node and leaf of the tree in preorder, walked on a stack."""
+    out, stack = [], [tree]
     while stack:
         t = stack.pop()
-        count += 1
+        out.append(t)
         if isinstance(t, Node):
-            stack.extend(t.children)
-    return count
+            stack.extend(reversed(t.children))
+    return out
+
+
+def tree_size(tree: AndOrTree) -> int:
+    """Total node count, internal nodes plus leaves."""
+    return len(_preorder(tree))
 
 
 def internal_count(tree: AndOrTree) -> int:
-    count = 0
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Node):
-            count += 1
-            stack.extend(t.children)
-    return count
+    return sum(isinstance(t, Node) for t in _preorder(tree))
 
 
 def expansion_slots(tree: AndOrTree) -> int:
@@ -583,7 +549,8 @@ def expansion_slots(tree: AndOrTree) -> int:
     """
     if isinstance(tree, Leaf):
         return 0
-    return internal_count(tree) + tree_size(tree) - 1
+    nodes = _preorder(tree)
+    return sum(isinstance(t, Node) for t in nodes) + len(nodes) - 1
 
 
 def first_level_leaf_count(tree: AndOrTree) -> int:

@@ -36,7 +36,7 @@ import threading
 import time
 from collections import Counter
 from operator import sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formula import (
     MAX_FOLD_VARS,
@@ -272,6 +272,20 @@ def ks_discrete(histogram: Dict[int, int], pmf: Sequence[float]) -> float:
     return worst
 
 
+def _upper_quantile(
+    survival: Callable[[float], float], alpha: float, lo: float, hi: float
+) -> float:
+    """The x in [lo, hi] where the decreasing `survival` crosses alpha, by
+    200 halvings."""
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if survival(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def ks_critical(alpha: float, n_samples: int) -> float:
     """Asymptotic Kolmogorov critical value: D such that P(sqrt(N) D_N > c) = alpha."""
 
@@ -284,14 +298,7 @@ def ks_critical(alpha: float, n_samples: int) -> float:
                 break
         return total
 
-    lo, hi = 0.2, 4.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if survival(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2 / math.sqrt(n_samples)
+    return _upper_quantile(survival, alpha, 0.2, 4.0) / math.sqrt(n_samples)
 
 
 def chi_square_critical(alpha: float, df: int) -> float:
@@ -317,14 +324,7 @@ def chi_square_critical(alpha: float, df: int) -> float:
         tail = math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * total
         return math.erfc(math.sqrt(x / 2)) + tail
 
-    lo, hi = 0.0, 10.0 * df + 100.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if survival(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _upper_quantile(survival, alpha, 0.0, 10.0 * df + 100.0)
 
 
 def monte_carlo(

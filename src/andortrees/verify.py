@@ -30,6 +30,7 @@ from typing import Callable, Dict, List
 
 from . import families
 from .analytic import (
+    ASYMPTOTIC_REFERENCE,
     coefficient_ratio,
     expected_first_level_leaves,
     first_level_leaf_law,
@@ -183,34 +184,29 @@ def criterion_3() -> List[CheckResult]:
 def criterion_4() -> List[CheckResult]:
     n = LARGE_N
 
+    def near(name: str, value: float, tol: float, **params) -> Dict:
+        """`value` against the leading-order term of `name` at n."""
+        target = ASYMPTOTIC_REFERENCE[name][1](n, **params)
+        rel = abs(value / target - 1.0)
+        return {"passed": rel <= tol, "value": value, "target": target, "rel": rel}
+
     def noleaf():
         value = float(limiting_ratio(families.no_first_level_leaf(n), n))
-        target = 1.0 / (n * math.sqrt(2 * n))
-        rel = abs(value / target - 1.0)
-        return {"passed": rel <= 0.01, "value": value, "target": target, "rel": rel}
+        return near("no_first_level_leaf", value, 0.01)
 
     def leaves():
-        value = float(expected_first_level_leaves(n))
-        target = 2.0 * math.sqrt(2 * n)
-        rel = abs(value / target - 1.0)
-        return {"passed": rel <= 0.005, "value": value, "target": target, "rel": rel}
+        return near("expected_first_level_leaves", float(expected_first_level_leaves(n)), 0.005)
 
     def big_l():
         rows = []
-        ok = True
         for ell in (1, 2, 3):
             value = float(limiting_ratio(families.nonleaf_subtrees(n, ell), n))
-            target = ell / 2.0 ** (ell + 1)
-            rel = abs(value / target - 1.0)
-            ok = ok and rel <= 0.01
-            rows.append({"ell": ell, "value": value, "target": target, "rel": rel})
-        return {"passed": ok, "rows": rows}
+            rows.append({"ell": ell, **near("nonleaf_subtrees", value, 0.01, ell=ell)})
+        passed = [row.pop("passed") for row in rows]
+        return {"passed": all(passed), "rows": rows}
 
     def r_family():
-        value = float(limiting_ratio(families.R_family(n), n))
-        target = math.exp(-math.sqrt(2)) / 8
-        rel = abs(value / target - 1.0)
-        return {"passed": rel <= 0.01, "value": value, "target": target, "rel": rel}
+        return near("R_family", float(limiting_ratio(families.R_family(n), n)), 0.01)
 
     return [
         _check("4a", 4, "no-first-level-leaf ratio ~ 1/(n sqrt(2n)) at n=1e6 (1%)", noleaf),

@@ -183,6 +183,19 @@ def test_complexity_csv_for_one_function_is_a_usage_error(capsys):
     assert err.startswith("error: complexity --f-hex prints JSON")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["limit", "--n", "2", "--f-hex", "0x8"], ["complexity", "--n", "2", "--f-hex", "1_0"],
+     ["complexity", "--n", "2", "--f-hex", " 8"], ["complexity", "--n", "2", "--f-hex", "+8"]],
+    ids=["0x8", "1_0", "space", "plus"],
+)
+def test_f_hex_takes_only_hex_digits(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: truth table must be hex digits, got {argv[-1]!r}\n"
+
+
 def test_closed_stdout_ends_quietly(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "andortrees", "count", "--n", "3", "--max-size", "3000"],
@@ -335,6 +348,14 @@ def test_analyze_reports_a_numeric_reference_value(capsys, name):
     assert code == 0
     reference = json.loads(out)["asymptotic_reference"]
     assert isinstance(reference["value"], float) and reference["value"] > 0
+
+
+def test_analyze_first_level_leaves_reference_is_correctly_rounded(capsys):
+    # 2 * (2n) ** 0.5 rounds twice and reads 183.45571672749804 here
+    code, out, _ = run(capsys, "analyze", "--family", "expected_first_level_leaves", "--n", "4207")
+    assert code == 0
+    reference = json.loads(out)["asymptotic_reference"]
+    assert reference == {"expr": "2*sqrt(2n)", "value": 183.45571672749801}
 
 
 def test_analyze_unknown_family(capsys):

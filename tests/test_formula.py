@@ -22,6 +22,7 @@ from andortrees.formula import (
     AND,
     OR,
     ArityError,
+    FormulaError,
     Leaf,
     Literal,
     Node,
@@ -111,6 +112,38 @@ def test_parse_reports_position():
 
 
 @pytest.mark.parametrize(
+    "text, error, message, position",
+    [
+        ("", ParseError, "empty input (at position 0)", 0),
+        (" \t\n", ParseError, "empty input (at position 0)", 0),
+        ("(or x1 x2))", ParseError, "unmatched ')' (at position 10)", 10),
+        ("(or x1 (and x2 ~x1", ParseError, "unclosed '(' (at position 7)", 7),
+        ("(or x1 x2) x1", ParseError,
+         "trailing content after complete formula (at position 11)", 11),
+        ("x1 (and x1 x2)", ParseError,
+         "trailing content after complete formula (at position 13)", 13),
+        ("x1  (", ParseError, "unexpected end of input after '(' (at position 4)", 4),
+        ("(not x1 x2)", ParseError, "expected 'and' or 'or', got 'not' (at position 1)", 1),
+        ("((or x1 x2))", ParseError, "expected 'and' or 'or', got '(' (at position 1)", 1),
+        ("(or x1 y2)", ParseError,
+         "expected literal like 'x3' or '~x3', got 'y2' (at position 7)", 7),
+        ("(or x1 ~x3)", VariableRangeError,
+         "variable x3 out of range 1..2 (at position 7)", None),
+        ("(or x1 (and x1))", ArityError,
+         "'and' node with 1 child(ren); arity must be >= 2 (at position 7)", None),
+        ("(and x2 (or x1 (or x2 ~x1)))", StratificationError,
+         "nested 'or' under 'or' violates stratification (at position 8)", None),
+    ],
+)
+def test_parse_errors_pin_class_message_and_position(text, error, message, position):
+    with pytest.raises(FormulaError) as err:
+        parse_formula(text, 2)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
+@pytest.mark.parametrize(
     "text",
     ["(or x1 x2", "(or x1 x2))", "", "x1 x2", "(not x1 x2)", "(or)"],
 )
@@ -191,6 +224,13 @@ def test_truth_table_hex_round_trip():
     assert TruthTable.from_hex("2", 1) == t
     t2 = TruthTable.constant(4, True)
     assert t2.to_hex() == "ffff"
+
+
+@pytest.mark.parametrize("text", ["0x8", "1_0", " 8", "+8", "8\n", "", "zz"])
+def test_truth_table_from_hex_takes_only_hex_digits(text):
+    with pytest.raises(ValueError) as err:
+        TruthTable.from_hex(text, 3)
+    assert str(err.value) == f"truth table must be hex digits, got {text!r}"
 
 
 def test_truth_table_var_cap():
