@@ -92,7 +92,23 @@ def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
             f"{f.to_hex()} has {record.m_f} minimal trees, over budget {DEFAULT_ENUMERATION_BUDGET}"
         )
     trees = [t for op in (AND, OR) for t in _trees(n, record.L, f.bits, op)]
-    trees.sort(key=serialize)
+    # The trees share subtrees, so the sort key, serialize(tree), joins the
+    # texts of the children, each built once; `trees` keeps them alive, so
+    # their ids stay theirs.
+    texts: Dict[int, str] = {}
+
+    def text(tree: AndOrTree) -> str:
+        if isinstance(tree, Leaf):
+            return str(tree.literal)
+        return f"({tree.op} {' '.join(map(child_text, tree.children))})"
+
+    def child_text(tree: AndOrTree) -> str:
+        hit = texts.get(id(tree))
+        if hit is None:
+            hit = texts[id(tree)] = text(tree)
+        return hit
+
+    trees.sort(key=text)
     return trees
 
 

@@ -9,14 +9,20 @@ subtrees) and the convolution recurrence read off the quadratic itself;
 ``algebraic_residual`` checks the identity on any computed series.
 
 A brute-force generator over all trees of a given size doubles as the
-ground-truth oracle for small sizes.
+ground-truth oracle for small sizes.  It lists each size class in
+`serialize` order as it builds it, and sorts none.  In the text, '(' < 'x'
+< '~' and "(and" < "(or"; the separators ' ' and ')' sort below any
+character that could continue a literal or a node.  So text order is: the
+root connective first, then the children compared one at a time, with a
+sequence of children before its own prefix; leaves sort by their text.
+Hence when the candidate children come in text order, the sequences listed
+by first child and then by the rest come out in text order.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
-from typing import Dict, Iterator, List, Tuple
+import functools
+from typing import Iterator, List, Tuple
 
 from .formula import AND, OR, AndOrTree, Leaf, Node, Record, _literals, serialize
 
@@ -38,10 +44,6 @@ class CountSeries(Record):
     """
 
     __slots__ = ("n", "max_size", "a_hat", "a_total")
-
-
-_series_cache: Dict[Tuple[int, int], CountSeries] = {}
-_lock = threading.Lock()
 
 
 def _rooted_counts(n: int, max_size: int) -> List[int]:
@@ -69,24 +71,17 @@ def _rooted_counts(n: int, max_size: int) -> List[int]:
     return a
 
 
+@functools.lru_cache(maxsize=None)
 def series(n: int, max_size: int) -> CountSeries:
     """Exact counts up to max_size."""
     if n < 1 or max_size < 1:
         raise ValueError("need n >= 1 and max_size >= 1")
-    key = (n, max_size)
-    with _lock:
-        hit = _series_cache.get(key)
-    if hit is not None:
-        return hit
     rooted = tuple(_rooted_counts(n, max_size))
     total = tuple(
         2 * rooted[m] - (2 * n if m == 1 else 0) if m else 0
         for m in range(max_size + 1)
     )
-    result = CountSeries(n=n, max_size=max_size, a_hat=rooted, a_total=total)
-    with _lock:
-        _series_cache[key] = result
-    return result
+    return CountSeries(n=n, max_size=max_size, a_hat=rooted, a_total=total)
 
 
 def algebraic_residual(cs: CountSeries) -> List[int]:
@@ -111,66 +106,31 @@ def algebraic_residual(cs: CountSeries) -> List[int]:
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 
-def _compositions(total: int, parts_at_least: int) -> Iterator[Tuple[int, ...]]:
-    """Ordered compositions of `total` into >= parts_at_least positive parts."""
-    def rec(remaining: int, parts: int) -> Iterator[Tuple[int, ...]]:
-        if parts == 1:
-            yield (remaining,)
-            return
-        for first in range(1, remaining - parts + 2):
-            for rest in rec(remaining - first, parts - 1):
-                yield (first,) + rest
-
-    for k in range(parts_at_least, total + 1):
-        yield from rec(total, k)
-
-
-class _TreeEnumerator:
-    """Memoised recursive enumeration of all trees by (size, root constraint)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.leaves: Tuple[AndOrTree, ...] = tuple(map(Leaf, _literals(n)))
-        # (size, op) -> tuple of trees rooted exactly at `op`
-        self._rooted: Dict[Tuple[int, str], Tuple[AndOrTree, ...]] = {}
-
-    def rooted(self, size: int, op: str) -> Tuple[AndOrTree, ...]:
-        key = (size, op)
-        hit = self._rooted.get(key)
-        if hit is not None:
-            return hit
-        out: List[AndOrTree] = []
-        if size >= 3:
-            child_op = OR if op == AND else AND
-            for sizes in _compositions(size - 1, 2):
-                pools = [self.child_pool(s, child_op) for s in sizes]
-                if all(pools):
-                    for combo in itertools.product(*pools):
-                        out.append(Node(op, combo))
-        result = tuple(out)
-        self._rooted[key] = result
-        return result
-
-    def child_pool(self, size: int, op: str) -> Tuple[AndOrTree, ...]:
-        """Trees usable as a child under the opposite connective: leaves or op-rooted."""
-        if size == 1:
-            return self.leaves
-        return self.rooted(size, op)
-
-    def all_trees(self, size: int) -> List[AndOrTree]:
-        if size == 1:
-            return list(self.leaves)
-        return list(self.rooted(size, AND)) + list(self.rooted(size, OR))
+@functools.lru_cache(maxsize=None)
+def _children(n: int, op: str, size: int) -> Tuple[Tuple[str, AndOrTree, int], ...]:
+    """(text, tree, size) of every tree of size <= `size` that can be a child
+    of an `op` node, in text order: the trees rooted at the other connective
+    (texts open with '('), then the leaves.  Each size's new trees come in
+    text order from `_runs`, so the sort merges two sorted runs."""
+    if size < 3:
+        return tuple(sorted((str(lit), Leaf(lit), 1) for lit in _literals(n)))
+    other = OR if op == AND else AND
+    grown = [Node(other, run) for run in _runs(n, other, size - 1) if len(run) > 1]
+    pool = _children(n, op, size - 1) + tuple((serialize(t), t, size) for t in grown)
+    return tuple(sorted(pool))
 
 
-_enumerators: Dict[int, _TreeEnumerator] = {}
-
-
-def _enumerator(n: int) -> _TreeEnumerator:
-    enum = _enumerators.get(n)
-    if enum is None:
-        enum = _enumerators[n] = _TreeEnumerator(n)
-    return enum
+@functools.lru_cache(maxsize=None)
+def _runs(n: int, op: str, total: int) -> Tuple[Tuple[AndOrTree, ...], ...]:
+    """Every sequence of children of an `op` node whose sizes sum to `total`,
+    in the text order of the sequences: by first child, then by the rest."""
+    out: List[Tuple[AndOrTree, ...]] = []
+    for _, child, size in _children(n, op, total):
+        if size == total:
+            out.append((child,))
+        else:
+            out += [(child,) + rest for rest in _runs(n, op, total - size)]
+    return tuple(out)
 
 
 def brute_enumerate(
@@ -178,9 +138,11 @@ def brute_enumerate(
 ) -> Iterator[AndOrTree]:
     """Yield every valid tree of size exactly m over n variables, once each.
 
-    The stream is sorted lexicographically by canonical serialisation so
-    golden files stay stable.  Raises BudgetError when the size class is
-    larger than `budget`.
+    The stream is in `serialize` order, so golden files stay stable: the
+    and-rooted trees, then the or-rooted ones, each by their sequence of
+    children (see the module docstring); it is built in that order and
+    never sorted.  Raises BudgetError when the size class is larger than
+    `budget`.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
@@ -191,10 +153,14 @@ def brute_enumerate(
         )
     if expected == 0:
         return
-    trees = _enumerator(n).all_trees(m)
+    if m == 1:
+        trees = [leaf for _, leaf, _ in _children(n, AND, 1)]
+    else:
+        trees = [
+            Node(op, run) for op in (AND, OR) for run in _runs(n, op, m - 1) if len(run) > 1
+        ]
     if len(trees) != expected:  # defensive: generation must match the series
         raise CountingError(
             f"enumeration produced {len(trees)} trees, series says {expected}"
         )
-    trees.sort(key=serialize)
     yield from trees

@@ -436,19 +436,16 @@ def fold_root_leaves(drawn: Draw) -> Tuple[int, bool]:
 
 
 def _parse_atom(token: str, pos: int, n: int) -> Leaf:
-    body = token
-    negated = False
-    if body.startswith("~"):
-        negated = True
-        body = body[1:]
-    if not body.startswith("x") or not body[1:].isdigit():
+    # ASCII digits without leading zeros, so each literal has one spelling
+    match = re.fullmatch("(~?)x(0|[1-9][0-9]*)", token)
+    if match is None:
         raise ParseError(f"expected literal like 'x3' or '~x3', got {token!r}", pos)
-    var = int(body[1:])
+    var = int(match[2])
     if var < 1 or var > n:
         raise VariableRangeError(
             f"variable x{var} out of range 1..{n} (at position {pos})"
         )
-    return Leaf(Literal(var, negated))
+    return Leaf(Literal(var, bool(match[1])))
 
 
 def parse_formula(text: str, n: int) -> AndOrTree:

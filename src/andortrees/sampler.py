@@ -29,10 +29,10 @@ builds a tree.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
-import threading
 import time
 from collections import Counter
 from operator import sub
@@ -192,20 +192,10 @@ class SamplerContext:
         return decode(self.draw(m, rng), self.n)
 
 
-_contexts: Dict[Tuple[int, int], SamplerContext] = {}
-_context_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def get_context(n: int, max_size: int) -> SamplerContext:
     """Shared context registry; a draw only ever adds a weight table to one."""
-    key = (n, max_size)
-    with _context_lock:
-        ctx = _contexts.get(key)
-    if ctx is None:
-        ctx = SamplerContext(n, max_size)
-        with _context_lock:
-            ctx = _contexts.setdefault(key, ctx)
-    return ctx
+    return SamplerContext(n, max_size)
 
 
 def sample_uniform(m: int, n: int, seed: int) -> AndOrTree:

@@ -20,9 +20,11 @@ from andortrees.formula import (
     AndOrTree,
     Draw,
     Leaf,
+    Literal,
     Node,
     SearchBudgetError,
     literal_masks,
+    serialize,
 )
 from andortrees.sampler import SamplerContext
 
@@ -206,6 +208,37 @@ def _oracle_reduce(tree: AndOrTree, n: int) -> Tuple[AndOrTree, List[AndOrTree]]
         path, idx = found
         trace.append(_node_at(tree, path).children[idx])
         tree = _remove_child(tree, path, idx)
+
+
+def _oracle_compositions(total: int, parts_at_least: int):
+    """Ordered compositions of `total` into >= parts_at_least positive parts."""
+    for parts in range(parts_at_least, total + 1):
+        for cuts in itertools.combinations(range(1, total), parts - 1):
+            yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rooted(size: int, op: str, n: int) -> Tuple[AndOrTree, ...]:
+    """The op-rooted trees of this size, the leaves at size 1: for each
+    composition of size - 1 into >= 2 child sizes, every product of a tree
+    of each size rooted at the other connective."""
+    if size == 1:
+        return tuple(Leaf(Literal(v, neg)) for v in range(1, n + 1) for neg in (False, True))
+    other = OR if op == AND else AND
+    out = []
+    for sizes in _oracle_compositions(size - 1, 2):
+        pools = [_oracle_rooted(s, other, n) for s in sizes]
+        out += [Node(op, combo) for combo in itertools.product(*pools)]
+    return tuple(out)
+
+
+def _oracle_brute_enumerate(m: int, n: int) -> List[AndOrTree]:
+    """`counting.brute_enumerate` by composition times product enumeration,
+    then a sort by `serialize`."""
+    trees = _oracle_rooted(m, AND, n)
+    if m > 1:
+        trees += _oracle_rooted(m, OR, n)
+    return sorted(trees, key=serialize)
 
 
 @functools.lru_cache(maxsize=None)

@@ -178,6 +178,8 @@ def test_minimal_trees_at_n3_number_m_f():
         if rec.L >= 3:
             trees = minimal_trees(rec.f, 3)
             assert len(trees) == rec.m_f
+            forms = [serialize(t) for t in trees]
+            assert forms == sorted(forms)
             counts[rec.f.bits] = len(trees)
             for tree in trees[:: max(1, len(trees) // 50)]:
                 assert tree_size(tree) == rec.L and truth_table(tree, 3) == rec.f

@@ -11,6 +11,7 @@ from andortrees.counting import (
     series,
 )
 from andortrees.formula import encode, serialize, tree_size, truth_table
+from oracles import _oracle_brute_enumerate
 
 
 def _sequence_dp(n, max_size):
@@ -103,6 +104,13 @@ def test_brute_is_sorted_by_serialisation():
     assert forms == sorted(forms)
 
 
+@pytest.mark.parametrize("n, top", [(1, 9), (2, 7), (3, 6), (4, 5)])
+def test_brute_matches_the_sorted_composition_oracle(n, top):
+    # every size class of at most 30,000 trees, tree for tree and in order
+    for m in range(1, top + 1):
+        assert list(brute_enumerate(m, n)) == _oracle_brute_enumerate(m, n)
+
+
 def test_brute_budget():
     with pytest.raises(BudgetError):
         list(brute_enumerate(9, 2, budget=1000))
@@ -132,6 +140,7 @@ def test_series_cache_is_thread_safe():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda _: series(2, 200).a_total[200], range(8)))
     assert len(set(results)) == 1
+    assert series(2, 200) is series(2, 200)
 
 
 def test_function_multiset_of_size_class():

@@ -127,8 +127,18 @@ def test_parse_reports_position():
         ("((or x1 x2))", ParseError, "expected 'and' or 'or', got '(' (at position 1)", 1),
         ("(or x1 y2)", ParseError,
          "expected literal like 'x3' or '~x3', got 'y2' (at position 7)", 7),
+        ("(or x1 x\u00b2)", ParseError,
+         "expected literal like 'x3' or '~x3', got 'x\u00b2' (at position 7)", 7),
+        ("(or x\u0661 x2)", ParseError,
+         "expected literal like 'x3' or '~x3', got 'x\u0661' (at position 4)", 4),
+        ("(or x1 ~x01)", ParseError,
+         "expected literal like 'x3' or '~x3', got '~x01' (at position 7)", 7),
+        ("(or x01 x2)", ParseError,
+         "expected literal like 'x3' or '~x3', got 'x01' (at position 4)", 4),
         ("(or x1 ~x3)", VariableRangeError,
          "variable x3 out of range 1..2 (at position 7)", None),
+        ("(or x0 x1)", VariableRangeError,
+         "variable x0 out of range 1..2 (at position 4)", None),
         ("(or x1 (and x1))", ArityError,
          "'and' node with 1 child(ren); arity must be >= 2 (at position 7)", None),
         ("(and x2 (or x1 (or x2 ~x1)))", StratificationError,

@@ -254,6 +254,10 @@ def test_internal_count_weights_sum_to_tree_counts(n):
         assert 2 * ctx._cum_weights(m)[-1] == m * counts.a_total[m]
 
 
+def test_get_context_returns_the_shared_context():
+    assert get_context(2, 40) is get_context(2, 40)
+
+
 def test_sampling_leaves_the_recursion_limit_alone():
     before = sys.getrecursionlimit()
     get_context(1, 5000)
