@@ -25,7 +25,7 @@ import decimal
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from . import families
 from .counting import series
@@ -213,11 +213,20 @@ def coefficient_ratio(family: Family, n: int) -> float:
 
     Only valid for t-free families (the tautology series has no closed form).
     """
+    return _coefficient_ratios(family, n)[1]
+
+
+def _coefficient_ratios(family: Family, n: int) -> Tuple[float, float]:
+    """The family's share of all trees at sizes 200 and 400, both read off
+    the one order-400 series (the 1/m terms of the two cancel in
+    2 * r_400 - r_200)."""
     order = 400
     cs = series(n, order)
     rooted = Series(list(cs.a_hat), order)
     family_series = _without_t(family, Series.z(order), rooted)
-    return float(Fraction(family_series[order]) / Fraction(cs.a_total[order]))
+    return tuple(
+        float(Fraction(family_series[m]) / Fraction(cs.a_total[m])) for m in (order // 2, order)
+    )
 
 
 def default_t_env(n: int) -> Dict[str, float]:

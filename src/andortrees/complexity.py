@@ -8,9 +8,10 @@ size-2 "minimal trees" of a literal are degenerate unary shapes that are not
 valid trees here and are never materialised (m_f = 2 is still reported for
 them).  L and m_f are invariant under variable permutations and input
 negations, so the sweep reads them once per symmetry class of the engine.
-The minimal trees themselves, and the constant subtrees that expansions
-graft, are generated top down from the same counts
-(``distribution._trees``).
+The minimal trees themselves are generated top down from the same counts
+(``distribution._trees``); the one-step expansions are counted, not
+generated, from the minimal trees' grafting slots and the engine's count
+of constant trees (see ``expansion_count``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from contextlib import closing
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .counting import DEFAULT_ENUMERATION_BUDGET, BudgetError
-from .distribution import _orbit_ids, _sizes, _trees
+from .distribution import _get_engine, _orbit_ids, _sizes, _trees
 from .formula import (
     AND,
     OR,
@@ -35,7 +36,6 @@ from .formula import (
     expansion_slots,
     literal_mask,
     literal_masks,
-    serialize,
     tree_size,
     truth_table,
 )
@@ -297,35 +297,26 @@ def reduce_irreducible(
 def expansion_count(f: TruthTable, n: int, m: int) -> int:
     """Distinct trees of size m reachable by ONE constant-subtree expansion of
     a minimal tree of f (tautology under and-hosts, contradiction under
-    or-hosts), deduplicated structurally."""
+    or-hosts), deduplicated structurally.
+
+    The count is tau(m - L) * sum over the minimal trees t of P_t, where
+    P_t = expansion_slots(t) and tau(s) is the number of or-rooted
+    tautologies of size s, which by duality is also the number of
+    and-rooted contradictions of size s (0 when m - L < 3, since no constant
+    subtree is smaller).  Every insertion keeps f: a tautology under an
+    and-host or a contradiction under an or-host leaves the host's function
+    unchanged.  No two insertions give the same tree: a minimal tree has no
+    constant subtree, so the inserted constant is the only maximal constant
+    subtree of the expansion, and removing it gives back the minimal tree,
+    the host, the position and the inserted tree.
+    """
     L = complexity(f, n).L
     if L < 3:
         raise ValueError("f must have materialised minimal trees (L >= 3)")
     insert_size = m - L
     if insert_size < 3:
         return 0  # no constant subtree is that small
-    taut = list(_trees(n, insert_size, TruthTable.constant(n, True).bits, OR))
-    contra = list(_trees(n, insert_size, 0, AND))
-    seen = set()
-    for tree in minimal_trees(f, n):
-        for path, host in _internal_nodes(tree):
-            pool = taut if host.op == AND else contra
-            for position in range(len(host.children) + 1):
-                for inserted in pool:
-                    kind = (
-                        TAUTOLOGY_EXPANSION if host.op == AND else CONTRADICTION_EXPANSION
-                    )
-                    step = ExpansionStep(path, position, inserted, kind)
-                    seen.add(serialize(expand(tree, step)))
-    return len(seen)
-
-
-def _internal_nodes(tree: AndOrTree):
-    """(path, node) of every internal node, in preorder."""
-    stack = [((), tree)]
-    while stack:
-        path, node = stack.pop()
-        if isinstance(node, Node):
-            yield path, node
-            for idx in reversed(range(len(node.children))):
-                stack.append((path + (idx,), node.children[idx]))
+    slots = sum(map(expansion_slots, minimal_trees(f, n)))
+    engine = _get_engine(n, insert_size)
+    tautologies = engine.or_layers[insert_size][engine.orbit[(1 << (1 << n)) - 1]]
+    return tautologies * slots

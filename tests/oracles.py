@@ -12,8 +12,18 @@ from typing import Dict, List, Optional, Tuple
 import mpmath as mp
 
 from andortrees.analytic import _float_down, _float_up, singularity
-from andortrees.complexity import _node_at, _replace_at
+from andortrees.complexity import (
+    CONTRADICTION_EXPANSION,
+    TAUTOLOGY_EXPANSION,
+    ExpansionStep,
+    _node_at,
+    _replace_at,
+    complexity,
+    expand,
+    minimal_trees,
+)
 from andortrees.counting import brute_enumerate
+from andortrees.distribution import _trees
 from andortrees.formula import (
     AND,
     OR,
@@ -23,6 +33,7 @@ from andortrees.formula import (
     Literal,
     Node,
     SearchBudgetError,
+    TruthTable,
     literal_masks,
     serialize,
 )
@@ -255,6 +266,46 @@ def _oracle_minimal_trees(f: int, n: int) -> List[AndOrTree]:
         trees = [t for t, bits in _oracle_size_class(size, n) if bits == f]
         if trees:
             return trees
+
+
+def _oracle_expansion_count(f: TruthTable, n: int, m: int) -> Tuple[int, int]:
+    """`complexity.expansion_count` by listing: every one-step expansion of
+    every minimal tree of f is built, serialized and put in a set.  Returns
+    (distinct trees, expansions listed); the two agree when no tree is
+    reached twice."""
+    L = complexity(f, n).L
+    if L < 3:
+        raise ValueError("f must have materialised minimal trees (L >= 3)")
+    insert_size = m - L
+    if insert_size < 3:
+        return 0, 0  # no constant subtree is that small
+    taut = list(_trees(n, insert_size, TruthTable.constant(n, True).bits, OR))
+    contra = list(_trees(n, insert_size, 0, AND))
+    seen = set()
+    listed = 0
+    for tree in minimal_trees(f, n):
+        for path, host in _internal_nodes(tree):
+            pool = taut if host.op == AND else contra
+            for position in range(len(host.children) + 1):
+                for inserted in pool:
+                    kind = (
+                        TAUTOLOGY_EXPANSION if host.op == AND else CONTRADICTION_EXPANSION
+                    )
+                    step = ExpansionStep(path, position, inserted, kind)
+                    seen.add(serialize(expand(tree, step)))
+                    listed += 1
+    return len(seen), listed
+
+
+def _internal_nodes(tree: AndOrTree):
+    """(path, node) of every internal node, in preorder."""
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, Node):
+            yield path, node
+            for idx in reversed(range(len(node.children))):
+                stack.append((path + (idx,), node.children[idx]))
 
 
 def _oracle_mpf(x) -> mp.mpf:

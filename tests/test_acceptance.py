@@ -79,6 +79,10 @@ def test_c3_engine_matches_coefficient_ratios_within_2pct():
     _assert_check(criterion_3, "3")
 
 
+def test_c3b_engine_matches_extrapolated_coefficient_ratios_within_0_2pct():
+    _assert_check(criterion_3, "3b")
+
+
 # 4. large-n asymptotics -----------------------------------------------------------
 
 

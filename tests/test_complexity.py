@@ -32,7 +32,7 @@ from andortrees.formula import (
     truth_table,
 )
 from andortrees.sampler import sample_many
-from oracles import _oracle_minimal_trees, _oracle_reduce
+from oracles import _oracle_expansion_count, _oracle_minimal_trees, _oracle_reduce
 
 XOR = TruthTable(2, 0b0110)
 CONJ = TruthTable(2, literal_mask(1, False, 2) & literal_mask(2, False, 2))
@@ -196,6 +196,8 @@ def test_minimal_trees_over_the_enumeration_budget_raise(monkeypatch):
     monkeypatch.setattr(importlib.import_module("andortrees.complexity"), "_trees", None)
     with pytest.raises(BudgetError):
         minimal_trees(f, 4)
+    with pytest.raises(BudgetError):
+        expansion_count(f, 4, 31)
 
 
 def test_complexity_past_the_engine_raises():
@@ -356,6 +358,7 @@ def test_reduce_matches_the_restart_oracle():
 
 
 def test_expansion_count_no_room():
+    assert expansion_count(CONJ, 2, 1) == 0  # m < L
     assert expansion_count(CONJ, 2, 3) == 0
     assert expansion_count(CONJ, 2, 5) == 0  # no constant subtree of size 2
 
@@ -365,17 +368,39 @@ def test_expansion_count_at_size_six():
 
 
 def test_expansion_count_matches_reduction_census():
-    # size-6 trees computing x1 and x2 that reduce to a minimal tree are
-    # exactly the single expansions of the two minimal trees
+    # size-6 trees computing a function with L = 3 that reduce to a minimal
+    # tree are exactly the single expansions of its minimal trees.  Only at
+    # m = L + 3: from m = L + 4 on, the census also counts trees whose
+    # reduction collapses a node (264 against 216 expansions for x1 and x2
+    # at m = 7), so it is no oracle there.
     m = 6
-    census = 0
+    fs = [TruthTable(2, bits) for bits in range(16)]
+    fs = [f for f in fs if not (f.is_constant() or f.is_literal()) and complexity(f, 2).L == 3]
+    assert len(fs) == 8
+    census = Counter()
     for tree in brute_enumerate(m, 2):
-        if truth_table(tree, 2) != CONJ:
-            continue
         reduced, _ = reduce_irreducible(tree, 2)
         if tree_size(reduced) == 3:
-            census += 1
-    assert census == expansion_count(CONJ, 2, m)
+            census[truth_table(tree, 2).bits] += 1
+    for f in fs:
+        assert census[f.bits] == expansion_count(f, 2, m) == 24
+
+
+def test_expansion_count_matches_the_listing_oracle():
+    # every n = 2 function with L >= 3 at m = L..L+5, and two n = 3
+    # functions at m = L..L+4; the listing reaches no tree twice, which is
+    # the injectivity step of the identity expansion_count rests on
+    n2 = [TruthTable(2, bits) for bits in range(16)]
+    cases = [(f, 2, 5) for f in n2 if not (f.is_constant() or f.is_literal())]
+    cases += [(TruthTable(3, 0x01), 3, 4), (TruthTable(3, 0x17), 3, 4)]
+    checked = 0
+    for f, n, extra in cases:
+        L = complexity(f, n).L
+        for m in range(L, L + extra + 1):
+            distinct, listed = _oracle_expansion_count(f, n, m)
+            assert distinct == listed == expansion_count(f, n, m)
+            checked += 1
+    assert checked == 70
 
 
 def test_expansion_upper_bound():
