@@ -13,7 +13,10 @@ the most significant bit belonging to the highest assignment index.
 The word format `Draw` (root connective, preorder arity word, leaf literal
 indexes) is what the sampler draws and lives here alone: `encode`, `decode`,
 and the folds `fold_truth_bits` (behind `truth_table`), `fold_root_leaves`
-and `never_evaluates_to` that read a tree off its word.
+and `never_evaluates_to` that read a tree off its word.  The first two skip
+subtrees unread by their arity balance: `fold_truth_bits` the pending
+children of a node already at its absorbing value (zero under and, all ones
+under or), `fold_root_leaves` the root's subtree children.
 """
 
 from __future__ import annotations
@@ -356,42 +359,56 @@ def decode(drawn: Draw, n: int) -> AndOrTree:
     return node
 
 
+def _skip_subtrees(word: List[int], pos: int, leaf: int, k: int) -> Tuple[int, int]:
+    """(pos, leaf) past the k subtrees that start at word[pos], `leaf` counting
+    leaves: with k child slots open, the next k letters fill them and open the
+    sum of their arities, and none can close the subtrees before the last."""
+    while k:
+        chunk = word[pos : pos + k]
+        pos += k
+        leaf += chunk.count(0)
+        k = sum(chunk)
+    return pos, leaf
+
+
 def fold_truth_bits(drawn: Draw, masks: Sequence[int], full: int) -> int:
     """Truth-table bits of a draw's tree: a postfix fold of literal masks.
 
-    `masks` is `literal_masks(n)` and `full` the all-ones table.  The open
-    node is held in (is_and, remaining, acc), its ancestors' on a stack; a
-    leaf folds its mask into acc, and a node whose children are all in folds
-    into its parent's.
+    `masks` is `literal_masks(n)` and `full` the all-ones table.  Every node
+    ors its children into acc, an and node their complements (De Morgan), so
+    it holds its own complement and a leaf under it reads literal r ^ 1.  The
+    open node is (flip, remaining, acc), flip set under and, its ancestors'
+    on a stack.  A node is done when all its children are in or acc reaches
+    `full`, its absorbing value: its pending children are then skipped by
+    their arity balance, no literal of theirs read, and it folds into its
+    parent as full ^ acc.
     """
     root_and, word, leaves = drawn
     if len(word) == 1:
         return masks[leaves[0]]
-    leaf = iter(leaves).__next__
-    is_and, remaining = root_and, word[0]
-    acc = full if is_and else 0
+    flip, remaining, acc = root_and, word[0], 0
     stack: List[tuple] = []
-    for arity in itertools.islice(word, 1, None):
+    pos, leaf = 1, 0  # leaf: leaves before pos
+    while True:
+        arity = word[pos]
+        pos += 1
         if arity:
-            stack.append((is_and, remaining, acc))
-            is_and = not is_and
-            remaining = arity
-            acc = full if is_and else 0
+            stack.append((flip, remaining, acc))
+            flip, remaining, acc = not flip, arity, 0
             continue
-        if is_and:
-            acc &= masks[leaf()]
-        else:
-            acc |= masks[leaf()]
-        remaining -= 1
-        while not remaining and stack:
-            value = acc
-            is_and, remaining, acc = stack.pop()
-            if is_and:
-                acc &= value
-            else:
-                acc |= value
+        value = masks[leaves[leaf] ^ flip]
+        leaf += 1
+        while True:
+            acc |= value
             remaining -= 1
-    return acc
+            if remaining and acc != full:
+                break
+            if not stack:
+                return full ^ acc if flip else acc
+            if remaining:
+                pos, leaf = _skip_subtrees(word, pos, leaf, remaining)
+            value = full ^ acc
+            flip, remaining, acc = stack.pop()
 
 
 def fold_root_leaves(drawn: Draw) -> Tuple[int, bool]:
@@ -411,15 +428,7 @@ def fold_root_leaves(drawn: Draw) -> Tuple[int, bool]:
     leaf = 0  # leaves before pos
     for _ in range(word[0]):
         if word[pos]:
-            # a subtree child: with k child slots open, the next k letters
-            # leave open the sum of their arities, and none of them can
-            # close the subtree before the last
-            open_slots = 1
-            while open_slots:
-                chunk = word[pos : pos + open_slots]
-                pos += open_slots
-                leaf += chunk.count(0)
-                open_slots = sum(chunk)
+            pos, leaf = _skip_subtrees(word, pos, leaf, 1)
             continue
         r = leaves[leaf]
         clash = clash or r ^ 1 in seen

@@ -19,7 +19,8 @@ connective, word, leaf literal indexes); `sample` is `formula.decode` of a
 draw.  This module only draws and runs Monte Carlo: the word format, its
 decoder and the folds over it live in `formula`.  Monte Carlo statistics are
 folds over the draw itself: the truth table is a postfix fold of literal
-masks over the word (`formula.fold_truth_bits`), the first-level leaf count
+masks over the word (`formula.fold_truth_bits`) that stops a node at its
+absorbing value and skips its pending children, the first-level leaf count
 and the simple-tautology flag read the root's leaf children
 (`formula.fold_root_leaves`), and the tautology rate at n > MAX_FOLD_VARS
 (13) is a search on the word (`formula.never_evaluates_to`).  No statistic

@@ -48,7 +48,7 @@ from .analytic import (
 from .complexity import full_table, minimal_trees, slots_and_bounds
 from .counting import algebraic_residual, brute_enumerate, series
 from .distribution import function_counts, limit_estimate
-from .formula import Record, TruthTable, literal_mask, serialize
+from .formula import Draw, Record, TruthTable, encode, literal_mask
 from .sampler import (
     chi_square_critical,
     gamma_two_half_cdf,
@@ -426,10 +426,15 @@ def _leaf_law_gamma_distance(n: int) -> float:
 
 def criterion_10() -> List[CheckResult]:
     def uniformity():
-        support = [serialize(t) for t in brute_enumerate(3, 1)]
+        # each tree counted by its draw, the lists as tuples
+        def key(drawn: Draw) -> tuple:
+            root_and, word, leaves = drawn
+            return root_and, tuple(word), tuple(leaves)
+
+        support = [key(encode(t, 1)) for t in brute_enumerate(3, 1)]
         ctx = get_context(1, 3)
         rng = random.Random(SEED_UNIFORMITY)
-        counts = Counter(serialize(ctx.sample(3, rng)) for _ in range(CHI2_TRIALS))
+        counts = Counter(key(ctx.draw(3, rng)) for _ in range(CHI2_TRIALS))
         expected = CHI2_TRIALS / len(support)
         stat = sum((counts.get(s, 0) - expected) ** 2 / expected for s in support)
         crit = chi_square_critical(0.01, len(support) - 1)

@@ -257,6 +257,29 @@ def test_truth_table_fold_matches_oracle_on_sampled_trees(n):
             assert truth_table(tree, n, max_vars=6).bits == _oracle_truth_table(tree, n)
 
 
+@pytest.mark.parametrize("n, top", [(1, 7), (2, 6)])
+def test_fold_matches_oracle_on_every_small_tree(n, top):
+    masks, full = literal_masks(n), (1 << (1 << n)) - 1
+    for m in range(1, top + 1):
+        for tree in brute_enumerate(m, n):
+            assert fold_truth_bits(encode(tree, n), masks, full) == _oracle_truth_table(tree, n)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # the root absorbs at ~x1 and returns before the subtree
+        ("(or x1 ~x1 (and x3 x5))", 0b1111),
+        # an inner node absorbs, and the root reads on past its skipped subtree
+        ("(and x2 (or x1 ~x1 (and x3 ~x5)) x1)", 0b1000),
+    ],
+)
+def test_fold_reads_no_literal_of_a_skipped_subtree(text, want):
+    # literals of x3 and x5 index past the n = 2 masks, so reading one raises
+    drawn = encode(parse_formula(text, 5), 5)
+    assert fold_truth_bits(drawn, literal_masks(2), 0b1111) == want
+
+
 def test_truth_table_of_a_leaf_root():
     for var in (1, 2, 3):
         for neg in (False, True):
@@ -266,7 +289,14 @@ def test_truth_table_of_a_leaf_root():
 
 
 @pytest.mark.parametrize(
-    "text", ["x3", "(or x1 x3)", "(and x1 (or x2 ~x3))", "(or (and x1 x2) (and x2 x5) x1)"]
+    "text",
+    [
+        "x3",
+        "(or x1 x3)",
+        "(and x1 (or x2 ~x3))",
+        "(or (and x1 x2) (and x2 x5) x1)",
+        "(or x1 ~x1 (and x2 x5))",
+    ],
 )
 def test_truth_table_rejects_a_leaf_variable_past_n(text):
     tree = parse_formula(text, 5)
