@@ -8,10 +8,10 @@ size-2 "minimal trees" of a literal are degenerate unary shapes that are not
 valid trees here and are never materialised (m_f = 2 is still reported for
 them).  L and m_f are invariant under variable permutations and input
 negations, so the sweep reads them once per symmetry class of the engine.
-The minimal trees themselves are generated top down from the same counts
-(``distribution._trees``); the one-step expansions are counted, not
-generated, from the minimal trees' grafting slots and the engine's count
-of constant trees (see ``expansion_count``).
+The minimal trees themselves are generated top down from the same counts,
+in canonical order and with no sort (``distribution._trees``); the one-step
+expansions are counted, not generated, from the minimal trees' grafting
+slots and the engine's count of constant trees (see ``expansion_count``).
 """
 
 from __future__ import annotations
@@ -81,9 +81,11 @@ def complexity(f: TruthTable, n: int) -> ComplexityRecord:
 
 
 def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
-    """All size-L(f) trees computing f, in canonical order (by `serialize`);
-    needs L(f) >= 3 (real trees exist).  Raises counting.BudgetError, before
-    generating any, when m_f is over counting.DEFAULT_ENUMERATION_BUDGET."""
+    """All size-L(f) trees computing f, in canonical order (by `serialize`):
+    the and-rooted trees, then the or-rooted ones, each generated in that
+    order.  Needs L(f) >= 3 (real trees exist).  Raises
+    counting.BudgetError, before generating any, when m_f is over
+    counting.DEFAULT_ENUMERATION_BUDGET."""
     record = complexity(f, n)
     if record.L < 3:
         raise ValueError("constants and literal functions have no materialised minimal trees")
@@ -91,25 +93,7 @@ def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
         raise BudgetError(
             f"{f.to_hex()} has {record.m_f} minimal trees, over budget {DEFAULT_ENUMERATION_BUDGET}"
         )
-    trees = [t for op in (AND, OR) for t in _trees(n, record.L, f.bits, op)]
-    # The trees share subtrees, so the sort key, serialize(tree), joins the
-    # texts of the children, each built once; `trees` keeps them alive, so
-    # their ids stay theirs.
-    texts: Dict[int, str] = {}
-
-    def text(tree: AndOrTree) -> str:
-        if isinstance(tree, Leaf):
-            return str(tree.literal)
-        return f"({tree.op} {' '.join(map(child_text, tree.children))})"
-
-    def child_text(tree: AndOrTree) -> str:
-        hit = texts.get(id(tree))
-        if hit is None:
-            hit = texts[id(tree)] = text(tree)
-        return hit
-
-    trees.sort(key=text)
-    return trees
+    return [t for op in (AND, OR) for t in _trees(n, record.L, f.bits, op)]
 
 
 def full_table(n: int) -> List[ComplexityRecord]:

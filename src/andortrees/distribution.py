@@ -42,7 +42,7 @@ connectives and against the full-vector engine this one replaced.
 Queries (``prob``, ``prob_ge``, ``tautology_count``, ``exact_distribution``)
 read the orbit layers directly; only ``function_counts`` expands a layer to
 one entry per mask.  ``_trees`` lists the trees computing a mask, top down
-from the OR layers, for ``complexity``.
+from the OR layers and in `serialize` order, for ``complexity``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import series
-from .formula import AND, OR, AndOrTree, Leaf, Node, Record, TruthTable, _literals, literal_masks
+from .formula import AND, OR, AndOrTree, Leaf, Node, Record, TruthTable, _literals
+from .formula import literal_masks, serialize
 
 HARD_MAX_VARS = 4
 
@@ -348,7 +349,7 @@ def _sizes(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
 
 def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
     """Every size-s tree rooted at `op` computing the mask f, each once (at
-    s = 1, the leaf of f if f is a literal).
+    s = 1, the leaf of f if f is a literal), in `serialize` order.
 
     The recursive method of Flajolet, Zimmermann & Van Cutsem (1994), top
     down on the engine's counts.  Take the x-mask of an op-rooted tree to be
@@ -360,62 +361,77 @@ def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
     root, so a child with mask g and size t exists iff
     or_layers[t][orbit[full ^ g]] is nonzero, and a run of >= 2 children
     whose masks OR to h, of total size t, iff or_layers[t + 1][orbit[h]]
-    is.  A node's children split into a first child and the run of the
-    others, and only splits with nonzero counts are entered.  The masks
-    with nonzero counts are listed once per size, and a split scans those
-    lists instead of the submasks of its x-mask.
+    is.  A node with x-mask x takes a first child and then a run of the
+    others, all within x; after a first child of mask g the run must cover
+    the rest of x, so a run is keyed by the masks it must cover.  Only
+    first children whose run exists are taken.  They are taken from all
+    (size, mask) groups at once, by their texts, built once per memoized
+    subtree; so each memoized list, and the output, is in text order by
+    the argument of ``counting``'s module docstring.
     """
     engine = _get_engine(n, s)
     orbit, layers = engine.orbit, engine.or_layers
     full = len(orbit) - 1
     masks = range(full + 1)
     # one[t][g]: children of mask g and size t; run[t]: the masks of the
-    # runs of >= 1 children of total size t
+    # runs of children of total size t (the empty run at t = 0)
     one = [None] + [engine.per_mask(layers[t])[::-1] for t in range(1, s)]
-    run = [None] + [
+    run = [[0]] + [
         list(compress(masks, map(add, one[t], engine.per_mask(layers[t + 1]))))
         for t in range(1, s)
     ]
     child = [None] + [list(compress(masks, counts)) for counts in one[1:]]
     leaves = dict(zip(literal_masks(n), map(Leaf, _literals(n))))
-    memo: Dict[Tuple[str, int, int], List[AndOrTree]] = {}
+    memo: Dict[tuple, list] = {}
 
-    def rooted(op: str, x: int, size: int) -> List[AndOrTree]:
-        """The op-rooted trees of this size with x-mask x."""
+    def rooted(op: str, x: int, size: int) -> List[Tuple[str, AndOrTree]]:
+        """(text, tree) of the op-rooted trees of this size with x-mask x."""
         key = (op, x, size)
         trees = memo.get(key)
         if trees is None:
             if size == 1:
-                trees = [leaves[x if op == OR else full ^ x]]
+                leaf = leaves[x if op == OR else full ^ x]
+                trees = [(str(leaf.literal), leaf)]
             else:
-                trees = [Node(op, kids) for kids in runs(op, x, size - 1, False)]
+                nodes = [Node(op, kids) for kids in runs(op, x, x, size - 1) if len(kids) > 1]
+                trees = list(zip(map(serialize, nodes), nodes))
             memo[key] = trees
         return trees
 
-    def runs(op: str, x: int, size: int, alone: bool) -> Iterator[tuple]:
-        """Children of an op node whose masks OR to x, of total size
-        `size`: >= 2 of them, or also a single one if `alone`."""
-        other = AND if op == OR else OR
-        if alone and one[size][x]:
-            for kid in rooted(other, full ^ x, size):
-                yield (kid,)
-        for first in range(1, size):
-            heads = [g for g in child[first] if g | x == x]
-            if not heads:
-                continue
-            tails = [h for h in run[size - first] if h | x == x]
-            for g in heads:
-                need = x ^ g
-                for h in tails:
-                    if h & need == need:
+    def firsts(op: str, x: int, need: int, size: int) -> List[tuple]:
+        """(text, first child, mask left to cover, size left) of `runs`."""
+        key = (op, x, need, size)
+        heads = memo.get(key)
+        if heads is None:
+            other = AND if op == OR else OR
+            heads = []
+            for first in range(1, size + 1):
+                tails = [h for h in run[size - first] if h | x == x]
+                for g in child[first]:
+                    left = need & ~g
+                    if g | x == x and any(h & left == left for h in tails):
                         kids = rooted(other, full ^ g, first)
-                        for more in runs(op, h, size - first, True):
-                            for kid in kids:
-                                yield (kid,) + more
+                        heads += [(text, kid, left, size - first) for text, kid in kids]
+            heads = memo[key] = sorted(heads, key=itemgetter(0))
+        return heads
+
+    def runs(op: str, x: int, need: int, size: int) -> Iterator[tuple]:
+        """Runs of >= 1 children of an op node, of total size `size`, each
+        child's mask within x and their OR covering `need`."""
+        for _, kid, left, more in firsts(op, x, need, size):
+            if more:
+                for rest in runs(op, x, left, more):
+                    yield (kid,) + rest
+            else:
+                yield (kid,)
 
     x = f if op == OR else full ^ f
-    if layers[s][orbit[x]]:
-        yield from rooted(op, x, s)
+    if not layers[s][orbit[x]]:
+        return
+    if s == 1:
+        yield leaves[f]
+    else:
+        yield from (Node(op, kids) for kids in runs(op, x, x, s - 1) if len(kids) > 1)
 
 
 def _load_cached(n: int) -> Optional[_Engine]:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 from collections import Counter
@@ -159,6 +160,10 @@ def test_n4_conjunction_and_disjunction_of_all_inputs():
     for f in (conj, disj):
         rec = complexity(f, 4)
         assert (rec.L, rec.m_f) == (5, 24)  # the 4! orders of the children
+    # and the minimal trees come out in serialize order
+    orders = itertools.permutations(["x1", "x2", "x3", "x4"])
+    want = sorted(f"(and {' '.join(order)})" for order in orders)
+    assert [serialize(t) for t in minimal_trees(conj, 4)] == want
 
 
 def test_minimal_trees_match_the_brute_oracle():
@@ -174,18 +179,21 @@ def test_minimal_trees_match_the_brute_oracle():
 
 def test_minimal_trees_at_n3_number_m_f():
     counts = {}
+    digest = hashlib.sha256()  # of the whole stream, function by function
     for rec in full_table(3):
         if rec.L >= 3:
             trees = minimal_trees(rec.f, 3)
             assert len(trees) == rec.m_f
             forms = [serialize(t) for t in trees]
             assert forms == sorted(forms)
+            digest.update("".join(form + "\n" for form in forms).encode())
             counts[rec.f.bits] = len(trees)
             for tree in trees[:: max(1, len(trees) // 50)]:
                 assert tree_size(tree) == rec.L and truth_table(tree, 3) == rec.f
     assert len(counts) == 248
     assert counts[0x96] == counts[0x69] == 131328
     assert sum(counts.values()) == 317232
+    assert digest.hexdigest()[:16] == "ecd21d083eea13c4"
 
 
 def test_minimal_trees_over_the_enumeration_budget_raise(monkeypatch):

@@ -587,19 +587,19 @@ def test_orbit_transforms_match_butterfly(n):
     "n, m", [(n, m) for n in (1, 2) for m in range(1, 8)] + [(3, m) for m in range(1, 7)]
 )
 def test_generated_trees_are_the_brute_size_class(n, m):
-    """Over every mask and both roots the generator yields the size-m class
-    of `brute_enumerate`, each tree once, each under its own mask and root;
-    a leaf is a tree of either root, so at m = 1 each root yields them all."""
-    brute = [serialize(t) for t in brute_enumerate(m, n)]
-    for roots in ((AND,), (OR,)) if m == 1 else ((AND, OR),):
-        got = []
-        for op in roots:
-            for f in range(1 << (1 << n)):
-                for tree in dist_mod._trees(n, m, f, op):
-                    assert truth_table(tree, n).bits == f
-                    assert isinstance(tree, Leaf) if m == 1 else tree.op == op
-                    got.append(serialize(tree))
-        assert sorted(got) == brute
+    """Each (mask, root) stream of the generator is the size-m class of
+    `brute_enumerate` filtered to that mask and root, in the same order, so
+    over every mask and both roots each tree comes once, under its own mask
+    and root; a leaf is a tree of either root, so at m = 1 each root yields
+    them all."""
+    want = {}
+    for tree in brute_enumerate(m, n):
+        for op in (AND, OR) if m == 1 else (tree.op,):
+            want.setdefault((truth_table(tree, n).bits, op), []).append(serialize(tree))
+    for op in (AND, OR):
+        for f in range(1 << (1 << n)):
+            got = [serialize(tree) for tree in dist_mod._trees(n, m, f, op)]
+            assert got == want.get((f, op), []), (f, op)
 
 
 # ---------------------------------------------------------------------------
