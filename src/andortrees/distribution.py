@@ -29,7 +29,14 @@ generators of B_n, "swap x1 and x2" and "rotate x1 -> x2 -> ... -> xn ->
 x1, then negate x1", so each mask costs two lookups; the representative of
 an orbit is its smallest mask.  On orbits the zeta transform is
 (Zv)[F] = sum_O c(F, O) * v[O] with c(F, O) = #{G in O : G within F}, and
-complementation is a permutation of the orbits.  Z is unit lower triangular
+complementation is a permutation of the orbits.  The rows of c come from a
+one-bit recursion: for O of popcount k < p = |F|, (p - k) * c(F, O) is the
+sum of c(F ^ b, O) over the bits b of F, since each k-subset of F misses
+exactly p - k of its bits; F ^ b lies in an orbit of smaller id, whose row
+is already built.  Each row is one Python int with a 16-bit field per
+orbit, fields grouped by popcount, so a row is a sum of at most p rows and
+one exact division per popcount; no field overflows, as
+(p - k) * c <= 16 * 384 < 2^16 at n <= 4.  Z is unit lower triangular
 in orbit-id order, so the Möbius transform is a forward substitution on the
 same entries.  The engine keeps Z by columns without its diagonal: zeta
 adds each nonzero v[O] along column O, Möbius subtracts each nonzero
@@ -49,10 +56,11 @@ from __future__ import annotations
 
 import marshal
 import os
+import sys
 import threading
-from collections import Counter
+from array import array
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import compress, count
 from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -145,63 +153,100 @@ def _generator_images(n: int) -> List[List[int]]:
 
 def _orbit_tables(n: int) -> Tuple[List[int], List[int]]:
     """(orbit id of every mask, smallest mask of every orbit), with orbits
-    numbered in the order of their smallest masks."""
+    numbered in the order of their smallest masks.
+
+    The search starts each orbit at the smallest mask not yet seen and
+    stops after the all-ones mask, which every generator fixes: it is an
+    orbit of its own and the last one.
+    """
     images = _generator_images(n)
+    swap, rotate = images[0], images[-1]  # at n = 1 the one generator twice
     orbit = [-1] * (1 << (1 << n))
+    last = len(orbit) - 1
     reps: List[int] = []
-    for start, seen in enumerate(orbit):
-        if seen >= 0:
-            continue
+    start = -1
+    while start < last:
+        start = orbit.index(-1, start + 1)
         ident = len(reps)
         reps.append(start)
         orbit[start] = ident
-        stack = [start]
-        while stack:
-            mask = stack.pop()
-            for image in images:
-                other = image[mask]
-                if orbit[other] < 0:
-                    orbit[other] = ident
-                    stack.append(other)
+        members = [start]
+        add_member = members.append
+        for mask in members:  # the loop reads the members added in it
+            other = swap[mask]
+            if orbit[other] < 0:
+                orbit[other] = ident
+                add_member(other)
+            other = rotate[mask]
+            if orbit[other] < 0:
+                orbit[other] = ident
+                add_member(other)
     return orbit, reps
 
 
 #: column O of the zeta incidence: (orbit ids F != O, counts c(F, O) > 0)
 _Columns = List[Tuple[List[int], List[int]]]
 
+#: bits of one count c(F, O) in a packed incidence row of `_incidence`
+_FIELD_BITS = 16
+
 
 def _incidence(orbit: List[int], reps: List[int]) -> _Columns:
     """Columns of the zeta incidence on orbits, the diagonal left out.
 
-    c(F, O), the number of masks of orbit O within the representative of F,
-    is found by counting the orbit ids of all submasks of F, and column O
-    lists the orbits F != O with c(F, O) > 0 and those counts.  The diagonal
-    c(O, O) is 1: the masks of an orbit share one popcount, and the only
-    submask of a mask with its popcount is the mask itself.  The submasks
-    are read by byte blocks (a mask has at most two bytes, n <= 4): for each
-    submask h of F's high byte, one getter per low-byte pattern picks the
-    orbit ids of the submasks of F's low byte out of the block of masks with
-    high byte h.
+    c(F, O) is the number of masks of orbit O within the representative of
+    F; column O lists the orbits F != O with c(F, O) > 0, ids ascending, and
+    those counts.  The diagonal c(O, O) is 1: the masks of an orbit share
+    one popcount, and the only submask of a mask with its popcount is the
+    mask itself.
+
+    The rows come from a one-bit recursion.  For an orbit O of popcount
+    k < p = |F|, (p - k) * c(F, O) = sum over the bits b of F of
+    c(F ^ b, O): each k-subset of F misses exactly p - k bits of F, so it
+    lies within F ^ b for p - k of the b.  c(., O) is constant on orbits, so
+    c(F ^ b, .) is the row of orbit[rep ^ b], an id smaller than F's: that
+    orbit's smallest mask is at most rep ^ b < rep.  Rows are built in id
+    order, each a Python int with a `_FIELD_BITS` field per orbit, the
+    fields grouped by popcount, so a row is the sum of at most |F| rows,
+    each popcount segment of it divided by p - k with one exact `//`, plus
+    its diagonal field.  The division is exact field by field because every
+    field of the segment is a multiple of p - k, and no field overflows:
+    (p - k) * c(F, O) <= 16 * 384 < 2**16 at n <= 4 (16 points, and an
+    orbit has at most 2**n * n! masks).
     """
-    width = min(8, (len(orbit) - 1).bit_length())
-    block = 1 << width
-    subs = [[0]]  # subs[b]: the submasks of the byte value b
-    for b in range(1, block):
-        rest, low = subs[b & (b - 1)], b & -b
-        subs.append(rest + [s | low for s in rest])
-    # itemgetter of one index returns an item, not a tuple: slice instead
-    getters = [itemgetter(*s) if len(s) > 1 else itemgetter(slice(1)) for s in subs]
-    blocks = [orbit[i : i + block] for i in range(0, len(orbit), block)]
-    ids: List[List[int]] = [[] for _ in reps]
-    coeffs: List[List[int]] = [[] for _ in reps]
-    for f, rep in enumerate(reps):
-        high_blocks = map(blocks.__getitem__, subs[rep >> width])
-        counts = Counter(chain.from_iterable(map(getters[rep & (block - 1)], high_blocks)))
-        del counts[f]
-        for o, c in counts.items():
-            ids[o].append(f)
-            coeffs[o].append(c)
-    return list(zip(ids, coeffs))
+    size = len(reps)
+    pops = [rep.bit_count() for rep in reps]
+    # field of each orbit: by popcount, then by id; segment k holds popcount k
+    field = [0] * size
+    for i, o in enumerate(sorted(range(size), key=pops.__getitem__)):
+        field[o] = i
+    starts = [0]  # the lowest bit of each segment, and the top of the last
+    for k in range(pops[-1] + 1):  # the all-ones mask has the largest popcount
+        starts.append(starts[-1] + _FIELD_BITS * pops.count(k))
+    masks = [(1 << (high - low)) - 1 for low, high in zip(starts, starts[1:])]
+    rows: List[int] = []  # diagonal included
+    counts = array("H")  # the rows without their diagonal, one after another
+    for f, (rep, p) in enumerate(zip(reps, pops)):
+        total = 0
+        bits = rep
+        while bits:
+            low = bits & -bits
+            total += rows[orbit[rep ^ low]]
+            bits ^= low
+        row = 0
+        for k in range(p):
+            row |= (total >> starts[k] & masks[k]) // (p - k) << starts[k]
+        counts.frombytes(row.to_bytes(starts[-1] // 8, sys.byteorder))
+        rows.append(row | 1 << field[f] * _FIELD_BITS)
+    # in native byte order each field is one 'H' item; a row's fields come
+    # out least significant first on a little-endian machine, most
+    # significant first on a big-endian one
+    slot = field if sys.byteorder == "little" else [size - 1 - i for i in field]
+    columns = []
+    for o in range(size):
+        column = counts[(o + 1) * size + slot[o] :: size]  # c(F, O) for F > O
+        columns.append((list(compress(range(o + 1, size), column)), list(filter(None, column))))
+    return columns
 
 
 def _zeta(columns: _Columns, v: List[int]) -> List[int]:

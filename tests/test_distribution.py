@@ -550,6 +550,28 @@ def test_incidence_rows_match_the_submask_oracle(n):
     columns = dist_mod._incidence(orbit, reps)
     assert [dict(zip(ids, coeffs)) for ids, coeffs in columns] == want
     assert all(f > o for o, (ids, _) in enumerate(columns) for f in ids)
+    # ids ascend in each column, so _zeta and _mobius add in id order
+    assert all(list(ids) == sorted(set(ids)) for ids, _ in columns)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_bit_recursion_of_the_incidence_rows(n):
+    # (|F| - k) c(F, O) = sum over the bits b of F of c(F ^ b, O) for every
+    # orbit O of popcount k < |F|, and the left side fits in one packed field
+    orbit, reps = dist_mod._orbit_tables(n)
+    zeta_rows, _ = _oracle_incidence(orbit, reps)
+    rows = [dict(zip(ids, coeffs)) for ids, coeffs in zeta_rows]
+    largest = 0
+    for f, rep in enumerate(reps):
+        p = rep.bit_count()
+        bits = [1 << i for i in range(rep.bit_length()) if rep >> i & 1]
+        for o, o_rep in enumerate(reps):
+            k = o_rep.bit_count()
+            if k < p:
+                left = (p - k) * rows[f].get(o, 0)
+                assert left == sum(rows[orbit[rep ^ b]].get(o, 0) for b in bits)
+                largest = max(largest, left)
+    assert largest < 1 << dist_mod._FIELD_BITS
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
