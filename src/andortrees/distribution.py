@@ -24,10 +24,12 @@ the transformed f, and it permutes the 2^n assignment points, so it commutes
 with OR, with both transforms and with complementation.  Every layer is
 therefore constant on B_n-orbits of truth-table masks (22 orbits at n = 3,
 402 at n = 4), and the engine keeps each quantity as one list over the
-orbits, indexed by orbit id.  Orbit ids come from a search under two
-generators of B_n, "swap x1 and x2" and "rotate x1 -> x2 -> ... -> xn ->
-x1, then negate x1", so each mask costs two lookups; the representative of
-an orbit is its smallest mask.  On orbits the zeta transform is
+orbits, indexed by orbit id.  The representative of an orbit is its
+smallest mask, and the orbit is read off all at once as the images of the
+representative under every element of B_n: per byte position of a mask, a
+table indexed by byte value holds the images of the byte under all 2^n * n!
+elements, one 16-bit field per element, so an orbit costs one OR of table
+entries and one unpacking of its images.  On orbits the zeta transform is
 (Zv)[F] = sum_O c(F, O) * v[O] with c(F, O) = #{G in O : G within F}, and
 complementation is a permutation of the orbits.  The rows of c come from a
 one-bit recursion: for O of popcount k < p = |F|, (p - k) * c(F, O) is the
@@ -60,7 +62,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, permutations
 from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -122,46 +124,50 @@ class LimitReport(Record):
 # ---------------------------------------------------------------------------
 
 
-def _generator_images(n: int) -> List[List[int]]:
-    """For each generator of B_n, the image of every mask.
-
-    Two generators suffice: "swap x1 and x2" and "rotate x1 -> x2 -> ... ->
-    xn -> x1, then negate x1" (at n = 1 the second alone, "negate x1").
-    They permute assignment points: the swap exchanges bits 0 and 1 of the
-    point, the rotation moves bit v to bit v+1 (bit n-1 to bit 0) and the
-    negation then flips bit 0.  A mask's image is the OR of one lookup per
-    byte of the mask, in a table per byte position (two tables at n = 4);
-    the loop below builds all images from them.
-    """
-    points = 1 << n
-    width = min(8, points)
-    perms = [[(k << 1 & (points - 1) | k >> (n - 1)) ^ 1 for k in range(points)]]
-    if n > 1:
-        perms.insert(0, [k ^ 3 if (k ^ k >> 1) & 1 else k for k in range(points)])
-    result = []
-    for perm in perms:
-        images = [0]
-        for base in range(0, points, width):
-            table = [
-                sum(1 << perm[base + i] for i in range(width) if byte >> i & 1)
-                for byte in range(1 << width)
-            ]
-            images = [high | low for high in table for low in images]
-        result.append(images)
-    return result
+#: bits of one packed field: an image mask in `_orbit_tables`, a count
+#: c(F, O) in an incidence row of `_incidence`
+_FIELD_BITS = 16
 
 
 def _orbit_tables(n: int) -> Tuple[List[int], List[int]]:
     """(orbit id of every mask, smallest mask of every orbit), with orbits
     numbered in the order of their smallest masks.
 
-    The search starts each orbit at the smallest mask not yet seen and
-    stops after the all-ones mask, which every generator fixes: it is an
-    orbit of its own and the last one.
+    An orbit is the set of images of its smallest mask under the 2^n * n!
+    elements of B_n, each a map of assignment points: permute the variables
+    (the bits of a point), then flip inputs (xor a constant into it).  A
+    mask's image is the OR of the images of its bytes, so each byte position
+    of a mask (two at n = 4) has a table that holds, per byte value, the
+    images of the byte under every element at once: one Python int with a
+    `_FIELD_BITS` field per element, built by doubling over the byte's bits.
+    A field holds a whole image mask, and masks are below 2^16 at n <=
+    `HARD_MAX_VARS` (16 points).  Fields are packed and unpacked through
+    `array('H')` in native byte order, one field per item, so the fields
+    line up for the OR and come back out whole on either byte order.  Each
+    orbit then costs one OR of table entries, one `to_bytes` and one store
+    per image (a mask fixed by some elements is stored more than once, which
+    is cheaper than dropping the repeats).  The next representative is the
+    smallest mask not yet labelled; the all-ones mask, fixed by every
+    element, is an orbit of its own and the last one.
     """
-    images = _generator_images(n)
-    swap, rotate = images[0], images[-1]  # at n = 1 the one generator twice
-    orbit = [-1] * (1 << (1 << n))
+    points = 1 << n
+    width = min(8, points)
+    moves = []  # moves[e][k]: point k under the variable permutation e
+    for perm in permutations(range(n)):
+        move = [0]
+        for w in perm:  # bit v of a point goes to bit perm[v]
+            move += [k | 1 << w for k in move]
+        moves.append(move)
+    tables = []
+    for base in range(0, points, width):
+        table = [0]
+        for k in range(base, base + width):
+            fields = array("H", [1 << (move[k] ^ flip) for move in moves for flip in range(points)])
+            images = int.from_bytes(fields.tobytes(), sys.byteorder)  # of point k
+            table += [t | images for t in table]
+        tables.append(table)
+    size = len(moves) * points * _FIELD_BITS // 8  # bytes of the packed images
+    orbit = [-1] * (1 << points)
     last = len(orbit) - 1
     reps: List[int] = []
     start = -1
@@ -169,26 +175,16 @@ def _orbit_tables(n: int) -> Tuple[List[int], List[int]]:
         start = orbit.index(-1, start + 1)
         ident = len(reps)
         reps.append(start)
-        orbit[start] = ident
-        members = [start]
-        add_member = members.append
-        for mask in members:  # the loop reads the members added in it
-            other = swap[mask]
-            if orbit[other] < 0:
-                orbit[other] = ident
-                add_member(other)
-            other = rotate[mask]
-            if orbit[other] < 0:
-                orbit[other] = ident
-                add_member(other)
+        images = 0
+        for j, table in enumerate(tables):
+            images |= table[start >> 8 * j & 255]
+        for mask in array("H", images.to_bytes(size, sys.byteorder)):
+            orbit[mask] = ident
     return orbit, reps
 
 
 #: column O of the zeta incidence: (orbit ids F != O, counts c(F, O) > 0)
 _Columns = List[Tuple[List[int], List[int]]]
-
-#: bits of one count c(F, O) in a packed incidence row of `_incidence`
-_FIELD_BITS = 16
 
 
 def _incidence(orbit: List[int], reps: List[int]) -> _Columns:

@@ -405,8 +405,8 @@ def _oracle_tautology_bounds(n: int, prec: int = 200) -> Dict[str, float]:
 def _oracle_generator_images(n: int) -> List[List[int]]:
     """The image of every mask under each of n generators of B_n: "negate
     x1" (flip bit 0 of the assignment point) and the adjacent swaps of x_v
-    and x_{v+1} (swap bits v-1 and v), built by byte tables as the library's
-    two-generator version is."""
+    and x_{v+1} (swap bits v-1 and v).  A mask's image is the OR of one
+    lookup per byte of the mask, in a table per byte position."""
     points = 1 << n
     width = min(8, points)
     perms = [[k ^ 1 for k in range(points)]]

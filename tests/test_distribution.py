@@ -3,6 +3,7 @@ import marshal
 import os
 import pickle
 import random
+import tracemalloc
 import types
 from collections import Counter
 from fractions import Fraction
@@ -501,38 +502,21 @@ def test_orbit_tables(n, orbits):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_tables_match_the_n_generator_oracle(n):
-    # every n up to HARD_MAX_VARS: the two generators span the orbits of B_n
+    # every n up to HARD_MAX_VARS: the images under every element of B_n
+    # against a search under n generators
     assert dist_mod._orbit_tables(n) == _oracle_orbit_tables(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_generators_map_each_orbit_into_itself(n):
-    orbit, _ = dist_mod._orbit_tables(n)
-    images = dist_mod._generator_images(n)
-    assert len(images) == min(n, 2)  # swap x1 and x2 (n >= 2), rotate-and-negate
-    for image in images:
-        assert sorted(image) == list(range(len(orbit)))  # a permutation
-        assert [orbit[g] for g in image] == orbit
-
-
-def test_generators_act_on_assignment_points():
-    # point k gives x_v bit v - 1 of k
-    for n in (2, 3):
-        swap_12, rotate = dist_mod._generator_images(n)
-        x = [None] + [literal_mask(v, False, n) for v in range(1, n + 1)]
-        not_x = [None] + [literal_mask(v, True, n) for v in range(1, n + 1)]
-        full = (1 << (1 << n)) - 1
-        assert swap_12[x[1]] == x[2] and swap_12[x[2]] == x[1]
-        assert swap_12[not_x[1]] == not_x[2]
-        assert swap_12[x[1] & ~x[2] & full] == x[2] & ~x[1] & full
-        assert all(swap_12[x[v]] == x[v] for v in range(3, n + 1))
-        # x1 -> x2 -> ... -> xn -> x1, then x1 negated
-        assert all(rotate[x[v]] == x[v + 1] for v in range(1, n))
-        assert rotate[x[n]] == not_x[1] and rotate[not_x[n]] == x[1]
-        assert rotate[x[1] & x[n]] == x[2] & not_x[1]
-    # at n = 1 the rotation is trivial: the one generator negates x1
-    (negate_x1,) = dist_mod._generator_images(1)
-    assert negate_x1 == [0, 2, 1, 3]
+def test_orbit_tables_peak_memory():
+    # the orbit list itself takes 0.5 MB at n = 4; a 65,536-entry list of
+    # images per group element or generator would take the peak past 5 MB
+    tracemalloc.start()
+    try:
+        dist_mod._orbit_tables(4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
