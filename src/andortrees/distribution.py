@@ -22,31 +22,27 @@ The group B_n of variable permutations and input negations (order
 2^n * n!) maps the trees computing f one-to-one onto the trees computing
 the transformed f, and it permutes the 2^n assignment points, so it commutes
 with OR, with both transforms and with complementation.  Every layer is
-therefore constant on B_n-orbits of truth-table masks (22 orbits at n = 3,
-402 at n = 4), and the engine keeps each quantity as one list over the
-orbits, indexed by orbit id.  The representative of an orbit is its
-smallest mask, and the orbit is read off all at once as the images of the
-representative under every element of B_n: per byte position of a mask, a
-table indexed by byte value holds the images of the byte under all 2^n * n!
-elements, one 16-bit field per element, so an orbit costs one OR of table
-entries and one unpacking of its images.  On orbits the zeta transform is
+therefore constant on B_n-orbits of truth-table masks (3, 6, 22 and 402
+orbits at n = 1..4), and the engine keeps each quantity as one list over the
+orbits, indexed by orbit id, orbits numbered in the order of their smallest
+masks, the representatives.  On orbits the zeta transform is
 (Zv)[F] = sum_O c(F, O) * v[O] with c(F, O) = #{G in O : G within F}, and
-complementation is a permutation of the orbits.  The rows of c come from a
-one-bit recursion: for O of popcount k < p = |F|, (p - k) * c(F, O) is the
-sum of c(F ^ b, O) over the bits b of F, since each k-subset of F misses
-exactly p - k of its bits; F ^ b lies in an orbit of smaller id, whose row
-is already built.  Each row is one Python int with a 16-bit field per
-orbit, fields grouped by popcount, so a row is a sum of at most p rows and
-one exact division per popcount; no field overflows, as
-(p - k) * c <= 16 * 384 < 2^16 at n <= 4.  Z is unit lower triangular
+complementation is a permutation of the orbits.  Z is unit lower triangular
 in orbit-id order, so the Möbius transform is a forward substitution on the
 same entries.  The engine keeps Z by columns without its diagonal: zeta
 adds each nonzero v[O] along column O, Möbius subtracts each nonzero
 solution entry along its column, and both touch only the nonzero entries of
 a layer (few at small sizes: 1, 0, 3, 4, 6, 8, 15 and 21 of the 402 orbits
-at n = 4, m = 1..8).  Counts are checked in the tests against brute-force
-enumeration, against an independent per-mask computation of both
-connectives and against the full-vector engine this one replaced.
+at n = 4, m = 1..8).
+
+The orbit ids, the representatives and the columns of Z are fixed data for
+each n <= HARD_MAX_VARS.  They ship with the package in ``tables/``, written
+by ``scripts/write_bn_tables.py`` from the independent oracles of the
+tests, and are read, never computed, at run time: the orbit table when an
+engine is made, the columns when it grows its first layer.  Counts are
+checked in the tests against brute-force enumeration, against an
+independent per-mask computation of both connectives and against the
+full-vector engine this one replaced.
 
 Queries (``prob``, ``prob_ge``, ``tautology_count``, ``exact_distribution``)
 read the orbit layers directly; only ``function_counts`` expands a layer to
@@ -62,7 +58,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import compress, count, permutations
+from itertools import compress, count
 from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,7 +70,7 @@ HARD_MAX_VARS = 4
 
 CACHE_ENV_VAR = "ANDORTREES_CACHE_DIR"
 #: tag of the on-disk engine format; a file with any other tag is recomputed
-CACHE_FORMAT = "andortrees-engine-3"
+CACHE_FORMAT = "andortrees-engine-4"
 
 
 class DistributionError(RuntimeError):
@@ -124,124 +120,62 @@ class LimitReport(Record):
 # ---------------------------------------------------------------------------
 
 
-#: bits of one packed field: an image mask in `_orbit_tables`, a count
-#: c(F, O) in an incidence row of `_incidence`
-_FIELD_BITS = 16
+#: the shipped orbit and zeta-incidence files, written by
+#: scripts/write_bn_tables.py
+_TABLES_DIR = os.path.join(os.path.dirname(__file__), "tables")
 
 
-def _orbit_tables(n: int) -> Tuple[List[int], List[int]]:
-    """(orbit id of every mask, smallest mask of every orbit), with orbits
-    numbered in the order of their smallest masks.
+def _read_table(name: str) -> bytes:
+    path = os.path.join(_TABLES_DIR, name)
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DistributionError(
+            f"missing table file {path}; rebuild the tables with "
+            "`PYTHONPATH=src python scripts/write_bn_tables.py` in the source tree"
+        ) from None
 
-    An orbit is the set of images of its smallest mask under the 2^n * n!
-    elements of B_n, each a map of assignment points: permute the variables
-    (the bits of a point), then flip inputs (xor a constant into it).  A
-    mask's image is the OR of the images of its bytes, so each byte position
-    of a mask (two at n = 4) has a table that holds, per byte value, the
-    images of the byte under every element at once: one Python int with a
-    `_FIELD_BITS` field per element, built by doubling over the byte's bits.
-    A field holds a whole image mask, and masks are below 2^16 at n <=
-    `HARD_MAX_VARS` (16 points).  Fields are packed and unpacked through
-    `array('H')` in native byte order, one field per item, so the fields
-    line up for the OR and come back out whole on either byte order.  Each
-    orbit then costs one OR of table entries, one `to_bytes` and one store
-    per image (a mask fixed by some elements is stored more than once, which
-    is cheaper than dropping the repeats).  The next representative is the
-    smallest mask not yet labelled; the all-ones mask, fixed by every
-    element, is an orbit of its own and the last one.
+
+def _load_orbits(n: int) -> Tuple[List[int], List[int]]:
+    """(orbit id of every mask, smallest mask of every orbit) at n, orbits
+    numbered in the order of their smallest masks, read from
+    ``tables/orbits_n<n>.marshal``.
+
+    The file is a marshal list [orbit, reps].  Every mask of an orbit holds
+    the same int object, which marshal writes once and then references, so
+    the loaded id list holds one object per orbit (0.54 MB at n = 4, against
+    1.21 MB for a list of fresh ints).
     """
-    points = 1 << n
-    width = min(8, points)
-    moves = []  # moves[e][k]: point k under the variable permutation e
-    for perm in permutations(range(n)):
-        move = [0]
-        for w in perm:  # bit v of a point goes to bit perm[v]
-            move += [k | 1 << w for k in move]
-        moves.append(move)
-    tables = []
-    for base in range(0, points, width):
-        table = [0]
-        for k in range(base, base + width):
-            fields = array("H", [1 << (move[k] ^ flip) for move in moves for flip in range(points)])
-            images = int.from_bytes(fields.tobytes(), sys.byteorder)  # of point k
-            table += [t | images for t in table]
-        tables.append(table)
-    size = len(moves) * points * _FIELD_BITS // 8  # bytes of the packed images
-    orbit = [-1] * (1 << points)
-    last = len(orbit) - 1
-    reps: List[int] = []
-    start = -1
-    while start < last:
-        start = orbit.index(-1, start + 1)
-        ident = len(reps)
-        reps.append(start)
-        images = 0
-        for j, table in enumerate(tables):
-            images |= table[start >> 8 * j & 255]
-        for mask in array("H", images.to_bytes(size, sys.byteorder)):
-            orbit[mask] = ident
+    orbit, reps = marshal.loads(_read_table(f"orbits_n{n}.marshal"))
     return orbit, reps
 
 
 #: column O of the zeta incidence: (orbit ids F != O, counts c(F, O) > 0)
-_Columns = List[Tuple[List[int], List[int]]]
+_Columns = List[Tuple[Sequence[int], Sequence[int]]]
 
 
-def _incidence(orbit: List[int], reps: List[int]) -> _Columns:
-    """Columns of the zeta incidence on orbits, the diagonal left out.
+def _load_columns(n: int) -> _Columns:
+    """Columns of the zeta incidence on orbits at n, the diagonal left out,
+    read from ``tables/zeta_n<n>.bin``.
 
     c(F, O) is the number of masks of orbit O within the representative of
     F; column O lists the orbits F != O with c(F, O) > 0, ids ascending, and
-    those counts.  The diagonal c(O, O) is 1: the masks of an orbit share
-    one popcount, and the only submask of a mask with its popcount is the
-    mask itself.
-
-    The rows come from a one-bit recursion.  For an orbit O of popcount
-    k < p = |F|, (p - k) * c(F, O) = sum over the bits b of F of
-    c(F ^ b, O): each k-subset of F misses exactly p - k bits of F, so it
-    lies within F ^ b for p - k of the b.  c(., O) is constant on orbits, so
-    c(F ^ b, .) is the row of orbit[rep ^ b], an id smaller than F's: that
-    orbit's smallest mask is at most rep ^ b < rep.  Rows are built in id
-    order, each a Python int with a `_FIELD_BITS` field per orbit, the
-    fields grouped by popcount, so a row is the sum of at most |F| rows,
-    each popcount segment of it divided by p - k with one exact `//`, plus
-    its diagonal field.  The division is exact field by field because every
-    field of the segment is a multiple of p - k, and no field overflows:
-    (p - k) * c(F, O) <= 16 * 384 < 2**16 at n <= 4 (16 points, and an
-    orbit has at most 2**n * n! masks).
+    those counts, as two `array('H')`.  The diagonal c(O, O) is 1: the masks
+    of an orbit share one popcount, and the only submask of a mask with its
+    popcount is the mask itself.  The file is little-endian 16-bit words:
+    the number N of orbits, the length k_O of each column, then per column
+    its k_O ids followed by its k_O counts.
     """
-    size = len(reps)
-    pops = [rep.bit_count() for rep in reps]
-    # field of each orbit: by popcount, then by id; segment k holds popcount k
-    field = [0] * size
-    for i, o in enumerate(sorted(range(size), key=pops.__getitem__)):
-        field[o] = i
-    starts = [0]  # the lowest bit of each segment, and the top of the last
-    for k in range(pops[-1] + 1):  # the all-ones mask has the largest popcount
-        starts.append(starts[-1] + _FIELD_BITS * pops.count(k))
-    masks = [(1 << (high - low)) - 1 for low, high in zip(starts, starts[1:])]
-    rows: List[int] = []  # diagonal included
-    counts = array("H")  # the rows without their diagonal, one after another
-    for f, (rep, p) in enumerate(zip(reps, pops)):
-        total = 0
-        bits = rep
-        while bits:
-            low = bits & -bits
-            total += rows[orbit[rep ^ low]]
-            bits ^= low
-        row = 0
-        for k in range(p):
-            row |= (total >> starts[k] & masks[k]) // (p - k) << starts[k]
-        counts.frombytes(row.to_bytes(starts[-1] // 8, sys.byteorder))
-        rows.append(row | 1 << field[f] * _FIELD_BITS)
-    # in native byte order each field is one 'H' item; a row's fields come
-    # out least significant first on a little-endian machine, most
-    # significant first on a big-endian one
-    slot = field if sys.byteorder == "little" else [size - 1 - i for i in field]
+    words = array("H", _read_table(f"zeta_n{n}.bin"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    size = words[0]
     columns = []
-    for o in range(size):
-        column = counts[(o + 1) * size + slot[o] :: size]  # c(F, O) for F > O
-        columns.append((list(compress(range(o + 1, size), column)), list(filter(None, column))))
+    at = 1 + size
+    for k in words[1 : 1 + size]:
+        columns.append((words[at : at + k], words[at + k : at + 2 * k]))
+        at += 2 * k
     return columns
 
 
@@ -283,13 +217,15 @@ class _Engine:
     """or_layers[m], X[m] and S[m] of the module docstring, for m >= 1, each
     a list over the B_n-orbits.
 
-    Index 0 (there are no trees of size 0) holds None.  ``tables`` is the
-    pair of ``_orbit_tables(n)``, computed when not given.
+    Index 0 (there are no trees of size 0) holds None.  The orbit table is
+    read when the engine is made, the zeta columns when it grows its first
+    layer, so an engine filled from the disk cache and not grown past it
+    never reads the columns.
     """
 
-    def __init__(self, n: int, tables: Optional[Tuple[List[int], List[int]]] = None):
+    def __init__(self, n: int):
         self.n = n
-        self.orbit, self.reps = tables or _orbit_tables(n)
+        self.orbit, self.reps = _load_orbits(n)
         full = len(self.orbit) - 1
         #: comp[o] is the orbit of the complements of orbit o's masks
         self.comp = [self.orbit[full ^ rep] for rep in self.reps]
@@ -298,7 +234,7 @@ class _Engine:
         self.or_layers: List[Optional[List[int]]] = [None]
         self.X: List[Optional[List[int]]] = [None]
         self.S: List[Optional[List[int]]] = [None]
-        self._columns: Optional[_Columns] = None  # built on first use
+        self._columns: Optional[_Columns] = None  # read on first use
 
     @property
     def max_size(self) -> int:
@@ -320,7 +256,7 @@ class _Engine:
 
     def _add_layer(self, m: int) -> None:
         if self._columns is None:
-            self._columns = _incidence(self.orbit, self.reps)
+            self._columns = _load_columns(self.n)
         columns, X, S = self._columns, self.X, self.S
         if m == 1:
             or_layer = [0] * len(self.reps)
@@ -478,13 +414,13 @@ def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
 def _load_cached(n: int) -> Optional[_Engine]:
     """The engine stored for n, or None when the file is absent or unusable.
 
-    The file is a marshal dict with the keys ``format``, ``n``, ``orbit``,
-    ``reps``, ``or_layers``, ``X`` and ``S``.  A file that does not read
-    back to that shape (another format tag or n, an orbit table of the wrong
-    length, lists of unequal length, a vector of the wrong size, truncated
-    or unreadable bytes) counts as absent, so the caller recomputes the
-    engine and rewrites the file.  The entries of the orbit table and of the
-    vectors are taken as written.
+    The file is a marshal dict with the keys ``format``, ``n``,
+    ``or_layers``, ``X`` and ``S``; the orbit table is not in it, as it ships
+    with the package.  A file that does not read back to that shape (another
+    format tag or n, lists of unequal length, a vector of another length than
+    the number of orbits, truncated or unreadable bytes) counts as absent, so
+    the caller recomputes the engine and rewrites the file.  The entries of
+    the vectors are taken as written.
     """
     path = _cache_path(n)
     if not path or not os.path.exists(path):
@@ -500,23 +436,16 @@ def _load_cached(n: int) -> Optional[_Engine]:
         and data.get("n") == n
     ):
         return None
-    orbit, reps = data.get("orbit"), data.get("reps")
-    if not (
-        isinstance(orbit, list)
-        and len(orbit) == 1 << (1 << n)
-        and isinstance(reps, list)
-    ):
-        return None
+    engine = _Engine(n)
     lists = [data.get(key) for key in ("or_layers", "X", "S")]
     for got in lists:
         if not (
             isinstance(got, list)
             and len(got) == len(lists[0]) > 1
             and got[0] is None
-            and all(isinstance(v, list) and len(v) == len(reps) for v in got[1:])
+            and all(isinstance(v, list) and len(v) == len(engine.reps) for v in got[1:])
         ):
             return None
-    engine = _Engine(n, (orbit, reps))
     engine.or_layers, engine.X, engine.S = lists
     return engine
 
@@ -530,8 +459,6 @@ def _store_cached(engine: _Engine) -> None:
     data = {
         "format": CACHE_FORMAT,
         "n": engine.n,
-        "orbit": engine.orbit,
-        "reps": engine.reps,
         "or_layers": engine.or_layers,
         "X": engine.X,
         "S": engine.S,

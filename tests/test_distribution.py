@@ -1,4 +1,7 @@
+import ast
+import fnmatch
 import functools
+import importlib.util
 import marshal
 import os
 import pickle
@@ -484,9 +487,15 @@ def test_slice_transforms_match_subset_definitions(v):
 # ---------------------------------------------------------------------------
 
 
+def _tables(n):
+    """The orbit ids, representatives and zeta columns the engine reads at n."""
+    engine = dist_mod._Engine(n)
+    return engine.orbit, engine.reps, dist_mod._load_columns(n)
+
+
 @pytest.mark.parametrize("n,orbits", [(1, 3), (2, 6), (3, 22), (4, 402)])
 def test_orbit_tables(n, orbits):
-    orbit, reps = dist_mod._orbit_tables(n)
+    orbit, reps, _ = _tables(n)
     space = 1 << (1 << n)
     assert len(orbit) == space
     assert len(reps) == orbits
@@ -502,28 +511,30 @@ def test_orbit_tables(n, orbits):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_tables_match_the_n_generator_oracle(n):
-    # every n up to HARD_MAX_VARS: the images under every element of B_n
-    # against a search under n generators
-    assert dist_mod._orbit_tables(n) == _oracle_orbit_tables(n)
+    # every n up to HARD_MAX_VARS: the shipped orbits against a search under
+    # n generators
+    orbit, reps, _ = _tables(n)
+    assert (orbit, reps) == _oracle_orbit_tables(n)
 
 
 def test_orbit_tables_peak_memory():
-    # the orbit list itself takes 0.5 MB at n = 4; a 65,536-entry list of
-    # images per group element or generator would take the peak past 5 MB
+    # the orbit list takes 0.54 MB at n = 4 when it holds one int object per
+    # orbit, and 1.21 MB as 65,536 fresh ints
     tracemalloc.start()
     try:
-        dist_mod._orbit_tables(4)
+        orbit, _, _ = _tables(4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+    assert len(set(map(id, orbit))) <= 402
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_incidence_rows_match_the_submask_oracle(n):
     # the columns are the oracle's zeta rows transposed, the diagonal of ones
     # left out, and every entry lies below the diagonal in orbit-id order
-    orbit, reps = dist_mod._orbit_tables(n)
+    orbit, reps, columns = _tables(n)
     zeta_rows, _ = _oracle_incidence(orbit, reps)
     want = [{} for _ in reps]
     for f, (ids, coeffs) in enumerate(zeta_rows):
@@ -531,31 +542,44 @@ def test_incidence_rows_match_the_submask_oracle(n):
         assert row.pop(f) == 1
         for o, c in row.items():
             want[o][f] = c
-    columns = dist_mod._incidence(orbit, reps)
     assert [dict(zip(ids, coeffs)) for ids, coeffs in columns] == want
     assert all(f > o for o, (ids, _) in enumerate(columns) for f in ids)
     # ids ascend in each column, so _zeta and _mobius add in id order
     assert all(list(ids) == sorted(set(ids)) for ids, _ in columns)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_one_bit_recursion_of_the_incidence_rows(n):
-    # (|F| - k) c(F, O) = sum over the bits b of F of c(F ^ b, O) for every
-    # orbit O of popcount k < |F|, and the left side fits in one packed field
-    orbit, reps = dist_mod._orbit_tables(n)
-    zeta_rows, _ = _oracle_incidence(orbit, reps)
-    rows = [dict(zip(ids, coeffs)) for ids, coeffs in zeta_rows]
-    largest = 0
-    for f, rep in enumerate(reps):
-        p = rep.bit_count()
-        bits = [1 << i for i in range(rep.bit_length()) if rep >> i & 1]
-        for o, o_rep in enumerate(reps):
-            k = o_rep.bit_count()
-            if k < p:
-                left = (p - k) * rows[f].get(o, 0)
-                assert left == sum(rows[orbit[rep ^ b]].get(o, 0) for b in bits)
-                largest = max(largest, left)
-    assert largest < 1 << dist_mod._FIELD_BITS
+def test_shipped_tables_are_the_generator_output_and_are_packaged(tmp_path, monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "write_bn_tables", os.path.join(root, "scripts", "write_bn_tables.py")
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    # the shipped files load to exactly the generator's values
+    names = set()
+    for n in range(1, dist_mod.HARD_MAX_VARS + 1):
+        orbit, reps, columns = generator.values(n)
+        assert dist_mod._load_orbits(n) == (orbit, reps)
+        assert [(list(ids), list(c)) for ids, c in dist_mod._load_columns(n)] == columns
+        names |= set(generator.files(n))
+    shipped = set(os.listdir(dist_mod._TABLES_DIR))
+    assert shipped == names
+    # a missing file names itself and the command that rebuilds it
+    monkeypatch.setattr(dist_mod, "_TABLES_DIR", str(tmp_path))
+    for load, name in ((dist_mod._load_orbits, "orbits_n2.marshal"),
+                       (dist_mod._load_columns, "zeta_n2.bin")):
+        with pytest.raises(DistributionError) as error:
+            load(2)
+        assert name in str(error.value)
+        assert "python scripts/write_bn_tables.py" in str(error.value)
+    # the package data of pyproject.toml covers every shipped file (read
+    # without tomllib, which Python 3.10 lacks)
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        section = fh.read().split("[tool.setuptools.package-data]\n", 1)[1].split("\n[", 1)[0]
+    entries = dict(line.split(" = ", 1) for line in section.strip().splitlines())
+    patterns = ast.literal_eval(entries["andortrees"])
+    for name in shipped:
+        assert any(fnmatch.fnmatch(f"tables/{name}", pattern) for pattern in patterns), name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -568,8 +592,7 @@ def test_complement_permutes_orbits(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_transforms_match_butterfly(n):
-    orbit, reps = dist_mod._orbit_tables(n)
-    columns = dist_mod._incidence(orbit, reps)
+    orbit, reps, columns = _tables(n)
     zeta_rows, mobius_rows = _oracle_incidence(orbit, reps)
     rng = random.Random(7 + n)
     big = lambda: rng.choice((-1, 1)) * rng.randrange(1, 10**20)
@@ -634,13 +657,11 @@ def _tampered(blob, damage):
         data["S"] = data["S"][:-1]
     elif damage == "vector size":
         data["X"][1] = data["X"][1][:-1]
-    elif damage == "orbit table":
-        data["orbit"] = data["orbit"][:-1]
     return marshal.dumps(data)
 
 
 @pytest.mark.parametrize(
-    "damage", ["truncated", "tag", "n", "lengths", "vector size", "orbit table"]
+    "damage", ["truncated", "tag", "n", "lengths", "vector size"]
 )
 def test_damaged_cache_file_is_recomputed(cache_dir, monkeypatch, damage):
     want = function_counts(6, 2)
@@ -650,7 +671,8 @@ def test_damaged_cache_file_is_recomputed(cache_dir, monkeypatch, damage):
     assert function_counts(6, 2) == want
     rewritten = marshal.loads(path.read_bytes())
     assert rewritten["format"] == CACHE_FORMAT
-    assert [rewritten["or_layers"][6][o] for o in rewritten["orbit"]] == list(want.or_rooted)
+    orbit = dist_mod._orbit_ids(2)
+    assert [rewritten["or_layers"][6][o] for o in orbit] == list(want.or_rooted)
 
 
 def test_cache_is_written_once_per_sweep(cache_dir, monkeypatch):
@@ -698,30 +720,40 @@ def test_loaded_engine_extends_past_the_cache_file(cache_dir, monkeypatch):
         assert list(function_counts(m, 4).or_rooted) == or_layers[m]
     assert loaded._columns is not None
     stored = marshal.loads((cache_dir / f"{CACHE_FORMAT}_n4.marshal").read_bytes())
-    assert [[stored["or_layers"][m][o] for o in stored["orbit"]] for m in range(1, 13)] == (
+    assert [[stored["or_layers"][m][o] for o in loaded.orbit] for m in range(1, 13)] == (
         or_layers[1:]
     )
 
 
 def test_engine_2_cache_is_never_read(cache_dir, monkeypatch):
-    # the per-mask layout of the previous format, with wrong counts, both
-    # under its own name and under the current name
+    # the per-mask layout of format 2 and the orbit layout of format 3 (which
+    # stored the orbit table too), each with wrong counts, under its own name;
+    # format 2 also under the current name
     bogus = marshal.dumps({
         "format": "andortrees-engine-2", "n": 1,
         "or_layers": [None] + [[7] * 4] * 9, "X": [None] + [[7] * 4] * 9,
         "S": [None] + [[7] * 4] * 9,
     })
+    bogus_3 = marshal.dumps({
+        "format": "andortrees-engine-3", "n": 1, "orbit": [0, 1, 1, 2], "reps": [0, 1, 3],
+        "or_layers": [None] + [[7] * 3] * 9, "X": [None] + [[7] * 3] * 9,
+        "S": [None] + [[7] * 3] * 9,
+    })
     (cache_dir / "andortrees-engine-2_n1.marshal").write_bytes(bogus)
+    (cache_dir / "andortrees-engine-3_n1.marshal").write_bytes(bogus_3)
     (cache_dir / f"{CACHE_FORMAT}_n1.marshal").write_bytes(bogus)
     opened = []
     monkeypatch.setattr(
         dist_mod, "open", lambda path, *a: opened.append(path) or open(path, *a), raising=False
     )
     table = function_counts(3, 1)
-    assert opened and not any("andortrees-engine-2" in str(path) for path in opened)
+    assert opened
+    assert not any("andortrees-engine-2" in str(path) for path in opened)
+    assert not any("andortrees-engine-3" in str(path) for path in opened)
     assert table.or_rooted == (0, 1, 1, 2)
     assert table.and_rooted == (2, 1, 1, 0)
     assert (cache_dir / "andortrees-engine-2_n1.marshal").read_bytes() == bogus
+    assert (cache_dir / "andortrees-engine-3_n1.marshal").read_bytes() == bogus_3
     assert marshal.loads((cache_dir / f"{CACHE_FORMAT}_n1.marshal").read_bytes())[
         "format"
     ] == CACHE_FORMAT

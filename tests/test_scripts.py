@@ -9,7 +9,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
 
-#: script -> (tiny arguments, first line of its output)
+#: script -> (tiny arguments, first line of its output); "{tmp}" in an
+#: argument stands for a fresh temporary directory
 CASES = {
     "asymptotics_table.py": (
         ["--n", "2", "10001"],
@@ -23,6 +24,10 @@ CASES = {
         ["--n", "1", "--M", "20"],
         f"{'f':<12} {'n':>3} {'L':>3} {'estimate':>12} {'estimate*n^L':>14} {'converged':>10}",
     ),
+    "write_bn_tables.py": (
+        ["--out", "{tmp}", "--max-n", "2"],
+        f"{'file':<20} {'bytes':>8}",
+    ),
 }
 
 
@@ -31,8 +36,9 @@ def test_every_script_has_a_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_script_runs(name):
+def test_script_runs(name, tmp_path):
     args, header = CASES[name]
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     proc = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, name), *args],
         capture_output=True,
