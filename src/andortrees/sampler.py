@@ -79,6 +79,43 @@ def _frequency_stat(hits: int, trials: int, **extra) -> StatResult:
     )
 
 
+def _sorted_sample(rng: random.Random, start: int, stop: int, k: int) -> List[int]:
+    """`sorted(rng.sample(range(start, stop), k))`, leaving rng in the same state.
+
+    `sample`'s own branch test stays: a pool when the population n is at
+    most setsize (21, plus 4^ceil(log4(3k)) when k > 5), else a set.  The
+    pool branch is Fisher-Yates over the bounds n, n-1, ..., n-k+1, and the
+    set branch draws below n until k distinct values are in, a value
+    already in being a redraw.  Each of `sample`'s `_randbelow(bound)`
+    calls is inlined as `getrandbits(bound.bit_length())`, redrawn while
+    >= bound.
+    """
+    n = stop - start
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(start, stop))
+        chosen = []
+        for bound in range(n, n - k, -1):
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            chosen.append(pool[j])
+            pool[j] = pool[bound - 1]
+        chosen.sort()
+        return chosen
+    bits = n.bit_length()
+    chosen = set()
+    while len(chosen) < k:
+        j = getrandbits(bits)
+        if j < n:
+            chosen.add(j + start)
+    return sorted(chosen)
+
+
 class SamplerContext:
     """Uniform size-m trees over n variables, for every m up to max_size.
 
@@ -130,9 +167,16 @@ class SamplerContext:
         Returns (root_and, word, leaves): the root connective (True for and;
         a bare leaf draws no coin and reads False), the preorder arity word
         and the literal index of each leaf in preorder.  The rng calls are
-        the weight draw of I, the two `rng.sample` calls, the root coin and
-        then the leaf literals, in the stream of one `randrange(2n)` per
-        leaf: k = (2n).bit_length() random bits, redrawn while >= 2n.
+        the weight draw of I, the cuts, the places, the root coin and then
+        the leaf literals, in the stream of one `randrange(2n)` per leaf:
+        k = (2n).bit_length() random bits, redrawn while >= 2n.
+
+        The cuts and the places are `sorted(rng.sample(range(...), k))`
+        with `sample`'s `_randbelow` calls inlined as direct `getrandbits`
+        calls (`_sorted_sample`).  That keeps `sample`'s stream for
+        `random.Random`, whose `_randbelow` is `_randbelow_with_getrandbits`.
+        It was checked on Python 3.11.7; on other versions
+        `test_sorted_sample_replays_rng_sample` compares the two.
 
         `getrandbits(k)` with k <= 32 is the top k bits of one 32-bit
         Mersenne Twister word, and `getrandbits(32 * w)` is the next w words,
@@ -153,11 +197,11 @@ class SamplerContext:
         cum = self._cum_weights(m)
         internal = bisect.bisect_right(cum, rng.randrange(cum[-1])) + 1
         # a uniform composition of m-1 into `internal` arities >= 2 ...
-        cuts = sorted(rng.sample(range(1, m - internal - 1), internal - 1))
+        cuts = _sorted_sample(rng, 1, m - internal - 1, internal - 1)
         cuts.append(m - 1 - internal)
         arities = [cut - prev + 1 for prev, cut in zip([0, *cuts], cuts)]
         # ... placed at a uniform set of `internal` letters of the word
-        places = sorted(rng.sample(range(m), internal))
+        places = _sorted_sample(rng, 0, m, internal)
         word = [0] * m
         for place, arity in zip(places, arities):
             word[place] = arity

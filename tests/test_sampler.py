@@ -28,6 +28,7 @@ from andortrees.sampler import (
     KNOWN_STATS,
     SamplerContext,
     SamplerError,
+    _sorted_sample,
     _summarise,
     chi_square_critical,
     gamma_two_half_cdf,
@@ -138,6 +139,43 @@ def test_sample_many_trees_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5c4145c4230e6cadf303917a35028f9016d1d04965065770db4ae9d866ae17e6"
     )
+
+
+# (start, stop, k): k = 0, k = n and n = 1; the k = 5/6 edge of setsize
+# (21, then 21 + 4^ceil(log4(3k))) on either side of n; bounds that cross a
+# power of two; the shapes of the benchmark draws; and set-branch
+# populations of 2^32 - 1 and past 2^32, where getrandbits spans words
+SAMPLE_SHAPES = [
+    (0, 0, 0), (0, 1, 0), (0, 1, 1), (7, 8, 1), (0, 5, 5), (0, 100, 0),
+    (0, 21, 5), (0, 22, 5), (0, 85, 6), (0, 86, 6), (1, 65, 64), (0, 64, 30),
+    (0, 65, 30), (0, 513, 300), (1, 513, 300), (0, 513, 513), (0, 600, 116),
+    (1, 482, 115), (0, 500, 31), (1, 467, 30), (0, 2**32 - 1, 40),
+    (0, 2**40, 40), (5, 2**40 + 5, 100),
+]
+
+
+@pytest.mark.parametrize("start, stop, k", SAMPLE_SHAPES)
+def test_sorted_sample_replays_rng_sample(start, stop, k):
+    for seed in range(100):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = _sorted_sample(rng, start, stop, k)
+        assert got == sorted(ref.sample(range(start, stop), k))
+        assert rng.getstate() == ref.getstate()
+
+
+def test_monte_carlo_stats_are_pinned():
+    # the SHA-256 of repr(stats) at the benchmark shapes and statistics, as
+    # monte_carlo gave them when the cuts and places were drawn by rng.sample
+    cases = (
+        (600, 5, ["tautology_rate", "simple_tautology_rate",
+                  "function_frequency:88888888"],
+         "94580c016216e9e526c8ad5e73f3aff91494108bfe9dd0869d4ebe575653dc03"),
+        (500, 100, ["first_level_leaf_histogram", "simple_tautology_rate"],
+         "39686d4168b57723603c009d19fd568246483cbd80c8f7192c64e8a5c6ae1013"),
+    )
+    for m, n, stats, digest in cases:
+        rep = monte_carlo(m, n, 300, 11, stats)
+        assert hashlib.sha256(repr(rep.stats).encode()).hexdigest() == digest
 
 
 FOLD_CASES = [(m, n) for m in (1, 3, 4, 15, 101, 600) for n in (1, 2, 5, 13)]
