@@ -24,19 +24,21 @@ absorbing value and skips its pending children, the first-level leaf count
 and the simple-tautology flag read the root's leaf children
 (`formula.fold_root_leaves`), and the tautology rate at n > MAX_FOLD_VARS
 (13) is a search on the word (`formula.never_evaluates_to`).  No statistic
-builds a tree.
+builds a tree.  The root-leaf walk runs on every trial for the histogram
+or when no truth table is folded; otherwise the simple-tautology rate walks
+only the or-rooted draws whose table is all ones, since a simple tautology
+is an or-rooted tautology.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import random
 import time
 from collections import Counter
-from operator import sub
+from operator import add, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .formula import (
@@ -98,13 +100,20 @@ def _sorted_sample(rng: random.Random, start: int, stop: int, k: int) -> List[in
     if n <= setsize:
         pool = list(range(start, stop))
         chosen = []
-        for bound in range(n, n - k, -1):
-            bits = bound.bit_length()
-            j = getrandbits(bits)
-            while j >= bound:
+        append = chosen.append
+        # the bound is end + 1 for the last pool index end = n-1, ..., n-k;
+        # ends between two powers of two share one bit length
+        end = n - 1
+        while end >= n - k:
+            bits = (end + 1).bit_length()
+            low = max(n - k, (1 << (bits - 1)) - 1)
+            for end in range(end, low - 1, -1):
                 j = getrandbits(bits)
-            chosen.append(pool[j])
-            pool[j] = pool[bound - 1]
+                while j > end:
+                    j = getrandbits(bits)
+                append(pool[j])
+                pool[j] = pool[end]
+            end = low - 1
         chosen.sort()
         return chosen
     bits = n.bit_length()
@@ -154,7 +163,7 @@ class SamplerContext:
             w = m * two_n ** (m - 1)
             cum = [w]
             for i in range(1, (m - 1) // 2):
-                w = w * (m - i) * (m - 2 * i - 1) * (m - 2 * i - 2) // (
+                w = w * ((m - i) * (m - 2 * i - 1) * (m - 2 * i - 2)) // (
                     (i + 1) * i * (m - i - 2) * two_n
                 )
                 cum.append(cum[-1] + w)
@@ -199,19 +208,22 @@ class SamplerContext:
         # a uniform composition of m-1 into `internal` arities >= 2 ...
         cuts = _sorted_sample(rng, 1, m - internal - 1, internal - 1)
         cuts.append(m - 1 - internal)
-        arities = [cut - prev + 1 for prev, cut in zip([0, *cuts], cuts)]
-        # ... placed at a uniform set of `internal` letters of the word
+        # ... placed at a uniform set of `internal` letters of the word.  The
+        # cuts telescope: the arities of internal letters 0..i-1 sum to
+        # d[i] = cuts[i-1] + i, so letter i has arity d[i+1] - d[i]
         places = _sorted_sample(rng, 0, m, internal)
-        word = [0] * m
-        for place, arity in zip(places, arities):
-            word[place] = arity
+        d = [0, *map(add, cuts, range(1, internal + 1))]
         # the one valid rotation starts at the first letter where the sum of
         # (arity - 1) over the letters before it is least (cycle lemma).  A
         # leaf lowers the sum by one, so that letter is internal, and before
-        # the one at place p the sum is (arities left of p) - p
-        heights = list(map(sub, itertools.accumulate(arities, initial=0), places))
+        # the one at place p = places[i] the sum is d[i] - p
+        heights = list(map(sub, d, places))
         start = places[heights.index(min(heights))]
-        word = word[start:] + word[:start]
+        # each arity goes straight to its letter of the rotated word: index
+        # place - start, negative for the letters before the start
+        word = [0] * m
+        for place, lo, hi in zip(places, d, d[1:]):
+            word[place - start] = hi - lo
         root_and = rng.randrange(2) == 0
         count = m - internal
         if self._byte_table is not None:
@@ -311,9 +323,15 @@ def _upper_quantile(
     survival: Callable[[float], float], alpha: float, lo: float, hi: float
 ) -> float:
     """The x in [lo, hi] where the decreasing `survival` crosses alpha, by
-    200 halvings."""
+    at most 200 halvings.
+
+    Once the midpoint equals lo or hi the floats are at a fixed point: no
+    later halving moves them, so the midpoint is the result.
+    """
     for _ in range(200):
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            return mid
         if survival(mid) > alpha:
             lo = mid
         else:
@@ -373,8 +391,13 @@ def monte_carlo(
 
     Each trial reads its statistics off the draw (`formula.fold_truth_bits`,
     `formula.fold_root_leaves`, and at n > MAX_FOLD_VARS the tautology rate
-    from `formula.never_evaluates_to`); no tree is built.  `seconds` is the wall time
-    of the call.
+    from `formula.never_evaluates_to`); no tree is built.  The truth table is
+    folded at n <= MAX_FOLD_VARS when the tautology rate or a function
+    frequency is asked for.  The root-leaf walk runs on every trial for the
+    histogram or when no table is folded; else the simple-tautology rate
+    walks only the or-rooted draws whose table is all ones and counts every
+    other draw as no simple tautology, since a simple tautology is an
+    or-rooted tautology.  `seconds` is the wall time of the call.
 
     With the histogram, ``extra["ks_statistic"]`` is the Kolmogorov-Smirnov
     distance of the leaf counts scaled by 2*sqrt(2n) from the continuous
@@ -407,7 +430,6 @@ def monte_carlo(
     want_simple = "simple_tautology_rate" in stats
     want_hist = "first_level_leaf_histogram" in stats
     want_table = bool(function_targets) or (want_taut and n <= MAX_FOLD_VARS)
-    want_root = want_simple or want_hist
     if want_table:
         masks, full = literal_masks(n), (1 << (1 << n)) - 1
     hits = {name: 0 for name in stats if name != "first_level_leaf_histogram"}
@@ -420,7 +442,11 @@ def monte_carlo(
             for name, mask in function_targets.items():
                 if bits == mask:
                     hits[name] += 1
-        if want_root:
+        # a simple tautology is an or-rooted tautology, so where the table is
+        # folded only an or-rooted draw with an all-ones table needs the walk
+        if want_hist or (
+            want_simple and (not want_table or (bits == full and not drawn[0]))
+        ):
             x, simple = fold_root_leaves(drawn)
             if simple and want_simple:
                 hits["simple_tautology_rate"] += 1

@@ -316,14 +316,9 @@ def _oracle_mpf(x) -> mp.mpf:
     )
 
 
-def _oracle_chi_square_critical(alpha: float, df: int) -> float:
-    """`sampler.chi_square_critical` by the same bisection, on mpmath's
-    regularized upper incomplete gamma function."""
-
-    def survival(x: float) -> float:
-        return float(mp.gammainc(df / 2, x / 2, mp.inf, regularized=True))
-
-    lo, hi = 0.0, 10.0 * df + 100.0
+def _oracle_upper_quantile(survival, alpha: float, lo: float, hi: float) -> float:
+    """`sampler._upper_quantile` without its fixed-point stop: all 200
+    halvings."""
     for _ in range(200):
         mid = (lo + hi) / 2
         if survival(mid) > alpha:
@@ -331,6 +326,16 @@ def _oracle_chi_square_critical(alpha: float, df: int) -> float:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def _oracle_chi_square_critical(alpha: float, df: int) -> float:
+    """`sampler.chi_square_critical` by the same bisection, on mpmath's
+    regularized upper incomplete gamma function."""
+
+    def survival(x: float) -> float:
+        return float(mp.gammainc(df / 2, x / 2, mp.inf, regularized=True))
+
+    return _oracle_upper_quantile(survival, alpha, 0.0, 10.0 * df + 100.0)
 
 
 def _oracle_tautology_sums(n: int, prec: int = 200) -> Dict[str, mp.mpf]:

@@ -45,6 +45,7 @@ from oracles import (
     _oracle_chi_square_critical,
     _oracle_draw,
     _oracle_truth_table,
+    _oracle_upper_quantile,
 )
 
 
@@ -52,6 +53,22 @@ def test_chi_square_critical_matches_the_incomplete_gamma_oracle():
     for df in range(1, 61):
         oracle = _oracle_chi_square_critical(0.01, df)
         assert abs(chi_square_critical(0.01, df) - oracle) <= 4 * math.ulp(oracle), df
+
+
+def test_upper_quantile_stop_matches_all_halvings(monkeypatch):
+    def critical_values():
+        ks = [ks_critical(alpha, trials)
+              for alpha in (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
+              for trials in (1, 10, 100, 1000, 10_000)]
+        chi = [chi_square_critical(alpha, df)
+               for alpha in (0.001, 0.01, 0.05, 0.1) for df in range(1, 63)]
+        return ks + chi
+
+    got = critical_values()
+    monkeypatch.setattr("andortrees.sampler._upper_quantile", _oracle_upper_quantile)
+    want = critical_values()
+    assert len(got) == 283
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("df", [0, 2.5])
@@ -143,14 +160,20 @@ def test_sample_many_trees_are_pinned():
 
 # (start, stop, k): k = 0, k = n and n = 1; the k = 5/6 edge of setsize
 # (21, then 21 + 4^ceil(log4(3k))) on either side of n; bounds that cross a
-# power of two; the shapes of the benchmark draws; and set-branch
-# populations of 2^32 - 1 and past 2^32, where getrandbits spans words
+# power of two; the shapes of the benchmark draws; set-branch populations
+# of 2^32 - 1 and past 2^32, where getrandbits spans words; and bounds
+# n, ..., n-k+1 whose first or last run of one bit length starts or ends
+# exactly at a power of two (the pool branch draws each run at one width;
+# (0, 65, 1) and (0, 65, 2) fall to the set branch)
 SAMPLE_SHAPES = [
     (0, 0, 0), (0, 1, 0), (0, 1, 1), (7, 8, 1), (0, 5, 5), (0, 100, 0),
     (0, 21, 5), (0, 22, 5), (0, 85, 6), (0, 86, 6), (1, 65, 64), (0, 64, 30),
     (0, 65, 30), (0, 513, 300), (1, 513, 300), (0, 513, 513), (0, 600, 116),
     (1, 482, 115), (0, 500, 31), (1, 467, 30), (0, 2**32 - 1, 40),
     (0, 2**40, 40), (5, 2**40 + 5, 100),
+    (0, 64, 31), (0, 64, 32), (0, 64, 33), (0, 65, 1), (0, 65, 2),
+    (0, 128, 64), (5, 133, 65), (0, 512, 256), (0, 16, 1), (0, 17, 2),
+    (0, 8, 5),
 ]
 
 
@@ -197,6 +220,21 @@ def test_folds_match_the_built_tree(m, n):
         simple += got[1]
     if m > 3 and n <= 2:
         assert simple > 0  # the clash branch was reached
+
+
+@pytest.mark.parametrize("m, n", FOLD_CASES, ids=[f"m{m}-n{n}" for m, n in FOLD_CASES])
+def test_simple_rate_is_the_same_next_to_a_folded_table(m, n):
+    # asked alone, simple_tautology_rate walks the root's leaves on every
+    # trial; next to a folded table only or-rooted all-ones draws are walked
+    trials = 60 if m > 100 else 400
+    seed = 31 * m + n
+    want = monte_carlo(m, n, trials, seed, ["simple_tautology_rate"])
+    target = "function_frequency:" + TruthTable(n, literal_masks(n)[1]).to_hex()
+    for other in ("tautology_rate", target):
+        got = monte_carlo(m, n, trials, seed, ["simple_tautology_rate", other])
+        assert got.stats["simple_tautology_rate"] == want.stats["simple_tautology_rate"]
+    if m > 1:
+        assert want.stats["simple_tautology_rate"].estimate > 0
 
 
 def _node_monte_carlo(m, n, trials, seed, stats):
