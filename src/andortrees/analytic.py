@@ -12,9 +12,11 @@ the coefficient ratio, the non-leaf and rooted series both contributing the
 factor 1/2 and the tautology series contributing tau' (the limiting
 probability of the constant True).
 
-The partial derivatives come from evaluating F itself on dual numbers
-(`Dual`), value plus derivative, in the same ring as the point.  Everything
-is exact for t-free families; large-n sweeps and t-dependent families
+The derivative comes from one evaluation of F itself on order-1 truncated
+power series (`powerseries.Series`, value plus derivative) over the same
+field as the point: z = radius, a = rooted_value + e/2, t = t_value +
+tau'*e with e^2 = 0, whose coefficient of e is the ratio.  Everything is
+exact for t-free families; large-n sweeps and t-dependent families
 switch to high-precision decimal floats (the standard library's `decimal`,
 in a local context that leaves the caller's context as it was).
 """
@@ -63,80 +65,6 @@ def singularity(n: int) -> SingularPoint:
         rooted_value=rooted,
         nonleaf_value=rooted - 2 * n * radius,
     )
-
-
-# -- forward-mode differentiation ---------------------------------------------
-
-
-class Dual:
-    """value + deriv*e with e^2 = 0.
-
-    A family evaluated at Dual(x, 1) in one argument returns its partial
-    derivative in that argument as `deriv` (forward-mode differentiation;
-    Griewank & Walther, *Evaluating Derivatives*, 2008).  Both parts may lie
-    in any ring with +, -, *, / and int operands on either side: QuadExt,
-    Decimal, Fraction or Series.
-    """
-
-    __slots__ = ("value", "deriv")
-
-    def __init__(self, value, deriv):
-        self.value = value
-        self.deriv = deriv
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.deriv + other.deriv)
-        return Dual(self.value + other, self.deriv)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.value, -self.deriv)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.value * other.value,
-                self.deriv * other.value + self.value * other.deriv,
-            )
-        return Dual(self.value * other, self.deriv * other)
-
-    __rmul__ = __mul__
-
-    def _reciprocal(self) -> "Dual":
-        # (1/v)' = -v'/v^2
-        inverse = 1 / self.value
-        return Dual(inverse, -self.deriv * inverse * inverse)
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return self * other._reciprocal()
-        return Dual(self.value / other, self.deriv / other)
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("powers must have non-negative integer exponents")
-        if exponent == 0:
-            return Dual(self.value**0, 0)
-        return Dual(
-            self.value**exponent,
-            exponent * self.value ** (exponent - 1) * self.deriv,
-        )
-
-
-def _derivative(result):
-    """The derivative part of a family's value; 0 when it ignored the Dual."""
-    return result.deriv if isinstance(result, Dual) else 0
 
 
 _NEEDS_T_ENV = "family depends on t: supply env={'t_value': ..., 'tau_prime': ...}"
@@ -190,22 +118,24 @@ def limiting_ratio(
         if env is None and n <= EXACT_MAX_N:
             return _exact_ratio(family, point)
         with decimal.localcontext(_decimal_context(_FLOAT_BITS)):
-            z = point.radius.to_decimal()
-            a = point.rooted_value.to_decimal()
+            z = Series.constant(point.radius.to_decimal(), 1)
+            a = Series([point.rooted_value.to_decimal(), Decimal("0.5")], 1)
             if env is None:
-                return Decimal(_derivative(_without_t(family, z, Dual(a, 1)))) / 2
-            t = Decimal(env["t_value"])
-            value = Decimal(_derivative(family(z, Dual(a, 1), t))) / 2
-            dt = _derivative(family(z, a, Dual(t, 1)))
-            return value + Decimal(env["tau_prime"]) * dt
+                value = _without_t(family, z, a)
+            else:
+                t = Series([Decimal(env["t_value"]), Decimal(env["tau_prime"])], 1)
+                value = family(z, a, t)
+            return Decimal(value[1])
     except ZeroDivisionError as exc:
         raise PoleError(f"family has a pole at the singular point: {exc}") from exc
 
 
 def _exact_ratio(family: Family, point: SingularPoint) -> QuadExt:
     """The limiting ratio of a t-free family in Q(sqrt(2n)), at any n."""
-    da = _derivative(_without_t(family, point.radius, Dual(point.rooted_value, 1)))
-    return QuadExt.rational(Fraction(1, 2), 2 * point.n) * da
+    z = Series.constant(point.radius, 1)
+    a = Series([point.rooted_value, Fraction(1, 2)], 1)
+    # + 0 puts an int or Fraction coefficient (a family that ignores a) in Q(sqrt(2n))
+    return QuadExt.rational(0, 2 * point.n) + _without_t(family, z, a)[1]
 
 
 def coefficient_ratio(family: Family, n: int) -> float:

@@ -32,7 +32,7 @@ The config file is flat `key = value` text, keys matching flag names with
 dashes or underscores; keys the command has no flag for, and switches
 (--all), are ignored.  The environment variable ANDORTREES_CACHE_DIR points
 the distribution engine at a cache directory of versioned marshal files
-(format andortrees-engine-3; files of earlier formats are never opened).
+(format andortrees-engine-4; files of earlier formats are never opened).
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ b = a - 2nz stands for the series of rooted trees that are not single leaves.
 
 F uses only +, -, *, / and non-negative integer powers, with int constants,
 so the same function evaluates in every domain that has them: exact elements
-of Q(sqrt(2n)) at the singular point, high-precision floats, truncated power
-series (the coefficient oracle), and dual numbers over any of those, which
-carry the partial derivatives that the limiting-ratio rule needs.
+of Q(sqrt(2n)) at the singular point, high-precision floats, and truncated
+power series over any of those.  High-order series are the coefficient
+oracle; order-1 series carry the derivatives that the limiting-ratio rule
+needs.
 """
 
 from __future__ import annotations

@@ -1,19 +1,25 @@
-"""Truncated power series with exact coefficients.
+"""Truncated power series with coefficients in any field.
 
-Used as the independent coefficient oracle for the limiting-ratio engine:
-the catalog families' closed forms, plain functions of (z, a, t), are
-called on Series arguments and their high-order coefficients compared
-against exact tree counts.  Coefficients stay plain
-ints whenever the inputs are ints (every catalog family has unit constant
-terms in its denominators), falling back to Fraction otherwise.
+Two jobs.  As the independent coefficient oracle for the limiting-ratio
+engine, the catalog families' closed forms, plain functions of (z, a, t),
+are called on Series arguments and their high-order coefficients compared
+against exact tree counts.  At order 1 a series is a value plus a
+derivative, so a family called on order-1 series at the singular point
+returns its directional derivative as coefficient 1 (forward-mode
+differentiation).  Coefficients may be int, Fraction, `QuadExt` or
+`Decimal`, any operand that is not a Series acting as a scalar.  Int inputs
+stay plain ints whenever every division is by a unit constant term (as in
+every catalog family), falling back to Fraction otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Any, Sequence
 
-Coeff = Union[int, Fraction]
+#: an element of any field with +, -, *, / and int operands: int, Fraction,
+#: QuadExt or Decimal
+Coeff = Any
 
 
 class Series:
@@ -51,18 +57,14 @@ class Series:
         return self.order + 1
 
     def _coerce(self, other) -> "Series":
-        if isinstance(other, Series):
-            if other.order != self.order:
-                raise ValueError("series orders differ")
-            return other
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Series):
             return Series.constant(other, self.order)
-        return NotImplemented  # type: ignore[return-value]
+        if other.order != self.order:
+            raise ValueError("series orders differ")
+        return other
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         return Series([a + b for a, b in zip(self.coeffs, o.coeffs)], self.order)
 
     __radd__ = __add__
@@ -72,19 +74,15 @@ class Series:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         return Series([a - b for a, b in zip(self.coeffs, o.coeffs)], self.order)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Series):
             return Series([other * a for a in self.coeffs], self.order)
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         n = self.order
         a, b = self.coeffs, o.coeffs
         out = [0] * (n + 1)
@@ -101,8 +99,6 @@ class Series:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
         b0 = o.coeffs[0]
         if not b0:
             raise ZeroDivisionError("series division by a series with zero constant term")
@@ -116,7 +112,10 @@ class Series:
                 bi = b[i]
                 if bi:
                     acc -= bi * out[m - i]
-            out[m] = acc if unit else Fraction(acc, 1) / b0
+            if not unit:  # int / int stays exact
+                both_int = isinstance(acc, int) and isinstance(b0, int)
+                acc = Fraction(acc, b0) if both_int else acc / b0
+            out[m] = acc
         return Series(out, n)
 
     def __rtruediv__(self, other):

@@ -65,6 +65,9 @@ class QuadExt:
     def is_zero(self) -> bool:
         return not self.p and not self.q
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     # -- field operations ----------------------------------------------
 
     def __add__(self, other):

@@ -316,6 +316,20 @@ def _oracle_mpf(x) -> mp.mpf:
     )
 
 
+def _oracle_t_ratio(family, n: int, env: Dict[str, float], prec: int = 300) -> mp.mpf:
+    """`analytic.limiting_ratio` of a t-dependent family, 1/2 dF/da +
+    tau' dF/dt at (radius, rooted_value, t_value), with each partial
+    derivative taken by `mpmath.diff` at `prec` bits."""
+    point = singularity(n)
+    with mp.workprec(prec):
+        z = _oracle_mpf(point.radius)
+        a = _oracle_mpf(point.rooted_value)
+        t = mp.mpf(env["t_value"])
+        da = mp.diff(lambda x: family(z, x, t), a)
+        dt = mp.diff(lambda x: family(z, a, x), t)
+        return da / 2 + mp.mpf(env["tau_prime"]) * dt
+
+
 def _oracle_upper_quantile(survival, alpha: float, lo: float, hi: float) -> float:
     """`sampler._upper_quantile` without its fixed-point stop: all 200
     halvings."""

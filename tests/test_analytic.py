@@ -10,7 +10,6 @@ import pytest
 from andortrees import families
 from andortrees.analytic import (
     EXACT_MAX_N,
-    Dual,
     PoleError,
     _exact_ratio,
     _float_down,
@@ -29,6 +28,7 @@ from andortrees.quadext import QuadExt
 from oracles import (
     _oracle_first_level_leaf_law,
     _oracle_mpf,
+    _oracle_t_ratio,
     _oracle_tautology_bounds,
     _oracle_tautology_sums,
 )
@@ -169,6 +169,20 @@ def test_check_family_with_default_env():
     assert float(v) > 0
 
 
+def test_t_dependent_ratios_match_the_mpmath_oracle():
+    # 1/2 dF/da + tau' dF/dt by numerical differentiation at 300 bits, at a
+    # fixed env; the 200-bit evaluation keeps about 60 digits
+    env = {"t_value": 0.07, "tau_prime": 0.3}
+    for n in (1, 2, 3):
+        instances = [families.simple_x(n)]
+        instances += [families.check_family(n, k) for k in range(1, n + 1)]
+        for family in instances:
+            got = limiting_ratio(family, n, env=env)
+            want = _oracle_t_ratio(family, n, env)
+            with mp.workprec(300):
+                assert abs(mp.mpf(str(got)) / want - 1) < 1e-55, (n, got)
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         families.labels_from(2, 5)
@@ -205,27 +219,6 @@ def test_float_ratios_match_the_exact_ones(n):
         assert isinstance(value, Decimal)
         exact = float(_exact_ratio(family, point))
         assert float(value) == pytest.approx(exact, rel=1e-13, abs=0), (name, params)
-
-
-def test_dual_derivative_of_a_rational_function():
-    # f(a) = (a^3 - 2)/(1 - a) + 3/a^2, f'(a) = (3a^2 - 2a^3 - 2)/(1 - a)^2 - 6/a^3
-    def f(a):
-        return (a**3 - 2) / (1 - a) + 3 / a**2
-
-    def df(a):
-        return (3 * a**2 - 2 * a**3 - 2) / (1 - a) ** 2 - 6 / a**3
-
-    for a in (Fraction(2, 7), QuadExt(Fraction(1, 3), Fraction(1, 5), 2)):
-        result = f(Dual(a, 1))
-        assert (result.value, result.deriv) == (f(a), df(a))
-    with decimal.localcontext(decimal.Context(prec=40)):
-        a = Decimal("0.3")
-        result = f(Dual(a, 1))
-        assert abs(result.value - f(a)) < Decimal("1e-35")
-        assert abs(result.deriv - df(a)) < Decimal("1e-35")
-    for one in (Fraction(1), QuadExt(1, 0, 2), Decimal(1)):
-        with pytest.raises(ZeroDivisionError):
-            f(Dual(one, 1))
 
 
 def _t_free_instances(n):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import andortrees
+from andortrees import cli, distribution
 from andortrees.analytic import ASYMPTOTIC_REFERENCE
 from andortrees.cli import main
 from andortrees.formula import parse_formula, tree_size, truth_table
@@ -17,6 +18,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_docstring_names_the_cache_format():
+    assert f"format {distribution.CACHE_FORMAT};" in cli.__doc__
 
 
 def test_count_csv(capsys):

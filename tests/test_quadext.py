@@ -87,6 +87,11 @@ def test_division_by_zero():
         QuadExt(1, 0, 2) / QuadExt(0, 0, 2)
 
 
+def test_only_zero_is_falsy():
+    assert not QuadExt(0, 0, 2) and not QuadExt(0, 5, 4) - 10
+    assert QuadExt(0, 1, 2) and QuadExt(Fraction(1, 3), 0, 2)
+
+
 def test_str_forms():
     assert str(QuadExt(Fraction(1, 2), 0, 2)) == "1/2"
     assert str(QuadExt(1, Fraction(1, 3), 6)) == "1+1/3*sqrt(6)"
