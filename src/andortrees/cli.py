@@ -14,12 +14,13 @@ Each subcommand takes only the flags it reads, plus --config and --out:
 Any other flag is a usage error, and so is a missing --n, --m (dist,
 sample), --f-hex (limit), --family (analyze), or complexity without exactly
 one of --all and --f-hex, a negative --emit-trees, an unknown --family, an
-unreadable --config file and a --config line without `=`.  analyze reads
---params (key=integer, each key at most once) for catalog families, and no
-other flag for its built-ins singularity, expected_first_level_leaves and
-tautology_bounds; it has no precision flag, because the library picks its
-own arithmetic (exact for t-free families up to n = 10^4, 200-bit decimal
-floats otherwise).  `--format csv|json` exists only on count, dist and
+unreadable --config file, a --config line without `=` and an --out file
+that cannot be opened for writing.  analyze reads --params (key=integer,
+each key at most once) for catalog families, and no other flag for its
+built-ins singularity, expected_first_level_leaves and tautology_bounds;
+it has no precision flag, because the library picks its own arithmetic
+(exact for t-free families up to n = 10^4, 200-bit decimal floats
+otherwise).  `--format csv|json` exists only on count, dist and
 complexity --all, which print CSV by default; the other commands print
 JSON (reduce and sample --emit-trees print formulas).  A JSON payload's
 "config" holds the command and each of its flags with the value used.
@@ -42,7 +43,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__, families
 from .analytic import (
@@ -54,9 +55,9 @@ from .analytic import (
     tautology_bounds,
 )
 from .complexity import complexity as complexity_of
-from .complexity import full_table, minimal_trees, reduce_irreducible
+from .complexity import _minimal_runs, full_table, reduce_irreducible
 from .counting import BudgetError, series
-from .distribution import exact_distribution, function_counts, limit_estimate
+from .distribution import _text, exact_distribution, function_counts, limit_estimate
 from .formula import Record, TruthTable, parse_formula, serialize
 from .quadext import QuadExt
 from .sampler import monte_carlo, sample_many
@@ -81,14 +82,19 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    """Write `text`, newline-terminated, to `out_path` (stdout when unset or '-')."""
-    text = text if text.endswith("\n") else text + "\n"
+def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
+    """Write the chunks and a newline to `out_path` (stdout when unset or '-')."""
     if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            fh = open(out_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file: {exc}") from None
+        with fh:
+            fh.writelines(chunks)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 def _jsonable(value):
@@ -113,10 +119,10 @@ def _emit_json(args: argparse.Namespace, *records: dict, **fields) -> None:
     config = {key: value for key, value in vars(args).items() if key != "func"}
     payload = {"config": config, **fields}
     if records:
-        text = "\n".join(json.dumps(_jsonable(r)) for r in (*records, payload))
-    else:
-        text = json.dumps(_jsonable(payload), indent=2)
-    _emit(text, args.out)
+        chunks = ["\n".join(json.dumps(_jsonable(r)) for r in (*records, payload))]
+    else:  # the chunks json.dumps(indent=2) joins
+        chunks = json.JSONEncoder(indent=2).iterencode(_jsonable(payload))
+    _emit(chunks, args.out)
 
 
 def _emit_rows(args: argparse.Namespace, header: Sequence[str], rows: List[tuple]) -> None:
@@ -127,7 +133,7 @@ def _emit_rows(args: argparse.Namespace, header: Sequence[str], rows: List[tuple
         return
     lines = [",".join(header)]
     lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
-    _emit("\n".join(lines), args.out)
+    _emit(["\n".join(lines)], args.out)
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -170,7 +176,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.emit_trees:
         trees = sample_many(args.m, args.n, args.emit_trees, args.seed)
-        _emit("\n".join(serialize(t) for t in trees), args.out)
+        _emit(["\n".join(serialize(t) for t in trees)], args.out)
         return 0
     _emit_json(args, report=monte_carlo(args.m, args.n, args.trials, args.seed, args.stats))
     return 0
@@ -263,7 +269,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     args.format = "json"
     record = complexity_of(TruthTable.from_hex(args.f_hex, args.n), args.n)
     try:  # null for constants, literals and functions with too many minimal trees
-        witnesses = [serialize(w) for w in minimal_trees(record.f, args.n)]
+        witnesses = [_text(op, kids) for op, runs in _minimal_runs(record, args.n) for kids in runs]
     except (ValueError, BudgetError):
         witnesses = None
     _emit_json(
@@ -281,7 +287,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     reduced, trace = reduce_irreducible(tree, args.n)
     for removed in trace:
         print(f"removed: {serialize(removed)}", file=sys.stderr)
-    _emit(serialize(reduced), args.out)
+    _emit([serialize(reduced)], args.out)
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from contextlib import closing
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import DEFAULT_ENUMERATION_BUDGET, BudgetError
 from .distribution import _get_engine, _orbit_ids, _sizes, _trees
@@ -80,20 +80,28 @@ def complexity(f: TruthTable, n: int) -> ComplexityRecord:
     return _sweep([f], n)[0]
 
 
+def _minimal_runs(record: ComplexityRecord, n: int) -> List[Tuple[str, Iterator[tuple]]]:
+    """(root, its `distribution._trees` runs) of the minimal trees of record.f,
+    the and root first.  Raises ValueError when L(f) < 3 and counting.BudgetError
+    when m_f is over counting.DEFAULT_ENUMERATION_BUDGET, before generating any."""
+    if record.L < 3:
+        raise ValueError("constants and literal functions have no materialised minimal trees")
+    if record.m_f > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"{record.f.to_hex()} has {record.m_f} minimal trees, "
+            f"over budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
+    return [(op, _trees(n, record.L, record.f.bits, op)) for op in (AND, OR)]
+
+
 def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
     """All size-L(f) trees computing f, in canonical order (by `serialize`):
     the and-rooted trees, then the or-rooted ones, each generated in that
     order.  Needs L(f) >= 3 (real trees exist).  Raises
     counting.BudgetError, before generating any, when m_f is over
     counting.DEFAULT_ENUMERATION_BUDGET."""
-    record = complexity(f, n)
-    if record.L < 3:
-        raise ValueError("constants and literal functions have no materialised minimal trees")
-    if record.m_f > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"{f.to_hex()} has {record.m_f} minimal trees, over budget {DEFAULT_ENUMERATION_BUDGET}"
-        )
-    return [t for op in (AND, OR) for t in _trees(n, record.L, f.bits, op)]
+    runs = _minimal_runs(complexity(f, n), n)
+    return [Node(op, kids[1::2]) for op, stream in runs for kids in stream]
 
 
 def full_table(n: int) -> List[ComplexityRecord]:

@@ -47,7 +47,8 @@ full-vector engine this one replaced.
 Queries (``prob``, ``prob_ge``, ``tautology_count``, ``exact_distribution``)
 read the orbit layers directly; only ``function_counts`` expands a layer to
 one entry per mask.  ``_trees`` lists the trees computing a mask, top down
-from the OR layers and in `serialize` order, for ``complexity``.
+from the OR layers and in `serialize` order, for ``complexity``: each as its
+children, each next to its text, so one pass gives trees and texts.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import series
 from .formula import AND, OR, AndOrTree, Leaf, Node, Record, TruthTable, _literals
-from .formula import literal_masks, serialize
+from .formula import literal_masks
 
 HARD_MAX_VARS = 4
 
@@ -324,9 +325,15 @@ def _sizes(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
                 _store_cached(engine)
 
 
-def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
-    """Every size-s tree rooted at `op` computing the mask f, each once (at
-    s = 1, the leaf of f if f is a literal), in `serialize` order.
+def _text(op: str, run: tuple) -> str:
+    """`serialize` of Node(op, run[1::2]), read off the children's texts run[::2]."""
+    return "(" + op + " " + " ".join(run[::2]) + ")"
+
+
+def _trees(n: int, s: int, f: int, op: str) -> Iterator[tuple]:
+    """The children, each after its text, of every size-s tree (s >= 2) rooted at
+    `op` computing the mask f, each tree once, in `serialize` order: the tree of
+    such a run is ``Node(op, run[1::2])`` and its text ``_text(op, run)``.
 
     The recursive method of Flajolet, Zimmermann & Van Cutsem (1994), top
     down on the engine's counts.  Take the x-mask of an op-rooted tree to be
@@ -342,8 +349,8 @@ def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
     others, all within x; after a first child of mask g the run must cover
     the rest of x, so a run is keyed by the masks it must cover.  Only
     first children whose run exists are taken.  They are taken from all
-    (size, mask) groups at once, by their texts, built once per memoized
-    subtree; so each memoized list, and the output, is in text order by
+    (size, mask) groups at once, by their texts, each assembled once from its
+    children's; so each memoized list, and the output, is in text order by
     the argument of ``counting``'s module docstring.
     """
     engine = _get_engine(n, s)
@@ -358,7 +365,7 @@ def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
         for t in range(1, s)
     ]
     child = [None] + [list(compress(masks, counts)) for counts in one[1:]]
-    leaves = dict(zip(literal_masks(n), map(Leaf, _literals(n))))
+    leaves = {mask: (str(lit), Leaf(lit)) for mask, lit in zip(literal_masks(n), _literals(n))}
     memo: Dict[tuple, list] = {}
 
     def rooted(op: str, x: int, size: int) -> List[Tuple[str, AndOrTree]]:
@@ -367,16 +374,15 @@ def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
         trees = memo.get(key)
         if trees is None:
             if size == 1:
-                leaf = leaves[x if op == OR else full ^ x]
-                trees = [(str(leaf.literal), leaf)]
+                trees = [leaves[x if op == OR else full ^ x]]
             else:
-                nodes = [Node(op, kids) for kids in runs(op, x, x, size - 1) if len(kids) > 1]
-                trees = list(zip(map(serialize, nodes), nodes))
+                found = runs(op, x, x, size - 1)
+                trees = [(_text(op, kids), Node(op, kids[1::2])) for kids in found if len(kids) > 2]
             memo[key] = trees
         return trees
 
     def firsts(op: str, x: int, need: int, size: int) -> List[tuple]:
-        """(text, first child, mask left to cover, size left) of `runs`."""
+        """((text, first child), mask left to cover, size left) of `runs`."""
         key = (op, x, need, size)
         heads = memo.get(key)
         if heads is None:
@@ -387,28 +393,23 @@ def _trees(n: int, s: int, f: int, op: str) -> Iterator[AndOrTree]:
                 for g in child[first]:
                     left = need & ~g
                     if g | x == x and any(h & left == left for h in tails):
-                        kids = rooted(other, full ^ g, first)
-                        heads += [(text, kid, left, size - first) for text, kid in kids]
-            heads = memo[key] = sorted(heads, key=itemgetter(0))
+                        heads += [(k, left, size - first) for k in rooted(other, full ^ g, first)]
+            heads = memo[key] = sorted(heads, key=lambda head: head[0][0])
         return heads
 
     def runs(op: str, x: int, need: int, size: int) -> Iterator[tuple]:
         """Runs of >= 1 children of an op node, of total size `size`, each
         child's mask within x and their OR covering `need`."""
-        for _, kid, left, more in firsts(op, x, need, size):
+        for kid, left, more in firsts(op, x, need, size):
             if more:
                 for rest in runs(op, x, left, more):
-                    yield (kid,) + rest
+                    yield kid + rest
             else:
-                yield (kid,)
+                yield kid
 
     x = f if op == OR else full ^ f
-    if not layers[s][orbit[x]]:
-        return
-    if s == 1:
-        yield leaves[f]
-    else:
-        yield from (Node(op, kids) for kids in runs(op, x, x, s - 1) if len(kids) > 1)
+    if layers[s][orbit[x]]:
+        yield from (kids for kids in runs(op, x, x, s - 1) if len(kids) > 2)
 
 
 def _load_cached(n: int) -> Optional[_Engine]:

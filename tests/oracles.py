@@ -279,8 +279,9 @@ def _oracle_expansion_count(f: TruthTable, n: int, m: int) -> Tuple[int, int]:
     insert_size = m - L
     if insert_size < 3:
         return 0, 0  # no constant subtree is that small
-    taut = list(_trees(n, insert_size, TruthTable.constant(n, True).bits, OR))
-    contra = list(_trees(n, insert_size, 0, AND))
+    full = TruthTable.constant(n, True).bits
+    taut = [Node(OR, kids[1::2]) for kids in _trees(n, insert_size, full, OR)]
+    contra = [Node(AND, kids[1::2]) for kids in _trees(n, insert_size, 0, AND)]
     seen = set()
     listed = 0
     for tree in minimal_trees(f, n):

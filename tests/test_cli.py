@@ -9,7 +9,8 @@ import andortrees
 from andortrees import cli, distribution
 from andortrees.analytic import ASYMPTOTIC_REFERENCE
 from andortrees.cli import main
-from andortrees.formula import parse_formula, tree_size, truth_table
+from andortrees.complexity import complexity, minimal_trees
+from andortrees.formula import TruthTable, parse_formula, serialize, tree_size, truth_table
 
 SRC = os.path.dirname(os.path.dirname(andortrees.__file__))
 
@@ -210,6 +211,20 @@ def test_closed_stdout_ends_quietly(tmp_path):
     )
     assert proc.stdout.readline() == b"m,a_hat,a_total\n"
     proc.stdout.close()  # the pipe holds far less than the 3000 rows
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_closed_stdout_ends_quietly_during_chunked_json():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "andortrees", "complexity", "--n", "3", "--f-hex", "96"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # the pipe holds far less than the 10 MB of JSON
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
@@ -460,6 +475,26 @@ def test_complexity_single_lists_the_witnesses_at_n3(capsys):
         assert tree_size(tree) == 8 and truth_table(tree, 3).bits == 0x06
 
 
+@pytest.mark.parametrize("f_hex, witnesses", [("16", 3024), ("96", 131328)])
+def test_complexity_single_prints_the_bytes_of_json_dumps(tmp_path, capsys, f_hex, witnesses):
+    f = TruthTable.from_hex(f_hex, 3)
+    record = complexity(f, 3)
+    texts = [serialize(t) for t in minimal_trees(f, 3)]
+    assert len(texts) == record.m_f == witnesses
+    target = tmp_path / "out.json"
+    for out in (None, str(target)):
+        config = {"command": "complexity", "config": None, "n": 3, "out": out}
+        config.update({"all": False, "f_hex": f_hex, "format": "json"})
+        payload = {"config": config, "truth_table_hex": f_hex, "L": record.L}
+        payload.update({"m_f": record.m_f, "witnesses": texts})
+        argv = ["complexity", "--n", "3", "--f-hex", f_hex] + (["--out", out] if out else [])
+        code, printed, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        got = target.read_text(encoding="utf-8") if out else printed
+        assert got == json.dumps(payload, indent=2) + "\n"
+        assert printed == ("" if out else got)
+
+
 def test_complexity_single_over_enumeration_budget(tmp_path, capsys):
     # a config file from before the budget option was removed still loads
     cfg = tmp_path / "old.cfg"
@@ -539,6 +574,15 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().strip().splitlines()[0] == "m,a_hat,a_total"
+
+
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "counts.csv", tmp_path):
+        code, out, err = run(capsys, "count", "--n", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out file: ") and str(target) in err
+        assert err.count("\n") == 1
 
 
 def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):

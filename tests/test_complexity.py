@@ -10,6 +10,7 @@ from andortrees.complexity import (
     CONTRADICTION_EXPANSION,
     TAUTOLOGY_EXPANSION,
     ExpansionStep,
+    _minimal_runs,
     complexity,
     expand,
     expansion_count,
@@ -20,9 +21,10 @@ from andortrees.complexity import (
     slots_and_bounds,
 )
 from andortrees.counting import BudgetError, brute_enumerate
-from andortrees.distribution import DistributionError, function_counts, tautology_count
+from andortrees.distribution import DistributionError, _text, function_counts, tautology_count
 from andortrees.formula import (
     Literal,
+    Node,
     StratificationError,
     TruthTable,
     expansion_slots,
@@ -182,9 +184,12 @@ def test_minimal_trees_at_n3_number_m_f():
     digest = hashlib.sha256()  # of the whole stream, function by function
     for rec in full_table(3):
         if rec.L >= 3:
-            trees = minimal_trees(rec.f, 3)
+            # texts and trees from one pass, as the CLI and minimal_trees read it
+            runs = [(op, kids) for op, stream in _minimal_runs(rec, 3) for kids in stream]
+            forms = [_text(op, kids) for op, kids in runs]
+            trees = [Node(op, kids[1::2]) for op, kids in runs]
             assert len(trees) == rec.m_f
-            forms = [serialize(t) for t in trees]
+            assert forms == [serialize(t) for t in trees]
             assert forms == sorted(forms)
             digest.update("".join(form + "\n" for form in forms).encode())
             counts[rec.f.bits] = len(trees)

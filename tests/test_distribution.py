@@ -35,6 +35,7 @@ from andortrees.formula import (
     OR,
     Leaf,
     Literal,
+    Node,
     TruthTable,
     literal_mask,
     literal_masks,
@@ -613,22 +614,22 @@ def test_orbit_transforms_match_butterfly(n):
 
 
 @pytest.mark.parametrize(
-    "n, m", [(n, m) for n in (1, 2) for m in range(1, 8)] + [(3, m) for m in range(1, 7)]
+    "n, m", [(n, m) for n in (1, 2) for m in range(2, 8)] + [(3, m) for m in range(2, 7)]
 )
 def test_generated_trees_are_the_brute_size_class(n, m):
     """Each (mask, root) stream of the generator is the size-m class of
     `brute_enumerate` filtered to that mask and root, in the same order, so
     over every mask and both roots each tree comes once, under its own mask
-    and root; a leaf is a tree of either root, so at m = 1 each root yields
-    them all."""
+    and root; and each run's text is the text of its tree."""
     want = {}
     for tree in brute_enumerate(m, n):
-        for op in (AND, OR) if m == 1 else (tree.op,):
-            want.setdefault((truth_table(tree, n).bits, op), []).append(serialize(tree))
+        want.setdefault((truth_table(tree, n).bits, tree.op), []).append(serialize(tree))
     for op in (AND, OR):
         for f in range(1 << (1 << n)):
-            got = [serialize(tree) for tree in dist_mod._trees(n, m, f, op)]
+            runs = list(dist_mod._trees(n, m, f, op))
+            got = [serialize(Node(op, kids[1::2])) for kids in runs]
             assert got == want.get((f, op), []), (f, op)
+            assert [dist_mod._text(op, kids) for kids in runs] == got, (f, op)
 
 
 # ---------------------------------------------------------------------------
