@@ -158,6 +158,10 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
+    """The report of `limit_estimate`; its `converged` only compares the two
+    parity means over sizes M-10..M against the absolute --tol, and is no
+    error bound (at M = 60 P(True) at n = 3 reads 0.2789648, converged,
+    against a limit of 0.2824906)."""
     f = TruthTable.from_hex(args.f_hex, args.n)
     report = limit_estimate(args.n, f, M=args.m, tol=args.tol)
     _emit_json(

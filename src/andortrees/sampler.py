@@ -74,11 +74,16 @@ class McReport(Record):
 
 
 def _frequency_stat(hits: int, trials: int, **extra) -> StatResult:
+    """The rate hits/trials with its standard error and its Wilson score
+    interval (Wilson, 1927), which, unlike p +- 1.96 se, stays inside [0, 1]
+    and has width at 0 or 1 hits (0 of 10^4 reads (0, 3.84e-4))."""
     p = hits / trials
     se = math.sqrt(p * (1 - p) / trials)
-    return StatResult(
-        estimate=p, stderr=se, ci95=(p - Z95 * se, p + Z95 * se), extra=dict(extra)
-    )
+    shrink = Z95 * Z95 / trials
+    center = (p + shrink / 2) / (1 + shrink)
+    half = Z95 * math.sqrt(p * (1 - p) / trials + shrink / (4 * trials)) / (1 + shrink)
+    ci95 = (max(0.0, center - half), min(1.0, center + half))
+    return StatResult(estimate=p, stderr=se, ci95=ci95, extra=dict(extra))
 
 
 def _sorted_sample(rng: random.Random, start: int, stop: int, k: int) -> List[int]:

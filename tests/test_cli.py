@@ -281,7 +281,7 @@ def test_sample_json_nests_the_stat_records(capsys):
             "tautology_rate": {
                 "estimate": 0.2,
                 "stderr": 0.0632455532033676,
-                "ci95": [0.07604099256131484, 0.32395900743868516],
+                "ci95": [0.1049998967188637, 0.3475730647562145],
                 "extra": {},
             },
             "first_level_leaf_histogram": {

@@ -28,6 +28,7 @@ from andortrees.sampler import (
     KNOWN_STATS,
     SamplerContext,
     SamplerError,
+    _frequency_stat,
     _sorted_sample,
     _summarise,
     chi_square_critical,
@@ -75,6 +76,31 @@ def test_upper_quantile_stop_matches_all_halvings(monkeypatch):
 def test_chi_square_critical_needs_a_positive_integer_df(df):
     with pytest.raises(ValueError, match="positive int"):
         chi_square_critical(0.01, df)
+
+
+@pytest.mark.parametrize("trials", (10, 30, 100, 300, 1000))
+def test_ci95_covers_the_rate_at_every_hit_count(trials):
+    # exact binomial coverage of ci95: the probability that the interval
+    # drawn at `trials` holds p.  The Wilson interval covers at least 0.904
+    # on this grid; the floor leaves a margin of 0.014.  The Wald interval
+    # p +- 1.96 se covers 0.095 at p = 0.1/N, where 0 hits (probability
+    # 0.905) give (0, 0).  Just below the 1-hit lower end, about 0.18/N,
+    # Wilson's coverage dips to 0.84 (Brown, Cai & DasGupta, 2001).
+    intervals = [_frequency_stat(k, trials).ci95 for k in range(trials + 1)]
+    low = sorted({c / trials for c in (0.1, 0.5, 1, 2, 5)} | {0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5})
+    for p in low + [1 - p for p in low]:
+        coverage = sum(
+            math.comb(trials, k) * p**k * (1 - p) ** (trials - k)
+            for k, (lo, hi) in enumerate(intervals)
+            if lo <= p <= hi
+        )
+        assert coverage >= 0.89, (trials, p, coverage)
+
+
+def test_ci95_at_no_hits_and_one_hit():
+    assert _frequency_stat(0, 10**4).ci95 == (0.0, pytest.approx(3.84e-4, rel=1e-3))
+    lo, hi = _frequency_stat(1, 300).ci95
+    assert 0 < lo < 1 / 300 < hi < 1
 
 
 def test_fixed_seed_reproducible():
@@ -187,14 +213,15 @@ def test_sorted_sample_replays_rng_sample(start, stop, k):
 
 
 def test_monte_carlo_stats_are_pinned():
-    # the SHA-256 of repr(stats) at the benchmark shapes and statistics, as
-    # monte_carlo gave them when the cuts and places were drawn by rng.sample
+    # the SHA-256 of repr(stats) at the benchmark shapes and statistics: the
+    # estimates and stderrs as monte_carlo gave them when the cuts and places
+    # were drawn by rng.sample, the ci95s Wilson intervals
     cases = (
         (600, 5, ["tautology_rate", "simple_tautology_rate",
                   "function_frequency:88888888"],
-         "94580c016216e9e526c8ad5e73f3aff91494108bfe9dd0869d4ebe575653dc03"),
+         "8d9aa5e131b0f93fea517490881f6862487addb399214b4894dd586620b306d0"),
         (500, 100, ["first_level_leaf_histogram", "simple_tautology_rate"],
-         "39686d4168b57723603c009d19fd568246483cbd80c8f7192c64e8a5c6ae1013"),
+         "2f56c52abff0ec58b34aaee9546670ca692444dc43b069b086f66af7589abf00"),
     )
     for m, n, stats, digest in cases:
         rep = monte_carlo(m, n, 300, 11, stats)
