@@ -3,10 +3,11 @@
 
 For n = 1..HARD_MAX_VARS, two files in src/andortrees/tables/:
 
-* orbits_n<n>.marshal, a marshal list [orbit, reps]: the orbit id of every
-  truth-table mask and the smallest mask of every orbit, orbits numbered in
-  the order of their smallest masks.  Every mask of an orbit holds the same
-  int object, which marshal writes once and references after.
+* orbits_n<n>.marshal, a marshal tuple (orbit, reps) of two tuples: the
+  orbit id of every truth-table mask and the smallest mask of every orbit,
+  orbits numbered in the order of their smallest masks.  Every mask of an
+  orbit holds the same int object, which marshal writes once and references
+  after.
 * zeta_n<n>.bin, little-endian 16-bit words: the number N of orbits, the
   length k_O of every column O, then per column its k_O orbit ids F and its
   k_O counts c(F, O), the masks of orbit O within the representative of F.
@@ -33,9 +34,9 @@ from oracles import _oracle_incidence, _oracle_orbit_tables  # noqa: E402
 
 def values(n):
     """(orbit, reps, columns) at n: the oracle's orbit ids and
-    representatives, and its zeta rows as columns without the diagonal of
-    ones, column O a pair (ids F > O ascending, counts c(F, O))."""
-    orbit, reps = _oracle_orbit_tables(n)
+    representatives as tuples, and its zeta rows as columns without the
+    diagonal of ones, column O a pair (ids F > O ascending, counts c(F, O))."""
+    orbit, reps = map(tuple, _oracle_orbit_tables(n))
     zeta_rows, _ = _oracle_incidence(orbit, reps)
     columns = [([], []) for _ in reps]
     for f, (ids, coeffs) in enumerate(zeta_rows):  # f ascends, so do the ids
@@ -54,7 +55,7 @@ def files(n):
         words.extend(ids + coeffs)
     if sys.byteorder == "big":
         words.byteswap()
-    return {f"orbits_n{n}.marshal": marshal.dumps([orbit, reps]), f"zeta_n{n}.bin": words.tobytes()}
+    return {f"orbits_n{n}.marshal": marshal.dumps((orbit, reps)), f"zeta_n{n}.bin": words.tobytes()}
 
 
 def main() -> None:
