@@ -31,9 +31,7 @@ by its reader (`| head`) ends the command quietly with exit 0.
 Configuration precedence: command-line flags > --config file > defaults.
 The config file is flat `key = value` text, keys matching flag names with
 dashes or underscores; keys the command has no flag for, and switches
-(--all), are ignored.  The environment variable ANDORTREES_CACHE_DIR points
-the distribution engine at a cache directory of versioned marshal files
-(format andortrees-engine-4; files of earlier formats are never opened).
+(--all), are ignored.
 """
 
 from __future__ import annotations

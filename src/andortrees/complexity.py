@@ -17,11 +17,10 @@ slots and the engine's count of constant trees (see ``expansion_count``).
 from __future__ import annotations
 
 import operator
-from contextlib import closing
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import DEFAULT_ENUMERATION_BUDGET, BudgetError
-from .distribution import _get_engine, _orbit_ids, _sizes, _trees
+from .distribution import _get_engine, _orbit_ids, _trees
 from .formula import (
     AND,
     OR,
@@ -63,13 +62,14 @@ def _sweep(fs: Sequence[TruthTable], n: int) -> List[ComplexityRecord]:
         orbit[literal_masks(n)[0]]: dict(L=2, m_f=2, witnesses=None),
     }
     pending = {orbit[f.bits] for f in fs} - found.keys()
-    with closing(_sizes(n, 3)) as sizes:
-        while pending:
-            size, totals = next(sizes)
-            for o in pending:
-                if totals[o]:
-                    found[o] = dict(L=size, m_f=totals[o], witnesses=None)
-            pending -= found.keys()
+    size = 2
+    while pending:
+        size += 1
+        totals = _get_engine(n, size).totals(size)
+        for o in pending:
+            if totals[o]:
+                found[o] = dict(L=size, m_f=totals[o], witnesses=None)
+        pending -= found.keys()
     return [ComplexityRecord(f=f, **found[orbit[f.bits]]) for f in fs]
 
 
@@ -106,7 +106,8 @@ def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
 
 def full_table(n: int) -> List[ComplexityRecord]:
     """ComplexityRecord for every Boolean function of n variables."""
-    return _sweep([TruthTable(n, bits) for bits in range(1 << (1 << n))], n)
+    masks = range(len(_orbit_ids(n)))  # refuses n > HARD_MAX_VARS before any table is built
+    return _sweep([TruthTable(n, bits) for bits in masks], n)
 
 
 # ---------------------------------------------------------------------------

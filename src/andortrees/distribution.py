@@ -61,7 +61,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress
 from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -70,10 +70,6 @@ from .formula import AND, OR, AndOrTree, Leaf, Node, Record, TruthTable, _litera
 from .formula import literal_masks
 
 HARD_MAX_VARS = 4
-
-CACHE_ENV_VAR = "ANDORTREES_CACHE_DIR"
-#: tag of the on-disk engine format; a file with any other tag is recomputed
-CACHE_FORMAT = "andortrees-engine-4"
 
 
 class DistributionError(RuntimeError):
@@ -163,7 +159,8 @@ _Columns = List[Tuple[Sequence[int], Sequence[int]]]
 
 def _load_columns(n: int) -> _Columns:
     """Columns of the zeta incidence on orbits at n, the diagonal left out,
-    read from ``tables/zeta_n<n>.bin``.
+    read from ``tables/zeta_n<n>.bin`` by an engine as it grows its first
+    layer.
 
     c(F, O) is the number of masks of orbit O within the representative of
     F; column O lists the orbits F != O with c(F, O) > 0, ids ascending, and
@@ -223,10 +220,11 @@ class _Engine:
     """or_layers[m], X[m] and S[m] of the module docstring, for m >= 1, each
     a list over the B_n-orbits.
 
-    Index 0 (there are no trees of size 0) holds None.  The orbit table is
-    read when the engine is made, the zeta columns when it grows its first
-    layer, so an engine filled from the disk cache and not grown past it
-    never reads the columns.
+    Index 0 (there are no trees of size 0) holds None.  Each process grows
+    its own engines, from size 1 up.  The orbit table is read when the
+    engine is made, the zeta columns when it grows its first layer, so an
+    engine that only hands out its orbit ids (``_orbit_ids``) never reads
+    the columns.
     """
 
     def __init__(self, n: int):
@@ -284,13 +282,6 @@ _engines: Dict[int, _Engine] = {}
 _engine_lock = threading.Lock()
 
 
-def _cache_path(n: int) -> Optional[str]:
-    root = os.environ.get(CACHE_ENV_VAR)
-    if not root:
-        return None
-    return os.path.join(root, f"{CACHE_FORMAT}_n{n}.marshal")
-
-
 def _get_engine(n: int, max_size: int) -> _Engine:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -301,34 +292,14 @@ def _get_engine(n: int, max_size: int) -> _Engine:
     with _engine_lock:
         engine = _engines.get(n)
         if engine is None:
-            engine = _load_cached(n) or _Engine(n)
-            _engines[n] = engine
-        if engine.max_size < max_size:
-            engine.extend(max_size)
-            _store_cached(engine)
+            engine = _engines[n] = _Engine(n)
+        engine.extend(max_size)
     return engine
 
 
 def _orbit_ids(n: int) -> Tuple[int, ...]:
     """The engine's orbit id of every mask at n."""
     return _get_engine(n, 0).orbit
-
-
-def _sizes(n: int, start: int) -> Iterator[Tuple[int, List[int]]]:
-    """(m, engine.totals(m)) for m = start, start + 1, ..., growing the
-    engine as the caller reads on; the cache file is written once, when the
-    caller closes the iterator, and only if the engine grew."""
-    engine = _get_engine(n, 0)
-    grown_from = engine.max_size
-    try:
-        for m in count(start):
-            with _engine_lock:
-                engine.extend(m)
-            yield m, engine.totals(m)
-    finally:
-        if engine.max_size > grown_from:
-            with _engine_lock:
-                _store_cached(engine)
 
 
 def _text(op: str, run: tuple) -> str:
@@ -416,73 +387,6 @@ def _trees(n: int, s: int, f: int, op: str) -> Iterator[tuple]:
     x = f if op == OR else full ^ f
     if layers[s][orbit[x]]:
         yield from (kids for kids in runs(op, x, x, s - 1) if len(kids) > 2)
-
-
-def _load_cached(n: int) -> Optional[_Engine]:
-    """The engine stored for n, or None when the file is absent or unusable.
-
-    The file is a marshal dict with the keys ``format``, ``n``,
-    ``or_layers``, ``X`` and ``S``; the orbit table is not in it, as it ships
-    with the package.  A file that does not read back to that shape (another
-    format tag or n, lists of unequal length, a vector of another length than
-    the number of orbits, truncated or unreadable bytes) counts as absent, so
-    the caller recomputes the engine and rewrites the file.  The entries of
-    the vectors are taken as written.
-    """
-    path = _cache_path(n)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "rb") as fh:
-            data = marshal.loads(fh.read())  # marshal.load(fh) is ~25x slower
-    except (OSError, EOFError, ValueError, TypeError):
-        return None
-    if not (
-        isinstance(data, dict)
-        and data.get("format") == CACHE_FORMAT
-        and data.get("n") == n
-    ):
-        return None
-    engine = _Engine(n)
-    lists = [data.get(key) for key in ("or_layers", "X", "S")]
-    for got in lists:
-        if not (
-            isinstance(got, list)
-            and len(got) == len(lists[0]) > 1
-            and got[0] is None
-            and all(isinstance(v, list) and len(v) == len(engine.reps) for v in got[1:])
-        ):
-            return None
-    engine.or_layers, engine.X, engine.S = lists
-    return engine
-
-
-def _store_cached(engine: _Engine) -> None:
-    path = _cache_path(engine.n)
-    if not path:
-        return
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    data = {
-        "format": CACHE_FORMAT,
-        "n": engine.n,
-        "or_layers": engine.or_layers,
-        "X": engine.X,
-        "S": engine.S,
-    }
-    import tempfile  # only a process that writes the cache pays for the import
-
-    # a temp name of its own per writer: with one shared name, a second
-    # writer's replace would move the first writer's file away before its own
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(marshal.dumps(data))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import andortrees
-from andortrees import cli, distribution
 from andortrees.analytic import ASYMPTOTIC_REFERENCE
 from andortrees.cli import main
 from andortrees.complexity import complexity, minimal_trees
@@ -19,10 +18,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_docstring_names_the_cache_format():
-    assert f"format {distribution.CACHE_FORMAT};" in cli.__doc__
 
 
 def test_count_csv(capsys):
@@ -583,21 +578,6 @@ def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: cannot write --out file: ") and str(target) in err
         assert err.count("\n") == 1
-
-
-def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ANDORTREES_CACHE_DIR", str(tmp_path))
-    import andortrees.distribution as dist_mod
-
-    monkeypatch.setattr(dist_mod, "_engines", {})
-    code, out, _ = run(capsys, "dist", "--n", "1", "--m", "4")
-    assert code == 0
-    cached = list(tmp_path.glob("andortrees-engine-*_n1.marshal"))
-    assert cached
-    # a fresh engine registry must reuse the on-disk tables
-    monkeypatch.setattr(dist_mod, "_engines", {})
-    code, out2, _ = run(capsys, "dist", "--n", "1", "--m", "4")
-    assert out2 == out
 
 
 def test_verify_unknown_suite():

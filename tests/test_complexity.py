@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from andortrees.cli import main
 from andortrees.complexity import (
     B_EXPANSION,
     CONTRADICTION_EXPANSION,
@@ -217,6 +218,25 @@ def test_complexity_past_the_engine_raises():
     conj = TruthTable(5, literal_mask(1, False, 5) & literal_mask(2, False, 5))
     with pytest.raises(DistributionError):
         complexity(conj, 5)
+
+
+def test_full_table_past_the_engine_raises_before_building_tables(monkeypatch, capsys):
+    """n = 5 has 2^32 truth tables: n is refused before any is built, and the
+    CLI reports it as a usage error."""
+    built = []
+
+    def counted(n, bits):
+        built.append(bits)
+        if len(built) > 1 << 16:
+            raise AssertionError("full_table builds its truth tables before checking n")
+        return TruthTable(n, bits)
+
+    monkeypatch.setattr(importlib.import_module("andortrees.complexity"), "TruthTable", counted)
+    with pytest.raises(DistributionError, match="limited to n <= 4"):
+        full_table(5)
+    assert main(["complexity", "--n", "5", "--all"]) == 2
+    assert capsys.readouterr().err == "error: function sweeps are limited to n <= 4\n"
+    assert built == []
 
 
 def test_minimal_trees_raises_for_literals():

@@ -1,13 +1,11 @@
 import ast
+import builtins
 import fnmatch
-import functools
 import importlib.util
 import marshal
 import os
-import pickle
 import random
 import tracemalloc
-import types
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -18,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import andortrees.distribution as dist_mod
+from andortrees.cli import main
 from andortrees.counting import brute_enumerate, series
 from andortrees.distribution import (
-    CACHE_FORMAT,
     DistributionError,
     exact_distribution,
     function_counts,
@@ -421,12 +419,10 @@ def _mobius_subset(v):
     return _butterfly(v, sub)
 
 
-@functools.lru_cache(maxsize=None)
 def _full_vector_layers(n, M):
     """OR layers for sizes 1..M from the recurrence of the module docstring
-    on whole vectors over all 2^(2^n) masks, with no use of symmetry.
-    Cached, because two tests read n = 4 to size 12 (about a second); the
-    callers only read the lists."""
+    on whole vectors over all 2^(2^n) masks, with no use of symmetry.  One
+    test reads them, n = 4 to size 12 taking about a second."""
     space = 1 << (1 << n)
     or_layers, X, S = [None], [None], [None]
     for m in range(1, M + 1):
@@ -644,142 +640,38 @@ def test_generated_trees_are_the_brute_size_class(n, m):
             assert [dist_mod._text(op, kids) for kids in runs] == got, (f, op)
 
 
-# ---------------------------------------------------------------------------
-# the on-disk cache
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
+def test_the_old_cache_variable_is_inert(tmp_path, monkeypatch, capsys):
+    """ANDORTREES_CACHE_DIR once named a directory of engine files; now no
+    query opens or writes anything there, even a file in the old format."""
+    engine = dist_mod._Engine(1)
+    engine.extend(9)
+    doubled = lambda layers: [None] + [[2 * c for c in v] for v in layers[1:]]
+    bogus = marshal.dumps({
+        "format": "andortrees-engine-4", "n": 1, "or_layers": doubled(engine.or_layers),
+        "X": doubled(engine.X), "S": doubled(engine.S),
+    })
+    (tmp_path / "andortrees-engine-4_n1.marshal").write_bytes(bogus)
     monkeypatch.setenv("ANDORTREES_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(dist_mod, "_engines", {})
-    return tmp_path
-
-
-def _tampered(blob, damage):
-    if damage == "truncated":
-        return blob[: len(blob) // 2]
-    data = marshal.loads(blob)
-    # doubled counts: a reader that skipped the checks would answer wrongly
-    data["or_layers"] = [None] + [[2 * c for c in v] for v in data["or_layers"][1:]]
-    if damage == "tag":
-        data["format"] = "andortrees-engine-2"
-    elif damage == "n":
-        data["n"] = 3
-    elif damage == "lengths":
-        data["S"] = data["S"][:-1]
-    elif damage == "vector size":
-        data["X"][1] = data["X"][1][:-1]
-    return marshal.dumps(data)
-
-
-@pytest.mark.parametrize(
-    "damage", ["truncated", "tag", "n", "lengths", "vector size"]
-)
-def test_damaged_cache_file_is_recomputed(cache_dir, monkeypatch, damage):
-    want = function_counts(6, 2)
-    path = cache_dir / f"{CACHE_FORMAT}_n2.marshal"
-    path.write_bytes(_tampered(path.read_bytes(), damage))
-    monkeypatch.setattr(dist_mod, "_engines", {})
-    assert function_counts(6, 2) == want
-    rewritten = marshal.loads(path.read_bytes())
-    assert rewritten["format"] == CACHE_FORMAT
-    orbit = dist_mod._orbit_ids(2)
-    assert [rewritten["or_layers"][6][o] for o in orbit] == list(want.or_rooted)
-
-
-def test_cache_is_written_once_per_sweep(cache_dir, monkeypatch):
-    stores = []
-    store = dist_mod._store_cached
-    monkeypatch.setattr(dist_mod, "_store_cached", lambda e: stores.append(e.max_size) or store(e))
-    full_table(3)
-    assert stores == [17]  # parity of three inputs has L = 17
-    assert (cache_dir / f"{CACHE_FORMAT}_n3.marshal").exists()
-
-
-def test_cache_write_survives_a_nested_writer(cache_dir, monkeypatch):
-    """A second writer that runs between the first writer's write and its
-    replace leaves both writes whole."""
-    engine = dist_mod._get_engine(2, 6)
-    replace, nested = os.replace, []
-
-    def replace_after_another_writer(src, dst):
-        if not nested:
-            nested.append(src)
-            dist_mod._store_cached(engine)
-        replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", replace_after_another_writer)
-    dist_mod._store_cached(engine)
-    assert nested
-    assert os.listdir(cache_dir) == [f"{CACHE_FORMAT}_n2.marshal"]
-    assert dist_mod._load_cached(2).or_layers == engine.or_layers
-
-
-def test_cache_file_is_reused(cache_dir, monkeypatch):
-    want = function_counts(6, 2)
-    monkeypatch.setattr(dist_mod, "_engines", {})
-    monkeypatch.setattr(dist_mod._Engine, "_add_layer", None)  # no recomputing
-    assert function_counts(6, 2) == want
-
-
-def test_loaded_engine_extends_past_the_cache_file(cache_dir, monkeypatch):
-    function_counts(6, 4)
-    monkeypatch.setattr(dist_mod, "_engines", {})
-    loaded = dist_mod._get_engine(4, 6)
-    assert loaded.max_size == 6 and loaded._columns is None  # read, not computed
-    or_layers = _full_vector_layers(4, 12)
-    for m in range(1, 13):
-        assert list(function_counts(m, 4).or_rooted) == or_layers[m]
-    assert loaded._columns is not None
-    stored = marshal.loads((cache_dir / f"{CACHE_FORMAT}_n4.marshal").read_bytes())
-    assert [[stored["or_layers"][m][o] for o in loaded.orbit] for m in range(1, 13)] == (
-        or_layers[1:]
-    )
-
-
-def test_engine_2_cache_is_never_read(cache_dir, monkeypatch):
-    # the per-mask layout of format 2 and the orbit layout of format 3 (which
-    # stored the orbit table too), each with wrong counts, under its own name;
-    # format 2 also under the current name
-    bogus = marshal.dumps({
-        "format": "andortrees-engine-2", "n": 1,
-        "or_layers": [None] + [[7] * 4] * 9, "X": [None] + [[7] * 4] * 9,
-        "S": [None] + [[7] * 4] * 9,
-    })
-    bogus_3 = marshal.dumps({
-        "format": "andortrees-engine-3", "n": 1, "orbit": [0, 1, 1, 2], "reps": [0, 1, 3],
-        "or_layers": [None] + [[7] * 3] * 9, "X": [None] + [[7] * 3] * 9,
-        "S": [None] + [[7] * 3] * 9,
-    })
-    (cache_dir / "andortrees-engine-2_n1.marshal").write_bytes(bogus)
-    (cache_dir / "andortrees-engine-3_n1.marshal").write_bytes(bogus_3)
-    (cache_dir / f"{CACHE_FORMAT}_n1.marshal").write_bytes(bogus)
     opened = []
-    monkeypatch.setattr(
-        dist_mod, "open", lambda path, *a: opened.append(path) or open(path, *a), raising=False
-    )
-    table = function_counts(3, 1)
-    assert opened
-    assert not any("andortrees-engine-2" in str(path) for path in opened)
-    assert not any("andortrees-engine-3" in str(path) for path in opened)
-    assert table.or_rooted == (0, 1, 1, 2)
-    assert table.and_rooted == (2, 1, 1, 0)
-    assert (cache_dir / "andortrees-engine-2_n1.marshal").read_bytes() == bogus
-    assert (cache_dir / "andortrees-engine-3_n1.marshal").read_bytes() == bogus_3
-    assert marshal.loads((cache_dir / f"{CACHE_FORMAT}_n1.marshal").read_bytes())[
-        "format"
-    ] == CACHE_FORMAT
 
+    def recording(real):
+        def record(path, *args, **kwargs):
+            opened.append(str(path))
+            return real(path, *args, **kwargs)
+        return record
 
-def test_legacy_pickle_cache_is_ignored(cache_dir):
-    bogus = types.SimpleNamespace(
-        n=1, use_duality=False, max_size=99,
-        and_layers=[[7] * 4] * 100, or_layers=[[7] * 4] * 100,
-    )
-    for name in ("dist_n1_dual.pkl", "dist_n1_indep.pkl"):
-        (cache_dir / name).write_bytes(pickle.dumps(bogus))
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(os, "open", recording(os.open))
     table = function_counts(3, 1)
-    assert table.or_rooted == (0, 1, 1, 2)
-    assert table.and_rooted == (2, 1, 1, 0)
-    assert (cache_dir / f"{CACHE_FORMAT}_n1.marshal").exists()
+    assert (table.or_rooted, table.and_rooted) == ((0, 1, 1, 2), (2, 1, 1, 0))
+    parity = {rec.f.bits: rec for rec in full_table(3)}[0x96]
+    assert (parity.L, parity.m_f) == (17, 131328)
+    assert main(["dist", "--n", "1", "--m", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "truth_table_hex,count_and,count_or,probability\n"
+        "0,6,0,3/8\n1,1,1,1/8\n2,1,1,1/8\n3,0,6,3/8\n"
+    )
+    assert opened and not [path for path in opened if path.startswith(str(tmp_path))]
+    assert os.listdir(tmp_path) == ["andortrees-engine-4_n1.marshal"]
+    assert (tmp_path / "andortrees-engine-4_n1.marshal").read_bytes() == bogus

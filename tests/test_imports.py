@@ -104,8 +104,7 @@ print(json.dumps({"modules": sorted(sys.modules), "imported": imported, "functio
     ],
     ids=["sampler", "engine_and_complexity"],
 )
-def test_imports_load_only_what_the_caller_uses(code, package_modules, tmp_path, monkeypatch):
-    monkeypatch.setenv("ANDORTREES_CACHE_DIR", str(tmp_path))
+def test_imports_load_only_what_the_caller_uses(code, package_modules):
     out = run_fresh(code)
     loaded = set(out["modules"])
     assert not loaded & set(HEAVY)
