@@ -8,7 +8,7 @@ Each subcommand takes only the flags it reads, plus --config and --out:
   sample      --n  --m  --seed (0)  --trials (10000)  --stats  --emit-trees
   analyze     --n  --family  --params
   complexity  --n  --all | --f-hex  --format
-  reduce      --n  (formula on stdin)
+  reduce      --n (up to 13)  (formula on stdin)
   verify      --suite (all)
 
 Any other flag is a usage error, and so is a missing --n, --m (dist,

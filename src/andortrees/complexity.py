@@ -23,6 +23,7 @@ from .counting import DEFAULT_ENUMERATION_BUDGET, BudgetError
 from .distribution import _get_engine, _orbit_ids, _trees
 from .formula import (
     AND,
+    MAX_FOLD_VARS,
     OR,
     AndOrTree,
     Leaf,
@@ -35,7 +36,6 @@ from .formula import (
     expansion_slots,
     literal_mask,
     literal_masks,
-    tree_size,
     truth_table,
 )
 
@@ -206,10 +206,11 @@ def slots_and_bounds(tree: AndOrTree, n: int) -> Dict[str, object]:
     function is constant/literal, where no materialised minimal tree exists).
     """
     L = complexity(truth_table(tree, n), n).L
-    size = tree_size(tree)
+    nodes = _preorder(tree)
+    size = len(nodes)
     if L < 3 or size != L:
         raise ValueError(f"tree of size {size} is not minimal for its function (L={L})")
-    slots = expansion_slots(tree)
+    slots = sum(isinstance(t, Node) for t in nodes) + size - 1  # as expansion_slots
     return {"P_t": slots, "L": L, "check": L <= slots <= (3 * L) // 2}
 
 
@@ -238,9 +239,12 @@ def reduce_irreducible(
     changes.  A node left with one child collapses: a surviving leaf takes
     its place in the parent, and a surviving internal child, which carries
     the parent's connective, has its children spliced into the parent.  A
-    subtree that is not reduced at all is returned as the same object.
+    subtree that is not reduced at all is returned as the same object.  The
+    tables are those of `truth_table`, so n is at most MAX_FOLD_VARS, and a
+    variable beyond n raises VariableRangeError at its leaf.
     """
-    truth_table(tree, n)  # rejects n > MAX_TABLE_VARS and variables beyond n
+    if n > MAX_FOLD_VARS:
+        raise ValueError(f"truth tables limited to n <= {MAX_FOLD_VARS} (asked for n={n})")
     full = (1 << (1 << n)) - 1
     done: list = []
     for node in reversed(_preorder(tree)):
@@ -303,13 +307,14 @@ def expansion_count(f: TruthTable, n: int, m: int) -> int:
     subtree of the expansion, and removing it gives back the minimal tree,
     the host, the position and the inserted tree.
     """
-    L = complexity(f, n).L
-    if L < 3:
+    record = complexity(f, n)
+    if record.L < 3:
         raise ValueError("f must have materialised minimal trees (L >= 3)")
-    insert_size = m - L
+    insert_size = m - record.L
     if insert_size < 3:
         return 0  # no constant subtree is that small
-    slots = sum(map(expansion_slots, minimal_trees(f, n)))
+    runs = _minimal_runs(record, n)
+    slots = sum(expansion_slots(Node(op, kids[1::2])) for op, stream in runs for kids in stream)
     engine = _get_engine(n, insert_size)
     tautologies = engine.or_layers[insert_size][engine.orbit[(1 << (1 << n)) - 1]]
     return tautologies * slots

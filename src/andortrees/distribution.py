@@ -44,13 +44,13 @@ checked in the tests against brute-force enumeration, against an
 independent per-mask computation of both connectives and against the
 full-vector engine this one replaced.
 
-``prob``, ``tautology_count`` and ``limit_estimate`` read one orbit entry
-of a layer per size.  The other queries work mask by mask:
-``function_counts`` and ``exact_distribution`` expand a layer to one entry
-per mask, and ``prob_ge`` walks the supersets of f0 one mask at a time,
-reading each one's orbit.  ``_trees`` lists the trees computing a mask, top
-down from the OR layers and in `serialize` order, for ``complexity``: each
-as its children, each next to its text, so one pass gives trees and texts.
+``prob``, ``prob_ge``, ``tautology_count`` and ``limit_estimate`` read
+one orbit entry per size; ``prob_ge`` reads its superset sums off the zeta
+layers X and S.  ``function_counts`` and ``exact_distribution`` expand a
+layer to one entry per mask.  ``_trees`` lists the trees computing a mask,
+top down from the OR layers and in `serialize` order, for ``complexity``:
+each as its children, each next to its text, so one pass gives trees and
+texts.
 """
 
 from __future__ import annotations
@@ -433,23 +433,26 @@ def prob(m: int, n: int, f: TruthTable) -> Fraction:
 
 
 def prob_ge(m: int, n: int, f0: TruthTable) -> Fraction:
-    """Probability mass of functions pointwise >= f0 (f0 non-constant)."""
+    """Probability mass of functions pointwise >= f0 (f0 non-constant).
+
+    With o the orbit of not-f0, the g >= f0 are the complements of the
+    submasks of not-f0.  Summed over them, the or-rooted counts or_m[g] are
+    the zeta transform of the size-m AND layer at not-f0, X[m][o], and the
+    and-rooted counts or_m[not g] are zeta(or_m)[not f0], which for m >= 2
+    is Q[m-1][o] = S[m-1][o] - X[m-1][o], since or_m is the Möbius transform
+    of Q[m-1].  At m = 1 the leaf is counted once: the mass is X[1][o].
+    """
     _check_size(m)
     if f0.is_constant():
         raise ValueError("f0 must be non-constant")
     if f0.n != n:
         raise ValueError("truth table n does not match")
     engine, total = _size_class(m, n)
-    totals, orbit = engine.totals(m), engine.orbit
-    free = (len(orbit) - 1) ^ f0.bits
-    # enumerate all supersets of f0.bits
-    mass = 0
-    sub = free
-    while True:
-        mass += totals[orbit[f0.bits | sub]]
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
+    o = engine.orbit[(len(engine.orbit) - 1) ^ f0.bits]
+    X, S = engine.X, engine.S
+    mass = X[m][o]
+    if m > 1:
+        mass += S[m - 1][o] - X[m - 1][o]
     return Fraction(mass, total)
 
 

@@ -30,10 +30,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 AND = "and"
 OR = "or"
 
-#: Largest n for which full truth tables are built by default (2^2^n functions).
-MAX_TABLE_VARS = 4
-#: Largest n at which constants and function frequencies are read off folded
-#: truth tables; above it `never_evaluates_to` decides constants.
+#: Largest n at which one tree's truth table (2^n bits) is built: by
+#: `truth_table` and `reduce_irreducible`, and to read constants and function
+#: frequencies; above it `never_evaluates_to` decides constants.
 MAX_FOLD_VARS = 13
 #: Default step budget of the constant-function search.
 SEARCH_BUDGET = 500_000
@@ -167,12 +166,10 @@ class Node(Record):
         if op not in (AND, OR):
             raise FormulaError(f"unknown connective {op!r}")
         if len(children) < 2:
-            raise ArityError(f"internal node needs >= 2 children, got {len(children)}")
+            raise ArityError(f"{op!r} node with {len(children)} child(ren); arity must be >= 2")
         for child in children:
             if isinstance(child, Node) and child.op == op:
-                raise StratificationError(
-                    f"child {op!r} node directly under an {op!r} node"
-                )
+                raise StratificationError(f"nested {op!r} under {op!r} violates stratification")
         _set(self, "op", op)
         _set(self, "children", children)
 
@@ -481,18 +478,10 @@ def parse_formula(text: str, n: int) -> AndOrTree:
             raise ParseError("unmatched ')'", pos)
         else:
             op, children, open_pos = stack.pop()
-            if len(children) < 2:
-                raise ArityError(
-                    f"{op!r} node with {len(children)} child(ren); arity must be >= 2 "
-                    f"(at position {open_pos})"
-                )
-            for child in children:
-                if isinstance(child, Node) and child.op == op:
-                    raise StratificationError(
-                        f"nested {op!r} under {op!r} violates stratification "
-                        f"(at position {open_pos})"
-                    )
-            tree = Node(op, tuple(children))
+            try:
+                tree = Node(op, tuple(children))
+            except FormulaError as exc:  # arity or stratification, at its '('
+                raise type(exc)(f"{exc} (at position {open_pos})") from None
         if len(stack) == 1 and stack[0][1]:
             raise ParseError("trailing content after complete formula", pos)
         stack[-1][1].append(tree)
@@ -570,14 +559,11 @@ def first_level_leaf_count(tree: AndOrTree) -> int:
 # ---------------------------------------------------------------------------
 
 
-def truth_table(tree: AndOrTree, n: int, max_vars: int = MAX_TABLE_VARS) -> TruthTable:
+def truth_table(tree: AndOrTree, n: int, max_vars: int = MAX_FOLD_VARS) -> TruthTable:
     """Bit-parallel evaluation over all 2^n assignments: `fold_truth_bits`
     over the tree's word."""
     if n > max_vars:
-        raise ValueError(
-            f"truth tables limited to n <= {max_vars} (asked for n={n}); "
-            "raise max_vars explicitly if you mean it"
-        )
+        raise ValueError(f"truth tables limited to n <= {max_vars} (asked for n={n})")
     full = (1 << (1 << n)) - 1
     return TruthTable(n, fold_truth_bits(encode(tree, n), literal_masks(n), full))
 
@@ -683,7 +669,7 @@ def never_evaluates_to(drawn: Draw, target: bool, budget: int = SEARCH_BUDGET) -
 def _is_constant(tree: AndOrTree, n: int, value: bool, budget: int) -> bool:
     if n > MAX_FOLD_VARS:
         return never_evaluates_to(encode(tree, n), not value, budget)
-    return truth_table(tree, n, MAX_FOLD_VARS).bits == TruthTable.constant(n, value).bits
+    return truth_table(tree, n).bits == TruthTable.constant(n, value).bits
 
 
 def is_tautology(tree: AndOrTree, n: int, budget: int = SEARCH_BUDGET) -> bool:

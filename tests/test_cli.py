@@ -512,6 +512,20 @@ def test_reduce_stdin(capsys, monkeypatch):
     assert "removed: (or x3 ~x3)" in err
 
 
+@pytest.mark.parametrize(
+    "n, code, out, err",
+    [
+        ("5", 0, "x5\n", "removed: (and x1 ~x1)\n"),
+        ("14", 2, "", "error: truth tables limited to n <= 13 (asked for n=14)\n"),
+    ],
+)
+def test_reduce_past_n4(capsys, monkeypatch, n, code, out, err):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("(or x5 (and x1 ~x1))"))
+    assert run(capsys, "reduce", "--n", n) == (code, out, err)
+
+
 def test_missing_n_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["count"])

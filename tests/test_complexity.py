@@ -28,6 +28,7 @@ from andortrees.formula import (
     Node,
     StratificationError,
     TruthTable,
+    VariableRangeError,
     expansion_slots,
     literal_mask,
     parse_formula,
@@ -385,6 +386,41 @@ def test_reduce_matches_the_restart_oracle():
         assert [serialize(t) for t in trace] == [serialize(t) for t in expected_trace]
         removals += len(trace)
     assert removals > 1000
+
+
+@pytest.mark.parametrize(
+    "text, n, want",
+    [
+        ("(or x5 (and x1 ~x1))", 5, "x5"),
+        ("(and x13 (or x2 ~x2) (or x1 x3))", 13, "(and x13 (or x1 x3))"),
+    ],
+)
+def test_reduce_runs_up_to_the_fold_width(text, n, want):
+    reduced, trace = reduce_irreducible(parse_formula(text, n), n)
+    assert serialize(reduced) == want
+    assert len(trace) == 1
+
+
+def test_reduce_and_expansion_check_refuse_past_the_fold_width():
+    tree = parse_formula("(and x1 x3)", 3)
+    step = ExpansionStep((), 1, parse_formula("(or x2 ~x2)", 3), TAUTOLOGY_EXPANSION)
+    with pytest.raises(ValueError, match="limited to n <= 13"):
+        reduce_irreducible(tree, 14)
+    with pytest.raises(ValueError, match="limited to n <= 13"):
+        is_valid_expansion(tree, step, 14)
+
+
+def test_reduce_rejects_a_variable_beyond_n():
+    with pytest.raises(VariableRangeError):
+        reduce_irreducible(parse_formula("(or x1 (and x5 ~x5))", 5), 4)
+
+
+def test_expansion_check_past_n4():
+    base = parse_formula("(and x1 x5)", 5)
+    good = ExpansionStep((), 1, parse_formula("(or x2 ~x2)", 5), TAUTOLOGY_EXPANSION)
+    bad = ExpansionStep((), 1, parse_formula("(or x2 x4)", 5), B_EXPANSION)
+    assert is_valid_expansion(base, good, 5)
+    assert not is_valid_expansion(base, bad, 5)
 
 
 # -- expansion counting ----------------------------------------------------------------

@@ -282,9 +282,9 @@ def test_orbit_queries_match_the_per_mask_view(n, m):
     rng = random.Random(100 * n + m)
     masks = range(space) if n <= 3 else rng.sample(range(space), 300)
     f0s = [g for g in masks if g not in (0, full)]
-    if n == 4:  # few clear bits, so that the supersets stay few
-        f0s = [full ^ sum(1 << k for k in rng.sample(range(16), 2)) for _ in range(4)]
-        f0s += [literal_mask(1, False, 4), literal_mask(1, False, 4) & literal_mask(2, True, 4)]
+    for constant in (0, full):
+        with pytest.raises(ValueError, match="non-constant"):
+            prob_ge(m, n, TruthTable(n, constant))
     if total == 0:
         with pytest.raises(DistributionError, match="empty size class"):
             exact_distribution(m, n)
@@ -300,9 +300,31 @@ def test_orbit_queries_match_the_per_mask_view(n, m):
     assert sum(probs.values()) == 1
     for g in masks:
         assert prob(m, n, TruthTable(n, g)) == Fraction(table.total(g), total)
+    mass = _superset_sums(list(map(table.total, range(space))), n)
     for f0 in f0s:
-        mass = sum(table.total(g) for g in range(space) if g & f0 == f0)
-        assert prob_ge(m, n, TruthTable(n, f0)) == Fraction(mass, total)
+        assert prob_ge(m, n, TruthTable(n, f0)) == Fraction(mass[f0], total)
+
+
+def _superset_sums(v: list, n: int) -> list:
+    """r[f] = sum of v[g] over the masks g >= f: one pass per assignment bit."""
+    r = list(v)
+    for k in range(1 << n):
+        bit = 1 << k
+        for f in range(len(r)):
+            if not f & bit:
+                r[f] += r[f | bit]
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prob_ge_matches_the_per_mask_superset_sums(n):
+    full = (1 << (1 << n)) - 1
+    for m in [1] + list(range(3, 31)):
+        table = function_counts(m, n)
+        total = series(n, m).a_total[m]
+        mass = _superset_sums(list(map(table.total, range(full + 1))), n)
+        for f0 in range(1, full):
+            assert prob_ge(m, n, TruthTable(n, f0)) == Fraction(mass[f0], total)
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,12 @@ def test_parse_reports_position():
          "variable x0 out of range 1..2 (at position 4)", None),
         ("(or x1 (and x1))", ArityError,
          "'and' node with 1 child(ren); arity must be >= 2 (at position 7)", None),
+        ("(or x1 (and x2 (or)))", ArityError,
+         "'or' node with 0 child(ren); arity must be >= 2 (at position 15)", None),
         ("(and x2 (or x1 (or x2 ~x1)))", StratificationError,
          "nested 'or' under 'or' violates stratification (at position 8)", None),
+        ("(or (or x1 x2) x1)", StratificationError,
+         "nested 'or' under 'or' violates stratification (at position 0)", None),
     ],
 )
 def test_parse_errors_pin_class_message_and_position(text, error, message, position):
@@ -245,16 +249,17 @@ def test_truth_table_from_hex_takes_only_hex_digits(text):
 
 def test_truth_table_var_cap():
     tree = parse_formula("(or x1 x2)", 2)
-    with pytest.raises(ValueError):
-        truth_table(tree, 5)
-    assert truth_table(tree, 5, max_vars=5).n == 5
+    with pytest.raises(ValueError, match="limited to n <= 13"):
+        truth_table(tree, 14)
+    assert truth_table(tree, 13).n == 13
+    assert truth_table(tree, 14, max_vars=14).n == 14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_truth_table_fold_matches_oracle_on_sampled_trees(n):
     for m in (1, 3, 4, 9, 40, 201):
         for tree in sample_many(m, n, 30, seed=300 + 10 * n + m):
-            assert truth_table(tree, n, max_vars=6).bits == _oracle_truth_table(tree, n)
+            assert truth_table(tree, n).bits == _oracle_truth_table(tree, n)
 
 
 @pytest.mark.parametrize("n, top", [(1, 7), (2, 6)])
