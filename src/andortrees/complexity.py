@@ -9,9 +9,9 @@ valid trees here and are never materialised (m_f = 2 is still reported for
 them).  L and m_f are invariant under variable permutations and input
 negations, so the sweep reads them once per symmetry class of the engine.
 The minimal trees themselves are generated top down from the same counts,
-in canonical order and with no sort (``distribution._trees``); the one-step
-expansions are counted, not generated, from the minimal trees' grafting
-slots and the engine's count of constant trees (see ``expansion_count``).
+in canonical order and with no sort (``distribution._trees``); their
+grafting slots, and so the one-step expansions, are counted off an engine
+that weighs each leaf, with no tree listed and no budget (``_slot_counts``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import operator
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import DEFAULT_ENUMERATION_BUDGET, BudgetError
-from .distribution import _get_engine, _orbit_ids, _trees
+from .distribution import _Engine, _get_engine, _orbit_ids, _trees
 from .formula import (
     AND,
     MAX_FOLD_VARS,
@@ -33,7 +33,6 @@ from .formula import (
     TruthTable,
     _preorder,
     _set,
-    expansion_slots,
     literal_mask,
     literal_masks,
     truth_table,
@@ -291,6 +290,26 @@ def reduce_irreducible(
 # ---------------------------------------------------------------------------
 
 
+def _slot_counts(n: int, records: Sequence[ComplexityRecord]) -> List[Dict[int, int]]:
+    """{P_t: minimal trees t with that P_t} of each record's f (L >= 3).
+
+    An engine whose literals weigh B counts a tree with k leaves B^k times,
+    and a minimal tree with k leaves has P_t = 2L - 1 - k.  With B a power
+    of two above every m_f read, the counts per k are the base-B digits of
+    f's count at L (Kronecker substitution), and no tree is listed.
+    """
+    width = max(rec.m_f for rec in records).bit_length()
+    engine = _Engine(n, 1 << width)
+    engine.extend(max(rec.L for rec in records))
+    digit = (1 << width) - 1
+    out = []
+    for rec in records:
+        marked = engine.count(rec.L, rec.f.bits)
+        digits = ((k, marked >> (k * width) & digit) for k in range(1, rec.L + 1))
+        out.append({2 * rec.L - 1 - k: c for k, c in digits if c})
+    return out
+
+
 def expansion_count(f: TruthTable, n: int, m: int) -> int:
     """Distinct trees of size m reachable by ONE constant-subtree expansion of
     a minimal tree of f (tautology under and-hosts, contradiction under
@@ -305,7 +324,8 @@ def expansion_count(f: TruthTable, n: int, m: int) -> int:
     unchanged.  No two insertions give the same tree: a minimal tree has no
     constant subtree, so the inserted constant is the only maximal constant
     subtree of the expansion, and removing it gives back the minimal tree,
-    the host, the position and the inserted tree.
+    the host, the position and the inserted tree.  The P_t come from
+    `_slot_counts`: no minimal tree is listed, so there is no budget.
     """
     record = complexity(f, n)
     if record.L < 3:
@@ -313,8 +333,7 @@ def expansion_count(f: TruthTable, n: int, m: int) -> int:
     insert_size = m - record.L
     if insert_size < 3:
         return 0  # no constant subtree is that small
-    runs = _minimal_runs(record, n)
-    slots = sum(expansion_slots(Node(op, kids[1::2])) for op, stream in runs for kids in stream)
+    [slots] = _slot_counts(n, [record])
     engine = _get_engine(n, insert_size)
     tautologies = engine.or_layers[insert_size][engine.orbit[(1 << (1 << n)) - 1]]
-    return tautologies * slots
+    return tautologies * sum(p * c for p, c in slots.items())

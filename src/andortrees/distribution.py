@@ -224,11 +224,12 @@ class _Engine:
     its own engines, from size 1 up.  The orbit table is read when the
     engine is made, the zeta columns when it grows its first layer, so an
     engine that only hands out its orbit ids (``_orbit_ids``) never reads
-    the columns.
+    the columns.  Literals weigh `leaf`: a tree with k leaves counts leaf^k.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, leaf: int = 1):
         self.n = n
+        self.leaf = leaf
         self.orbit, self.reps = _load_orbits(n)
         full = len(self.orbit) - 1
         #: comp[o] is the orbit of the complements of orbit o's masks
@@ -266,7 +267,7 @@ class _Engine:
         if m == 1:
             or_layer = [0] * len(self.reps)
             for mask in literal_masks(self.n):
-                or_layer[self.orbit[mask]] = 1
+                or_layer[self.orbit[mask]] = self.leaf
         else:
             or_layer = _mobius(columns, map(sub, S[m - 1], X[m - 1]))
         x = _zeta(columns, list(map(or_layer.__getitem__, self.comp)))  # AND layer

@@ -210,11 +210,7 @@ class Assignment(Record):
     __slots__ = ("values",)
 
     def to_index(self) -> int:
-        k = 0
-        for j, v in enumerate(self.values):
-            if v:
-                k |= 1 << j
-        return k
+        return sum(1 << j for j, v in enumerate(self.values) if v)
 
 
 class TruthTable(Record):
@@ -569,27 +565,11 @@ def truth_table(tree: AndOrTree, n: int, max_vars: int = MAX_FOLD_VARS) -> Truth
 
 
 def evaluate(tree: AndOrTree, assignment: Union[Assignment, int]) -> bool:
-    """Evaluate under one assignment (bit j-1 of an int index = variable j).
-
-    Iterative with short-circuiting, so arbitrarily deep sampled trees are fine.
-    """
+    """Evaluate under one assignment (bit j-1 of an int index = variable j)."""
     bits = assignment.to_index() if isinstance(assignment, Assignment) else assignment
-    stack = [(tree, 0)]
-    result = False
-    while stack:
-        node, idx = stack.pop()
-        if isinstance(node, Leaf):
-            result = bool((bits >> (node.literal.var - 1)) & 1) ^ node.literal.negated
-            continue
-        if idx:
-            # `result` holds the value of child idx-1
-            if (node.op == AND and not result) or (node.op == OR and result):
-                continue  # short-circuit, result stands for the whole node
-            if idx == len(node.children):
-                continue  # last child's value is the node's value
-        stack.append((node, idx + 1))
-        stack.append((node.children[idx], 0))
-    return result
+    n = max(t.literal.var for t in _preorder(tree) if isinstance(t, Leaf))
+    masks = [(bits >> (r >> 1) & 1) ^ (r & 1) for r in range(2 * n)]
+    return bool(fold_truth_bits(encode(tree, n), masks, 1))
 
 
 # ---------------------------------------------------------------------------

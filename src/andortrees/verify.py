@@ -31,7 +31,7 @@ from .analytic import (
     singularity,
     tautology_bounds,
 )
-from .complexity import full_table, minimal_trees, slots_and_bounds
+from .complexity import _slot_counts, full_table
 from .counting import algebraic_residual, brute_enumerate, series
 from .distribution import function_counts, limit_estimate
 from .formula import Draw, Record, TruthTable, encode, literal_mask
@@ -283,12 +283,9 @@ def complexity_table_n2() -> Dict:
     expected_L = {"0": 0, "f": 0, "3": 2, "5": 2, "a": 2, "c": 2, "6": 7, "9": 7}
     l_ok = all(by_hex[h].L == L for h, L in expected_L.items())
     others_ok = all(rec.L == 3 for hex_, rec in by_hex.items() if hex_ not in expected_L)
-    bounds_ok = all(
-        slots_and_bounds(w, 2)["check"]
-        for rec in table
-        if rec.L >= 3
-        for w in minimal_trees(rec.f, 2)
-    )
+    minimal = [rec for rec in table if rec.L >= 3]
+    counted = zip(minimal, _slot_counts(2, minimal))  # no tree listed
+    bounds_ok = all(r.L <= min(slots) and max(slots) <= (3 * r.L) // 2 for r, slots in counted)
     return {
         "passed": by_hex[xor_hex].L == 7 and l_ok and others_ok and bounds_ok,
         "xor_L": by_hex[xor_hex].L,

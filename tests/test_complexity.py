@@ -12,6 +12,8 @@ from andortrees.complexity import (
     TAUTOLOGY_EXPANSION,
     ExpansionStep,
     _minimal_runs,
+    _slot_counts,
+    _sweep,
     complexity,
     expand,
     expansion_count,
@@ -22,7 +24,13 @@ from andortrees.complexity import (
     slots_and_bounds,
 )
 from andortrees.counting import BudgetError, brute_enumerate
-from andortrees.distribution import DistributionError, _text, function_counts, tautology_count
+from andortrees.distribution import (
+    DistributionError,
+    _get_engine,
+    _text,
+    function_counts,
+    tautology_count,
+)
 from andortrees.formula import (
     Literal,
     Node,
@@ -184,19 +192,24 @@ def test_minimal_trees_match_the_brute_oracle():
 def test_minimal_trees_at_n3_number_m_f():
     counts = {}
     digest = hashlib.sha256()  # of the whole stream, function by function
-    for rec in full_table(3):
-        if rec.L >= 3:
-            # texts and trees from one pass, as the CLI and minimal_trees read it
-            runs = [(op, kids) for op, stream in _minimal_runs(rec, 3) for kids in stream]
-            forms = [_text(op, kids) for op, kids in runs]
-            trees = [Node(op, kids[1::2]) for op, kids in runs]
-            assert len(trees) == rec.m_f
-            assert forms == [serialize(t) for t in trees]
-            assert forms == sorted(forms)
-            digest.update("".join(form + "\n" for form in forms).encode())
-            counts[rec.f.bits] = len(trees)
-            for tree in trees[:: max(1, len(trees) // 50)]:
-                assert tree_size(tree) == rec.L and truth_table(tree, 3) == rec.f
+    table = [rec for rec in full_table(3) if rec.L >= 3]
+    for rec, marked in zip(table, _slot_counts(3, table)):
+        # texts and trees from one pass, as the CLI and minimal_trees read it
+        runs = [(op, kids) for op, stream in _minimal_runs(rec, 3) for kids in stream]
+        forms = [_text(op, kids) for op, kids in runs]
+        trees = [Node(op, kids[1::2]) for op, kids in runs]
+        assert len(trees) == rec.m_f
+        assert forms == [serialize(t) for t in trees]
+        assert forms == sorted(forms)
+        digest.update("".join(form + "\n" for form in forms).encode())
+        counts[rec.f.bits] = len(trees)
+        for tree in trees[:: max(1, len(trees) // 50)]:
+            assert tree_size(tree) == rec.L and truth_table(tree, 3) == rec.f
+        # the listed trees against the leaf-marked engine's digits
+        slots = [expansion_slots(tree) for tree in trees]
+        assert sum(slots) == sum(p * c for p, c in marked.items())
+        assert (min(slots), max(slots)) == (min(marked), max(marked))
+        assert len(trees) == sum(marked.values()) == rec.m_f
     assert len(counts) == 248
     assert counts[0x96] == counts[0x69] == 131328
     assert sum(counts.values()) == 317232
@@ -207,12 +220,15 @@ def test_minimal_trees_over_the_enumeration_budget_raise(monkeypatch):
     f = TruthTable(4, 0x1669)
     rec = complexity(f, 4)
     assert (rec.L, rec.m_f) == (28, 45121536)
+    module = importlib.import_module("andortrees.complexity")
     # raised before any tree is generated
-    monkeypatch.setattr(importlib.import_module("andortrees.complexity"), "_trees", None)
+    monkeypatch.setattr(module, "_trees", None)
     with pytest.raises(BudgetError):
         minimal_trees(f, 4)
-    with pytest.raises(BudgetError):
-        expansion_count(f, 4, 31)
+    # expansion_count lists no tree, so it has no budget
+    monkeypatch.setattr(module, "_minimal_runs", None)
+    assert expansion_count(TruthTable(4, 0x6996), 4, 30) == 523_763_712
+    assert expansion_count(f, 4, 31) == 13_483_376_640
 
 
 def test_complexity_past_the_engine_raises():
@@ -314,6 +330,17 @@ def test_all_minimal_trees_respect_slot_bounds():
             out = slots_and_bounds(tree, 2)
             assert out["check"]
             assert out["L"] <= out["P_t"] <= (3 * out["L"]) // 2
+
+
+@pytest.mark.parametrize("n, orbits", [(3, 19), (4, 399)])
+def test_slot_bounds_hold_on_every_orbit_past_n2(n, orbits):
+    # the paper's L <= P_t <= floor(3L/2), from one leaf-marked engine per n
+    reps = [TruthTable(n, rep) for rep in _get_engine(n, 0).reps]
+    table = [rec for rec in _sweep(reps, n) if rec.L >= 3]
+    assert len(table) == orbits
+    for rec, marked in zip(table, _slot_counts(n, table)):
+        assert sum(marked.values()) == rec.m_f
+        assert rec.L <= min(marked) and max(marked) <= (3 * rec.L) // 2
 
 
 def test_slot_count_is_expansion_slots_for_every_minimal_tree_at_n2():
