@@ -53,9 +53,9 @@ from .analytic import (
     tautology_bounds,
 )
 from .complexity import complexity as complexity_of
-from .complexity import _minimal_runs, full_table, reduce_irreducible
-from .counting import BudgetError, series
-from .distribution import _text, exact_distribution, function_counts, limit_estimate
+from .complexity import _witnesses, full_table, reduce_irreducible
+from .counting import series
+from .distribution import exact_distribution, function_counts, limit_estimate
 from .formula import Record, TruthTable, parse_formula, serialize
 from .quadext import QuadExt
 from .sampler import monte_carlo, sample_many
@@ -270,16 +270,12 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         raise ValueError("complexity --f-hex prints JSON; --format csv needs --all")
     args.format = "json"
     record = complexity_of(TruthTable.from_hex(args.f_hex, args.n), args.n)
-    try:  # null for constants, literals and functions with too many minimal trees
-        witnesses = [_text(op, kids) for op, runs in _minimal_runs(record, args.n) for kids in runs]
-    except (ValueError, BudgetError):
-        witnesses = None
     _emit_json(
         args,
         truth_table_hex=record.f.to_hex(),
         L=record.L,
         m_f=record.m_f,
-        witnesses=witnesses,
+        witnesses=_witnesses(record, args.n),  # null for constants, literals and m_f over budget
     )
     return 0
 

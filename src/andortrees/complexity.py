@@ -8,19 +8,21 @@ size-2 "minimal trees" of a literal are degenerate unary shapes that are not
 valid trees here and are never materialised (m_f = 2 is still reported for
 them).  L and m_f are invariant under variable permutations and input
 negations, so the sweep reads them once per symmetry class of the engine.
-The minimal trees themselves are generated top down from the same counts,
-in canonical order and with no sort (``distribution._trees``); their
-grafting slots, and so the one-step expansions, are counted off an engine
-that weighs each leaf, with no tree listed and no budget (``_slot_counts``).
+The minimal trees themselves are listed top down from the per-mask counts,
+in canonical order and with no sort (``_trees``, for any size and mask);
+their grafting slots, and so the one-step expansions, are counted off an
+engine that weighs each leaf, with no tree listed and no budget
+(``_slot_counts``).
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import DEFAULT_ENUMERATION_BUDGET, BudgetError
-from .distribution import _Engine, _get_engine, _orbit_ids, _trees
+from .distribution import _Engine, _get_engine, _orbit_ids, function_counts
 from .formula import (
     AND,
     MAX_FOLD_VARS,
@@ -31,6 +33,7 @@ from .formula import (
     Record,
     StratificationError,
     TruthTable,
+    _literals,
     _preorder,
     _set,
     literal_mask,
@@ -79,18 +82,98 @@ def complexity(f: TruthTable, n: int) -> ComplexityRecord:
     return _sweep([f], n)[0]
 
 
-def _minimal_runs(record: ComplexityRecord, n: int) -> List[Tuple[str, Iterator[tuple]]]:
-    """(root, its `distribution._trees` runs) of the minimal trees of record.f,
-    the and root first.  Raises ValueError when L(f) < 3 and counting.BudgetError
-    when m_f is over counting.DEFAULT_ENUMERATION_BUDGET, before generating any."""
-    if record.L < 3:
-        raise ValueError("constants and literal functions have no materialised minimal trees")
-    if record.m_f > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"{record.f.to_hex()} has {record.m_f} minimal trees, "
-            f"over budget {DEFAULT_ENUMERATION_BUDGET}"
-        )
-    return [(op, _trees(n, record.L, record.f.bits, op)) for op in (AND, OR)]
+def _text(op: str, run: tuple) -> str:
+    """`serialize` of Node(op, run[1::2]), read off the children's texts run[::2]."""
+    return "(" + op + " " + " ".join(run[::2]) + ")"
+
+
+def _trees(n: int, s: int, f: int, op: str) -> Iterator[tuple]:
+    """The children, each after its text, of every size-s tree (s >= 2) rooted at
+    `op` computing the mask f, each tree once, in `serialize` order: the tree of
+    such a run is ``Node(op, run[1::2])`` and its text ``_text(op, run)``.
+
+    The recursive method of Flajolet, Zimmermann & Van Cutsem (1994), top
+    down on the counts of ``function_counts``.  Take the x-mask of an
+    op-rooted tree to be its mask under an or root and the complement of its
+    mask under an and root.  Then a node's x-mask is the OR of its children's
+    masks taken in the same frame, under either root, and a child with mask g
+    in its parent's frame has x-mask full ^ g in its own.  By duality,
+    or_rooted[x] at size t counts the size-t trees with x-mask x of either
+    root, so a child with mask g and size t exists iff and_rooted[g] at size
+    t is nonzero, and a run of >= 2 children whose masks OR to h, of total
+    size t, iff or_rooted[h] at size t + 1 is.  A node with x-mask x takes a
+    first child and then a run of the others, all within x; after a first
+    child of mask g the run must cover the rest of x, so a run is keyed by
+    the masks it must cover.  Only first children whose run exists are
+    taken.  They are taken from all (size, mask) groups at once, by their
+    texts, each assembled once from its children's; so each memoized list,
+    and the output, is in text order by the argument of ``counting``'s
+    module docstring.
+    """
+    counts = [None] + [function_counts(t, n) for t in range(1, s + 1)]
+    full = (1 << (1 << n)) - 1
+    masks = range(full + 1)
+    # child[t]: the masks of the children of size t; run[t]: the masks of
+    # the runs of children of total size t (the empty run at t = 0)
+    child = [None] + [list(compress(masks, counts[t].and_rooted)) for t in range(1, s)]
+    run = [[0]] + [
+        list(compress(masks, map(operator.add, counts[t].and_rooted, counts[t + 1].or_rooted)))
+        for t in range(1, s)
+    ]
+    leaves = {mask: (str(lit), Leaf(lit)) for mask, lit in zip(literal_masks(n), _literals(n))}
+    memo: Dict[tuple, list] = {}
+
+    def rooted(op: str, x: int, size: int) -> List[Tuple[str, AndOrTree]]:
+        """(text, tree) of the op-rooted trees of this size with x-mask x."""
+        key = (op, x, size)
+        trees = memo.get(key)
+        if trees is None:
+            if size == 1:
+                trees = [leaves[x if op == OR else full ^ x]]
+            else:
+                found = runs(op, x, x, size - 1)
+                trees = [(_text(op, kids), Node(op, kids[1::2])) for kids in found if len(kids) > 2]
+            memo[key] = trees
+        return trees
+
+    def firsts(op: str, x: int, need: int, size: int) -> List[tuple]:
+        """((text, first child), mask left to cover, size left) of `runs`."""
+        key = (op, x, need, size)
+        heads = memo.get(key)
+        if heads is None:
+            other = AND if op == OR else OR
+            heads = []
+            for first in range(1, size + 1):
+                tails = [h for h in run[size - first] if h | x == x]
+                for g in child[first]:
+                    left = need & ~g
+                    if g | x == x and any(h & left == left for h in tails):
+                        heads += [(k, left, size - first) for k in rooted(other, full ^ g, first)]
+            heads = memo[key] = sorted(heads, key=lambda head: head[0][0])
+        return heads
+
+    def runs(op: str, x: int, need: int, size: int) -> Iterator[tuple]:
+        """Runs of >= 1 children of an op node, of total size `size`, each
+        child's mask within x and their OR covering `need`."""
+        for kid, left, more in firsts(op, x, need, size):
+            if more:
+                for rest in runs(op, x, left, more):
+                    yield kid + rest
+            else:
+                yield kid
+
+    x = f if op == OR else full ^ f
+    if counts[s].or_rooted[x]:
+        yield from (kids for kids in runs(op, x, x, s - 1) if len(kids) > 2)
+
+
+def _witnesses(record: ComplexityRecord, n: int) -> Optional[List[str]]:
+    """The texts of the minimal trees of record.f, in the order of
+    `minimal_trees`, or None, before generating any, when L(f) < 3 or m_f is
+    over counting.DEFAULT_ENUMERATION_BUDGET."""
+    if record.L < 3 or record.m_f > DEFAULT_ENUMERATION_BUDGET:
+        return None
+    return [_text(op, kids) for op in (AND, OR) for kids in _trees(n, record.L, record.f.bits, op)]
 
 
 def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
@@ -99,8 +182,15 @@ def minimal_trees(f: TruthTable, n: int) -> List[AndOrTree]:
     order.  Needs L(f) >= 3 (real trees exist).  Raises
     counting.BudgetError, before generating any, when m_f is over
     counting.DEFAULT_ENUMERATION_BUDGET."""
-    runs = _minimal_runs(complexity(f, n), n)
-    return [Node(op, kids[1::2]) for op, stream in runs for kids in stream]
+    record = complexity(f, n)
+    if record.L < 3:
+        raise ValueError("constants and literal functions have no materialised minimal trees")
+    if record.m_f > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"{record.f.to_hex()} has {record.m_f} minimal trees, "
+            f"over budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
+    return [Node(op, kids[1::2]) for op in (AND, OR) for kids in _trees(n, record.L, f.bits, op)]
 
 
 def full_table(n: int) -> List[ComplexityRecord]:

@@ -9,8 +9,10 @@ subtrees) and the convolution recurrence read off the quadratic itself;
 ``algebraic_residual`` checks the identity on any computed series.
 
 A brute-force generator over all trees of a given size doubles as the
-ground-truth oracle for small sizes.  It lists each size class in
-`serialize` order as it builds it, and sorts none.  In the text, '(' < 'x'
+ground-truth oracle for small sizes.  It builds each size class in
+`serialize` order from the candidate children of every smaller size, which
+it keeps sorted by text: at each size the new trees come in text order, so
+the sort merges two sorted runs.  In the text, '(' < 'x'
 < '~' and "(and" < "(or"; the separators ' ' and ')' sort below any
 character that could continue a literal or a node.  So text order is: the
 root connective first, then the children compared one at a time, with a
@@ -151,16 +153,9 @@ def brute_enumerate(
         raise BudgetError(
             f"size class m={m}, n={n} holds {expected} trees, over budget {budget}"
         )
-    if expected == 0:
-        return
     if m == 1:
-        trees = [leaf for _, leaf, _ in _children(n, AND, 1)]
+        yield from (leaf for _, leaf, _ in _children(n, AND, 1))
     else:
-        trees = [
+        yield from (
             Node(op, run) for op in (AND, OR) for run in _runs(n, op, m - 1) if len(run) > 1
-        ]
-    if len(trees) != expected:  # defensive: generation must match the series
-        raise CountingError(
-            f"enumeration produced {len(trees)} trees, series says {expected}"
         )
-    yield from trees

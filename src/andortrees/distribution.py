@@ -47,10 +47,11 @@ full-vector engine this one replaced.
 ``prob``, ``prob_ge``, ``tautology_count`` and ``limit_estimate`` read
 one orbit entry per size; ``prob_ge`` reads its superset sums off the zeta
 layers X and S.  ``function_counts`` and ``exact_distribution`` expand a
-layer to one entry per mask.  ``_trees`` lists the trees computing a mask,
-top down from the OR layers and in `serialize` order, for ``complexity``:
-each as its children, each next to its text, so one pass gives trees and
-texts.
+layer to one entry per mask.  A probability divides by the number A_m of
+size-m trees, read off the same engine: c(full, O) = |O|, so X[m] at the
+full mask sums the and-rooted count of every mask, the rooted count a_hat,
+and A_m is a_hat at m = 1 and 2 * a_hat above, a leaf being both roots.
+``counting.series`` computes A_m independently; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -63,11 +64,9 @@ from array import array
 from fractions import Fraction
 from itertools import compress
 from operator import add, itemgetter, mul, sub
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .counting import series
-from .formula import AND, OR, AndOrTree, Leaf, Node, Record, TruthTable, _literals
-from .formula import literal_masks
+from .formula import Record, TruthTable, literal_masks
 
 HARD_MAX_VARS = 4
 
@@ -255,6 +254,11 @@ class _Engine:
         f_id = self.orbit[mask]
         return _total(self.or_layers[m], m, f_id, self.comp[f_id])
 
+    def class_size(self, m: int) -> int:
+        """Trees of size m computing any function (module docstring)."""
+        rooted = self.X[m][self.orbit[-1]]
+        return rooted if m == 1 else 2 * rooted
+
     def totals(self, m: int) -> List[int]:
         """Trees of size m computing any one function of each orbit."""
         layer = self.or_layers[m]
@@ -303,93 +307,6 @@ def _orbit_ids(n: int) -> Tuple[int, ...]:
     return _get_engine(n, 0).orbit
 
 
-def _text(op: str, run: tuple) -> str:
-    """`serialize` of Node(op, run[1::2]), read off the children's texts run[::2]."""
-    return "(" + op + " " + " ".join(run[::2]) + ")"
-
-
-def _trees(n: int, s: int, f: int, op: str) -> Iterator[tuple]:
-    """The children, each after its text, of every size-s tree (s >= 2) rooted at
-    `op` computing the mask f, each tree once, in `serialize` order: the tree of
-    such a run is ``Node(op, run[1::2])`` and its text ``_text(op, run)``.
-
-    The recursive method of Flajolet, Zimmermann & Van Cutsem (1994), top
-    down on the engine's counts.  Take the x-mask of an op-rooted tree to be
-    its mask under an or root and the complement of its mask under an and
-    root.  Then a node's x-mask is the OR of its children's masks taken in
-    the same frame, under either root, and a child with mask g in its
-    parent's frame has x-mask full ^ g in its own.  By duality,
-    or_layers[t][orbit[x]] counts the size-t trees with x-mask x of either
-    root, so a child with mask g and size t exists iff
-    or_layers[t][orbit[full ^ g]] is nonzero, and a run of >= 2 children
-    whose masks OR to h, of total size t, iff or_layers[t + 1][orbit[h]]
-    is.  A node with x-mask x takes a first child and then a run of the
-    others, all within x; after a first child of mask g the run must cover
-    the rest of x, so a run is keyed by the masks it must cover.  Only
-    first children whose run exists are taken.  They are taken from all
-    (size, mask) groups at once, by their texts, each assembled once from its
-    children's; so each memoized list, and the output, is in text order by
-    the argument of ``counting``'s module docstring.
-    """
-    engine = _get_engine(n, s)
-    orbit, layers = engine.orbit, engine.or_layers
-    full = len(orbit) - 1
-    masks = range(full + 1)
-    # one[t][g]: children of mask g and size t; run[t]: the masks of the
-    # runs of children of total size t (the empty run at t = 0)
-    one = [None] + [engine.per_mask(layers[t])[::-1] for t in range(1, s)]
-    run = [[0]] + [
-        list(compress(masks, map(add, one[t], engine.per_mask(layers[t + 1]))))
-        for t in range(1, s)
-    ]
-    child = [None] + [list(compress(masks, counts)) for counts in one[1:]]
-    leaves = {mask: (str(lit), Leaf(lit)) for mask, lit in zip(literal_masks(n), _literals(n))}
-    memo: Dict[tuple, list] = {}
-
-    def rooted(op: str, x: int, size: int) -> List[Tuple[str, AndOrTree]]:
-        """(text, tree) of the op-rooted trees of this size with x-mask x."""
-        key = (op, x, size)
-        trees = memo.get(key)
-        if trees is None:
-            if size == 1:
-                trees = [leaves[x if op == OR else full ^ x]]
-            else:
-                found = runs(op, x, x, size - 1)
-                trees = [(_text(op, kids), Node(op, kids[1::2])) for kids in found if len(kids) > 2]
-            memo[key] = trees
-        return trees
-
-    def firsts(op: str, x: int, need: int, size: int) -> List[tuple]:
-        """((text, first child), mask left to cover, size left) of `runs`."""
-        key = (op, x, need, size)
-        heads = memo.get(key)
-        if heads is None:
-            other = AND if op == OR else OR
-            heads = []
-            for first in range(1, size + 1):
-                tails = [h for h in run[size - first] if h | x == x]
-                for g in child[first]:
-                    left = need & ~g
-                    if g | x == x and any(h & left == left for h in tails):
-                        heads += [(k, left, size - first) for k in rooted(other, full ^ g, first)]
-            heads = memo[key] = sorted(heads, key=lambda head: head[0][0])
-        return heads
-
-    def runs(op: str, x: int, need: int, size: int) -> Iterator[tuple]:
-        """Runs of >= 1 children of an op node, of total size `size`, each
-        child's mask within x and their OR covering `need`."""
-        for kid, left, more in firsts(op, x, need, size):
-            if more:
-                for rest in runs(op, x, left, more):
-                    yield kid + rest
-            else:
-                yield kid
-
-    x = f if op == OR else full ^ f
-    if layers[s][orbit[x]]:
-        yield from (kids for kids in runs(op, x, x, s - 1) if len(kids) > 2)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -402,10 +319,11 @@ def _check_size(m: int) -> None:
 
 def _size_class(m: int, n: int) -> Tuple[_Engine, int]:
     """The engine grown to size m, and the number of trees of size m."""
-    total = series(n, m).a_total[m]
+    engine = _get_engine(n, m)
+    total = engine.class_size(m)
     if total == 0:
         raise DistributionError(f"empty size class: no trees of size {m}")
-    return _get_engine(n, m), total
+    return engine, total
 
 
 def function_counts(m: int, n: int) -> CountTable:
@@ -486,13 +404,13 @@ def limit_estimate(
     if f.n != n:
         raise ValueError("truth table n does not match")
     engine = _get_engine(n, M)
-    totals = series(n, M).a_total
     window = 10
     odd, even = [], []
-    for m in range(M - window, M + 1):
-        if totals[m] == 0:
+    for m in range(max(1, M - window), M + 1):
+        total = engine.class_size(m)
+        if total == 0:
             continue
-        value = engine.count(m, f.bits) / totals[m]
+        value = engine.count(m, f.bits) / total
         (odd if m % 2 else even).append(value)
     odd_tail = sum(odd) / len(odd) if odd else float("nan")
     even_tail = sum(even) / len(even) if even else float("nan")

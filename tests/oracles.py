@@ -18,12 +18,12 @@ from andortrees.complexity import (
     ExpansionStep,
     _node_at,
     _replace_at,
+    _trees,
     complexity,
     expand,
     minimal_trees,
 )
 from andortrees.counting import brute_enumerate
-from andortrees.distribution import _trees
 from andortrees.formula import (
     AND,
     OR,

@@ -8,7 +8,7 @@ numerical limits" section; each check's detail holds its measured values.
 
 import pytest
 
-from andortrees import verify
+from andortrees import counting, verify
 from andortrees.verify import CHECKS, SUITES, run_check, run_suite
 
 
@@ -38,3 +38,22 @@ def test_suites_run_their_checks_in_order(monkeypatch):
     for suite, criteria in SUITES.items():
         # criterion by criterion in the suite's order, each in table order
         assert runs[suite] == [row[0] for c in criteria for row in CHECKS if row[1] == c]
+
+
+def test_check_1a_reports_a_wrong_series_as_a_mismatch(monkeypatch):
+    """A series one tree too high at m = 5 fails check 1a, with both sizes
+    listed: the enumeration compared with it never consults the series."""
+    right = counting.series
+
+    def wrong(n, max_size):
+        cs = right(n, max_size)
+        totals = [t + (m == 5) for m, t in enumerate(cs.a_total)]
+        return counting.CountSeries(n, max_size, cs.a_hat, tuple(totals))
+
+    monkeypatch.setattr(counting, "series", wrong)
+    monkeypatch.setattr(verify, "series", wrong)
+    [row] = [row for row in CHECKS if row[0] == "1a"]
+    result = run_check(*row)
+    assert not result.passed
+    want = [(n, 5, right(n, 5).a_total[5], right(n, 5).a_total[5] + 1) for n in (1, 2)]
+    assert result.detail["mismatches"] == want

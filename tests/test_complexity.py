@@ -11,9 +11,10 @@ from andortrees.complexity import (
     CONTRADICTION_EXPANSION,
     TAUTOLOGY_EXPANSION,
     ExpansionStep,
-    _minimal_runs,
     _slot_counts,
     _sweep,
+    _text,
+    _trees,
     complexity,
     expand,
     expansion_count,
@@ -27,11 +28,12 @@ from andortrees.counting import BudgetError, brute_enumerate
 from andortrees.distribution import (
     DistributionError,
     _get_engine,
-    _text,
     function_counts,
     tautology_count,
 )
 from andortrees.formula import (
+    AND,
+    OR,
     Literal,
     Node,
     StratificationError,
@@ -194,8 +196,8 @@ def test_minimal_trees_at_n3_number_m_f():
     digest = hashlib.sha256()  # of the whole stream, function by function
     table = [rec for rec in full_table(3) if rec.L >= 3]
     for rec, marked in zip(table, _slot_counts(3, table)):
-        # texts and trees from one pass, as the CLI and minimal_trees read it
-        runs = [(op, kids) for op, stream in _minimal_runs(rec, 3) for kids in stream]
+        # texts and trees from one pass of the lister the CLI and minimal_trees read
+        runs = [(op, kids) for op in (AND, OR) for kids in _trees(3, rec.L, rec.f.bits, op)]
         forms = [_text(op, kids) for op, kids in runs]
         trees = [Node(op, kids[1::2]) for op, kids in runs]
         assert len(trees) == rec.m_f
@@ -226,7 +228,6 @@ def test_minimal_trees_over_the_enumeration_budget_raise(monkeypatch):
     with pytest.raises(BudgetError):
         minimal_trees(f, 4)
     # expansion_count lists no tree, so it has no budget
-    monkeypatch.setattr(module, "_minimal_runs", None)
     assert expansion_count(TruthTable(4, 0x6996), 4, 30) == 523_763_712
     assert expansion_count(f, 4, 31) == 13_483_376_640
 

@@ -27,7 +27,7 @@ from andortrees.distribution import (
     prob_ge,
     tautology_count,
 )
-from andortrees.complexity import full_table
+from andortrees.complexity import _text, _trees, full_table
 from andortrees.formula import (
     AND,
     OR,
@@ -83,6 +83,29 @@ def test_rooted_sums_match_series():
             table = function_counts(m, n)
             assert sum(table.and_rooted) == cs.a_hat[m]
             assert sum(table.or_rooted) == cs.a_hat[m]
+
+
+def test_engine_class_sizes_are_the_series_totals():
+    """A_m, the denominator of every probability, read off the engine, is
+    the independent count of `series`."""
+    for n, top in ((1, 30), (2, 30), (3, 30), (4, 14)):
+        engine = dist_mod._get_engine(n, top)
+        want = series(n, top).a_total
+        assert [engine.class_size(m) for m in range(1, top + 1)] == list(want[1:])
+
+
+def test_probabilities_of_a_grown_engine_count_nothing_more():
+    """Once the engine is grown, the queries of every size read it alone:
+    `series` is neither called nor grows its cache."""
+    dist_mod._get_engine(1, 200)
+    true, x1 = TruthTable.constant(1, True), lit_table(1, 1)
+    before = series.cache_info()
+    for m in range(3, 201):
+        prob(m, 1, true)
+        prob_ge(m, 1, x1)
+    limit_estimate(1, true, M=200)
+    exact_distribution(200, 1)
+    assert series.cache_info() == before
 
 
 def test_counts_match_brute_enumeration_by_root():
@@ -251,9 +274,8 @@ def test_n4_totals_match_series_and_true_false_symmetry():
 @pytest.mark.parametrize("m", [0, -1])
 def test_sizes_below_one_are_rejected_before_any_counting(monkeypatch, m):
     def untouched(*args):
-        raise AssertionError("series or the engine was consulted")
+        raise AssertionError("the engine was consulted")
 
-    monkeypatch.setattr(dist_mod, "series", untouched)
     monkeypatch.setattr(dist_mod, "_get_engine", untouched)
     x1 = lit_table(1, 2)
     for query in (
@@ -656,10 +678,10 @@ def test_generated_trees_are_the_brute_size_class(n, m):
         want.setdefault((truth_table(tree, n).bits, tree.op), []).append(serialize(tree))
     for op in (AND, OR):
         for f in range(1 << (1 << n)):
-            runs = list(dist_mod._trees(n, m, f, op))
+            runs = list(_trees(n, m, f, op))
             got = [serialize(Node(op, kids[1::2])) for kids in runs]
             assert got == want.get((f, op), []), (f, op)
-            assert [dist_mod._text(op, kids) for kids in runs] == got, (f, op)
+            assert [_text(op, kids) for kids in runs] == got, (f, op)
 
 
 def test_the_old_cache_variable_is_inert(tmp_path, monkeypatch, capsys):

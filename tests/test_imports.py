@@ -87,6 +87,18 @@ print(json.dumps({"modules": sorted(sys.modules), "imported": imported, "functio
 """
 
 
+DISTRIBUTION_CASE = """
+import json, sys
+before = set(sys.modules)
+import andortrees.distribution as D
+imported = sorted(set(sys.modules) - before)
+from andortrees.formula import TruthTable
+rep = D.limit_estimate(1, TruthTable.constant(1, True), M=20)
+D.exact_distribution(7, 2)
+print(json.dumps({"modules": sorted(sys.modules), "imported": imported, "estimate": rep.estimate}))
+"""
+
+
 @pytest.mark.parametrize(
     "code, package_modules",
     [
@@ -101,8 +113,9 @@ print(json.dumps({"modules": sorted(sys.modules), "imported": imported, "functio
                 "andortrees.formula",
             ],
         ),
+        (DISTRIBUTION_CASE, ["andortrees", "andortrees.distribution", "andortrees.formula"]),
     ],
-    ids=["sampler", "engine_and_complexity"],
+    ids=["sampler", "engine_and_complexity", "distribution"],
 )
 def test_imports_load_only_what_the_caller_uses(code, package_modules):
     out = run_fresh(code)
@@ -117,8 +130,9 @@ def test_imports_load_only_what_the_caller_uses(code, package_modules):
         assert out["new"] == []
         assert out["reports"] == [True, True]
     else:
-        assert out["functions"] == 16
         assert 0.0 < out["estimate"] < 1.0
+        if "functions" in out:  # the complexity table
+            assert out["functions"] == 16
 
 
 API_CASE = """
